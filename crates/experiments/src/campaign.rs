@@ -106,6 +106,22 @@ impl Campaign {
         self.collect_metrics = true;
         self
     }
+
+    /// The session of run `index` (seed `base_seed + index`) — exactly what
+    /// every dispatch mode executes for that run.
+    pub fn session(&self, index: u64, telemetry: &Telemetry) -> SimSession {
+        let seed = self.base_seed + index;
+        let mut config = match &self.spec {
+            Some(spec) => RunConfig::generated(spec.clone(), seed),
+            None => RunConfig::new(self.scenario, seed),
+        };
+        config = config.with_faults(self.faults.clone());
+        SimSession::builder(self.scenario)
+            .config(config)
+            .attacker(self.attacker.clone())
+            .telemetry(telemetry.clone())
+            .build()
+    }
 }
 
 /// Aggregated campaign outcomes.
@@ -273,6 +289,21 @@ pub fn run_campaign_dispatch(
             .map_or_else(Telemetry::disabled, |r| Telemetry::with_registry(r.clone()))
     };
 
+    // Batched dispatch replaces the per-run execution engine itself, so it
+    // engages even on the single-worker path (unlike the scheduling-only
+    // modes, which all degenerate to a plain sequential loop there).
+    if let DispatchMode::Batched { batch_size } = mode {
+        let outcomes = run_sweep(
+            runs,
+            threads,
+            batch_size,
+            &worker_telemetry,
+            |i, tele| campaign.session(i as u64, tele),
+            |outcome| outcome,
+        )?;
+        return Ok(finish_campaign(campaign, outcomes, &registries));
+    }
+
     // Each worker keeps one long-lived SessionWorker (ADS + frame + scheduler
     // buffers) and resets it between runs instead of rebuilding — the warmed
     // scratch allocations survive every run the worker claims.
@@ -282,19 +313,7 @@ pub fn run_campaign_dispatch(
     // under static chunking, the old `chunk.max(1)` misassigned seeds when
     // threads > runs); cap the worker count at the queue length.
     let workers = threads.min(runs);
-    // Batched dispatch replaces the per-run execution engine itself, so it
-    // engages even on the single-worker path (unlike the scheduling-only
-    // modes, which all degenerate to a plain sequential loop there).
-    if let DispatchMode::Batched { batch_size } = mode {
-        let batch_size = batch_size.max(1);
-        run_campaign_batched(
-            campaign,
-            batch_size,
-            workers.max(1),
-            &mut outcomes,
-            &worker_telemetry,
-        );
-    } else if workers <= 1 {
+    if workers <= 1 {
         let tele = worker_telemetry(0);
         let mut session_worker = SessionWorker::new();
         for (i, slot) in outcomes.iter_mut().enumerate() {
@@ -365,111 +384,116 @@ pub fn run_campaign_dispatch(
         }
     }
 
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("all runs filled"))
+        .collect();
+    Ok(finish_campaign(campaign, outcomes, &registries))
+}
+
+/// Packages seed-ordered outcomes with the merged per-worker metrics.
+fn finish_campaign(
+    campaign: &Campaign,
+    outcomes: Vec<RunOutcome>,
+    registries: &[Arc<MetricsRegistry>],
+) -> CampaignResult {
     let metrics = registries.split_first().map(|(first, rest)| {
         for r in rest {
             first.merge_from(r);
         }
         first.snapshot()
     });
-
-    Ok(CampaignResult {
+    CampaignResult {
         name: campaign.name.clone(),
         scenario: campaign.scenario,
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("all runs filled"))
-            .collect(),
+        outcomes,
         metrics,
-    })
+    }
 }
 
-/// Executes the whole campaign through the lockstep batch engine. Workers
-/// claim contiguous blocks of `batch_size` run indices off an atomic
-/// counter (block-granular work stealing) and each block runs as one
-/// lockstep batch; outcomes scatter back into seed order.
-fn run_campaign_batched(
-    campaign: &Campaign,
+/// Executes `sessions` runs as one sweep through the lockstep batch engine
+/// and returns `reduce(outcome)` for each, in index order.
+///
+/// Session `i` is `make(i, telemetry)`. The index range is cut into
+/// contiguous blocks of `batch_size` (clamped to at least 1) and up to
+/// `threads` workers claim blocks off a shared atomic counter
+/// (block-granular work stealing); each block runs as one lockstep batch.
+/// Sessions in a block need not share a scenario, spec, attacker, or
+/// duration, so callers can pack many small campaigns into one sweep.
+/// `reduce` runs inside the worker as each block finishes, so a caller that
+/// needs only a summary never holds more than one block of full outcomes
+/// per worker. Worker `w` runs under `worker_telemetry(w)`, which also
+/// receives a [`TraceEvent::CampaignRunDispatched`] per session. Results
+/// are bit-identical for every ⟨threads, batch size⟩.
+///
+/// # Errors
+///
+/// Returns [`CampaignError::ZeroThreads`] for `threads == 0`.
+pub fn run_sweep<T: Send>(
+    sessions: usize,
+    threads: usize,
     batch_size: usize,
-    workers: usize,
-    outcomes: &mut [Option<RunOutcome>],
     worker_telemetry: &dyn Fn(usize) -> Telemetry,
-) {
-    let runs = outcomes.len();
-    let blocks = runs.div_ceil(batch_size.max(1));
-    let workers = workers.min(blocks.max(1));
-    let run_block = |block: usize, tele: &Telemetry, pool: &mut crate::batch::LanePool| {
-        let start = block * batch_size;
-        let end = (start + batch_size).min(runs);
-        let sessions: Vec<SimSession> = (start..end)
-            .map(|i| {
-                tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                    index: i as u64,
-                });
-                session_for(campaign, i as u64, tele)
-            })
-            .collect();
-        (start, pool.run_batch(&sessions, tele))
-    };
-    if workers <= 1 {
-        let tele = worker_telemetry(0);
+    make: impl Fn(usize, &Telemetry) -> SimSession + Sync,
+    reduce: impl Fn(RunOutcome) -> T + Sync,
+) -> Result<Vec<T>, CampaignError> {
+    if threads == 0 {
+        return Err(CampaignError::ZeroThreads);
+    }
+    let batch_size = batch_size.max(1);
+    let blocks = sessions.div_ceil(batch_size);
+    let workers = threads.min(blocks).max(1);
+    let next = AtomicU64::new(0);
+    // One worker's life: a long-lived lane pool (warm ADS + frame buffers
+    // per lane), claiming blocks until the counter runs past the end.
+    let work = |tele: Telemetry| {
         let mut pool = crate::batch::LanePool::new();
-        for block in 0..blocks {
-            let (start, batch_outcomes) = run_block(block, &tele, &mut pool);
-            for (slot, outcome) in outcomes[start..].iter_mut().zip(batch_outcomes) {
-                *slot = Some(outcome);
+        let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
+        loop {
+            let block = next.fetch_add(1, Ordering::Relaxed);
+            let Ok(block) = usize::try_from(block) else {
+                break;
+            };
+            if block >= blocks {
+                break;
             }
+            let start = block * batch_size;
+            let end = (start + batch_size).min(sessions);
+            let batch: Vec<SimSession> = (start..end)
+                .map(|i| {
+                    tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
+                        index: i as u64,
+                    });
+                    make(i, &tele)
+                })
+                .collect();
+            let reduced = pool.run_batch(&batch, &tele).into_iter().map(&reduce);
+            claimed.push((start, reduced.collect()));
         }
+        claimed
+    };
+    let mut claimed = if workers == 1 {
+        work(worker_telemetry(0))
     } else {
-        let next = AtomicU64::new(0);
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let tele = worker_telemetry(worker);
-                    let next = &next;
-                    let run_block = &run_block;
-                    scope.spawn(move |_| {
-                        let mut pool = crate::batch::LanePool::new();
-                        let mut claimed: Vec<(usize, Vec<RunOutcome>)> = Vec::new();
-                        loop {
-                            let block = next.fetch_add(1, Ordering::Relaxed);
-                            let Ok(block) = usize::try_from(block) else {
-                                break;
-                            };
-                            if block >= blocks {
-                                break;
-                            }
-                            claimed.push(run_block(block, &tele, &mut pool));
-                        }
-                        claimed
-                    })
+                    let work = &work;
+                    scope.spawn(move |_| work(tele))
                 })
                 .collect();
-            // The claimed blocks partition 0..runs, so every slot fills once.
-            for handle in handles {
-                for (start, batch_outcomes) in handle.join().expect("campaign worker panicked") {
-                    for (slot, outcome) in outcomes[start..].iter_mut().zip(batch_outcomes) {
-                        *slot = Some(outcome);
-                    }
-                }
-            }
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
         })
-        .expect("campaign scope panicked");
-    }
-}
-
-/// Builds the session for run `index` of the campaign.
-fn session_for(campaign: &Campaign, index: u64, telemetry: &Telemetry) -> SimSession {
-    let seed = campaign.base_seed + index;
-    let mut config = match &campaign.spec {
-        Some(spec) => RunConfig::generated(spec.clone(), seed),
-        None => RunConfig::new(campaign.scenario, seed),
+        .expect("sweep scope panicked")
     };
-    config = config.with_faults(campaign.faults.clone());
-    SimSession::builder(campaign.scenario)
-        .config(config)
-        .attacker(campaign.attacker.clone())
-        .telemetry(telemetry.clone())
-        .build()
+    // The claimed blocks partition 0..sessions: ordering them by start
+    // restores index order.
+    claimed.sort_unstable_by_key(|&(start, _)| start);
+    Ok(claimed.into_iter().flat_map(|(_, block)| block).collect())
 }
 
 fn run_one(
@@ -478,7 +502,7 @@ fn run_one(
     telemetry: &Telemetry,
     worker: &mut SessionWorker,
 ) -> RunOutcome {
-    session_for(campaign, index, telemetry).run_with(worker)
+    campaign.session(index, telemetry).run_with(worker)
 }
 
 #[cfg(test)]

@@ -126,6 +126,7 @@ pub struct OracleCache {
     misses: AtomicU64,
     dataset_hits: AtomicU64,
     dataset_misses: AtomicU64,
+    read_errors: AtomicU64,
 }
 
 impl Default for OracleCache {
@@ -155,6 +156,7 @@ impl OracleCache {
             misses: AtomicU64::new(0),
             dataset_hits: AtomicU64::new(0),
             dataset_misses: AtomicU64::new(0),
+            read_errors: AtomicU64::new(0),
         }
     }
 
@@ -215,10 +217,18 @@ impl OracleCache {
         )
     }
 
+    /// Store reads that failed with a real I/O error (this view) — each one
+    /// degraded to a recompute.
+    pub fn read_errors(&self) -> u64 {
+        self.read_errors.load(Ordering::Relaxed)
+    }
+
     /// Reads and decodes ⟨`namespace`, `key`⟩ without touching this view's
-    /// counters. Real I/O failures are surfaced on stderr once and then
-    /// degrade to a miss — the computation still runs, just uncached.
-    fn fetch<T>(
+    /// hit/miss counters. Real I/O failures are surfaced on stderr, counted
+    /// in [`Self::read_errors`], and then degrade to a miss — the
+    /// computation still runs, just uncached. Every store-backed cache in
+    /// the crate reads through here.
+    pub(crate) fn fetch<T>(
         &self,
         namespace: &'static str,
         key: u64,
@@ -227,6 +237,7 @@ impl OracleCache {
         match self.artifacts.get(namespace, key) {
             Ok(bytes) => bytes.as_deref().and_then(decode),
             Err(e) => {
+                self.read_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("[oracle-cache] degraded to recompute: {e}");
                 None
             }

@@ -12,8 +12,8 @@
 //! point for executing a run.
 
 pub use crate::campaign::{
-    default_threads, run_campaign, run_campaign_dispatch, run_campaign_with_threads, Campaign,
-    CampaignError, CampaignResult, DispatchMode,
+    default_threads, run_campaign, run_campaign_dispatch, run_campaign_with_threads, run_sweep,
+    Campaign, CampaignError, CampaignResult, DispatchMode,
 };
 pub use crate::runner::{AttackerSpec, OracleSpec, RunConfig, RunOutcome};
 pub use crate::session::{SessionWorker, SimSession, SimSessionBuilder};

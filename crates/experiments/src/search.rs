@@ -25,9 +25,17 @@
 //!   with bounded deterministic retries. The whole schedule is a pure
 //!   function of the seed: reruns and different worker counts produce the
 //!   identical frontier.
-//! - **Batched evaluation.** Candidate campaigns execute through
-//!   [`DispatchMode::Batched`] minibatches — the lockstep engine's
-//!   bit-identity contract is what makes cached and fresh evaluations
+//! - **Batched evaluation.** Each round (the baselines, then each
+//!   generation) is proposed in full, then every candidate missing from
+//!   the store is evaluated in one packed [`run_sweep`]: all their seeded
+//!   runs, cut into `batch`-lane lockstep blocks that `threads` workers
+//!   steal, so blocks span candidates. Workers fold each run down to
+//!   ⟨launched, EB, crash, K⟩ on the spot (full outcomes with their time
+//!   series never accumulate), and summaries are stored and admitted in
+//!   proposal order. Each root's oracle is resolved once per search, so
+//!   lanes of one root share one oracle and their k-search rounds fuse
+//!   into one GEMM. The lockstep engine's bit-identity contract is what
+//!   makes cached and fresh evaluations, and any ⟨batch, threads⟩,
 //!   interchangeable.
 //! - **Evaluation cache.** Each ⟨spec, vector, run shape, oracle⟩
 //!   evaluation summary is content-addressed in the shared
@@ -40,15 +48,17 @@
 //! discovered a generated scenario that beats every fixed scenario's EB
 //! rate or crash rate.
 
-use crate::campaign::{run_campaign_dispatch, Campaign, DispatchMode};
+use crate::campaign::{run_sweep, Campaign, DispatchMode};
 use crate::oracle_cache::{oracle_digest, OracleCache};
-use crate::runner::{AttackerSpec, OracleSpec};
+use crate::runner::{AttackerSpec, OracleSpec, RunOutcome};
+use crate::stats;
 use crate::suite::{Args, ARMS};
 use crate::train_sh::SweepConfig;
 use av_scenarios::{ds, mutate, world_invariants, MutateConfig, ScenarioSpec};
 use av_simkit::rng::run_rng;
 use av_simkit::scenario::ScenarioId;
 use av_suite::fnv::Fnv1a;
+use av_telemetry::Telemetry;
 use robotack::vector::AttackVector;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -85,10 +95,10 @@ pub struct SearchConfig {
     pub runs: u64,
     /// Base seed: campaign seeds and the mutation schedule derive from it.
     pub base_seed: u64,
-    /// Lockstep minibatch size for candidate campaigns
-    /// ([`DispatchMode::Batched`]).
+    /// Lanes per lockstep block of each round's evaluation sweep (the
+    /// [`DispatchMode::Batched`] batch size).
     pub batch: usize,
-    /// Campaign worker threads (outcomes are thread-count invariant).
+    /// Sweep worker threads (outcomes are thread-count invariant).
     pub threads: usize,
     /// Elite parents drawn from the archive per generation.
     pub elites: usize,
@@ -454,64 +464,145 @@ fn decode_eval(key: u64, bytes: &[u8], label: &str, root: ScenarioId, runs: u64)
     })
 }
 
+/// A candidate proposed for evaluation in the current round.
+struct Proposal {
+    label: String,
+    root: ScenarioId,
+    /// The generated spec; `None` runs `root`'s fixed recipe.
+    spec: Option<Arc<ScenarioSpec>>,
+}
+
+/// What an evaluation keeps of one run. Folded inside the sweep worker, so
+/// full outcomes (with their time series) never accumulate.
+#[derive(Debug, Clone, Copy)]
+struct RunSummary {
+    launched: bool,
+    eb: bool,
+    accident: bool,
+    k: u32,
+}
+
+impl RunSummary {
+    fn of(outcome: RunOutcome) -> RunSummary {
+        RunSummary {
+            launched: outcome.attack.launched_at.is_some(),
+            eb: outcome.eb_after_attack,
+            accident: outcome.accident,
+            k: outcome.attack.k,
+        }
+    }
+}
+
+/// The campaign statistics of one candidate's seed-ordered runs, counted
+/// over valid (attack-launched) runs exactly like [`crate::campaign::CampaignResult`].
+fn summarize(label: &str, root: ScenarioId, runs: &[RunSummary]) -> Eval {
+    let launched: Vec<&RunSummary> = runs.iter().filter(|r| r.launched).collect();
+    let ks: Vec<f64> = launched.iter().map(|r| f64::from(r.k)).collect();
+    Eval {
+        label: label.to_string(),
+        root,
+        launched: launched.len() as u64,
+        runs: runs.len() as u64,
+        eb: launched.iter().filter(|r| r.eb).count() as u64,
+        crashes: launched.iter().filter(|r| r.accident).count() as u64,
+        median_k: stats::median(&ks),
+    }
+}
+
 /// The search driver's store-backed evaluator with its own hit/miss
 /// counters (surfaced in the report and the suite job scorecard).
 struct Evaluator<'a> {
     cfg: &'a SearchConfig,
     cache: &'a OracleCache,
-    oracle: OracleSpec,
-    oracle_key: u64,
+    /// Each root's oracle policy and its cache-key digest, resolved once
+    /// per search: every lane of a root shares one oracle `Arc`.
+    oracles: Vec<(ScenarioId, OracleSpec, u64)>,
     hits: u64,
     misses: u64,
 }
 
 impl Evaluator<'_> {
-    /// Evaluates one candidate: cached summary when the store already holds
-    /// this exact evaluation, otherwise a seeded campaign through the
-    /// lockstep batch engine (then stored).
-    fn evaluate(&mut self, label: &str, root: ScenarioId, spec: Option<Arc<ScenarioSpec>>) -> Eval {
-        let spec_hash = spec.as_ref().map_or(0, |s| s.content_hash());
-        let key = eval_key(spec_hash, root, self.cfg, self.oracle_key);
-        if let Ok(Some(bytes)) = self.cache.artifact_store().get(NS_SEARCH_EVAL, key) {
-            if let Some(eval) = decode_eval(key, &bytes, label, root, self.cfg.runs) {
-                self.hits += 1;
-                return eval;
-            }
-        }
-        self.misses += 1;
+    fn oracle(&self, root: ScenarioId) -> (&OracleSpec, u64) {
+        let (_, oracle, key) = self
+            .oracles
+            .iter()
+            .find(|(r, _, _)| *r == root)
+            .expect("every candidate descends from a search root");
+        (oracle, *key)
+    }
 
-        let attacker = AttackerSpec::RoboTack {
-            vector: Some(self.cfg.vector),
-            oracle: self.oracle.clone(),
-        };
-        let campaign = match spec {
-            Some(spec) => {
-                Campaign::generated(label, spec, attacker, self.cfg.runs, self.cfg.base_seed)
-            }
-            None => Campaign::new(label, root, attacker, self.cfg.runs, self.cfg.base_seed),
-        };
-        let result = run_campaign_dispatch(
-            &campaign,
-            self.cfg.threads.max(1),
-            DispatchMode::Batched {
-                batch_size: self.cfg.batch.max(1),
-            },
+    /// Evaluates one round and returns its evaluations in proposal order:
+    /// cached summaries where the store already holds them, the rest from
+    /// one lockstep sweep over every missed candidate's runs (then stored
+    /// in proposal order).
+    fn evaluate(&mut self, round: &[Proposal]) -> Vec<Eval> {
+        let cfg = self.cfg;
+        let keys: Vec<u64> = round
+            .iter()
+            .map(|p| {
+                let spec_hash = p.spec.as_ref().map_or(0, |s| s.content_hash());
+                eval_key(spec_hash, p.root, cfg, self.oracle(p.root).1)
+            })
+            .collect();
+        let mut evals: Vec<Option<Eval>> = round
+            .iter()
+            .zip(&keys)
+            .map(|(p, &key)| {
+                self.cache.fetch(NS_SEARCH_EVAL, key, |bytes| {
+                    decode_eval(key, bytes, &p.label, p.root, cfg.runs)
+                })
+            })
+            .collect();
+        let missed: Vec<usize> = (0..round.len()).filter(|&i| evals[i].is_none()).collect();
+        self.hits += (round.len() - missed.len()) as u64;
+        self.misses += missed.len() as u64;
+
+        let campaigns: Vec<Campaign> = missed
+            .iter()
+            .map(|&i| {
+                let p = &round[i];
+                let attacker = AttackerSpec::RoboTack {
+                    vector: Some(cfg.vector),
+                    oracle: self.oracle(p.root).0.clone(),
+                };
+                match &p.spec {
+                    Some(spec) => Campaign::generated(
+                        p.label.as_str(),
+                        spec.clone(),
+                        attacker,
+                        cfg.runs,
+                        cfg.base_seed,
+                    ),
+                    None => {
+                        Campaign::new(p.label.as_str(), p.root, attacker, cfg.runs, cfg.base_seed)
+                    }
+                }
+            })
+            .collect();
+        let runs = usize::try_from(cfg.runs).expect("run count fits usize");
+        let summaries = run_sweep(
+            campaigns.len() * runs,
+            cfg.threads.max(1),
+            cfg.batch,
+            &|_| Telemetry::disabled(),
+            |i, tele| campaigns[i / runs].session((i % runs) as u64, tele),
+            RunSummary::of,
         )
         .expect("search evaluation threads >= 1");
 
-        let eval = Eval {
-            label: label.to_string(),
-            root,
-            launched: result.n_launched() as u64,
-            runs: self.cfg.runs,
-            eb: result.eb().0 as u64,
-            crashes: result.crashes().0 as u64,
-            median_k: result.median_k(),
-        };
-        self.cache
-            .artifact_store()
-            .put(NS_SEARCH_EVAL, key, &encode_eval(key, &eval));
-        eval
+        for (n, &i) in missed.iter().enumerate() {
+            let p = &round[i];
+            let eval = summarize(&p.label, p.root, &summaries[n * runs..(n + 1) * runs]);
+            let bytes = encode_eval(keys[i], &eval);
+            self.cache
+                .artifact_store()
+                .put(NS_SEARCH_EVAL, keys[i], &bytes);
+            evals[i] = Some(eval);
+        }
+        evals
+            .into_iter()
+            .map(|e| e.expect("every proposal evaluated"))
+            .collect()
     }
 }
 
@@ -555,26 +646,33 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
     let mut evaluated = 0usize;
     let mut skipped_invalid = 0usize;
     let mut deduped = 0usize;
-    let (mut eval_hits, mut eval_misses) = (0u64, 0u64);
+    let mut evaluator = Evaluator {
+        cfg,
+        cache,
+        oracles: roots
+            .iter()
+            .map(|(root, _)| {
+                let (oracle, key) = oracle_policy(*root, cfg.vector, sweep, cache);
+                (*root, oracle, key)
+            })
+            .collect(),
+        hits: 0,
+        misses: 0,
+    };
 
     // Baseline round: the fixed scenarios under the same vector and run
-    // shape, evaluated per root with that root's oracle policy. Their DS
-    // spec re-expressions seed the archive (sampled worlds are
-    // bit-identical to the fixed recipes, so the evaluations transfer).
-    for (root, spec) in &roots {
-        let (oracle, oracle_key) = oracle_policy(*root, cfg.vector, sweep, cache);
-        let mut evaluator = Evaluator {
-            cfg,
-            cache,
-            oracle,
-            oracle_key,
-            hits: 0,
-            misses: 0,
-        };
-        let eval = evaluator.evaluate(root.name(), *root, None);
-        eval_hits += evaluator.hits;
-        eval_misses += evaluator.misses;
-
+    // shape, each under its root's oracle policy. Their DS spec
+    // re-expressions seed the archive (sampled worlds are bit-identical to
+    // the fixed recipes, so the evaluations transfer).
+    let round: Vec<Proposal> = roots
+        .iter()
+        .map(|(root, _)| Proposal {
+            label: root.name().to_string(),
+            root: *root,
+            spec: None,
+        })
+        .collect();
+    for ((_, spec), eval) in roots.iter().zip(evaluator.evaluate(&round)) {
         let spec = Arc::new(spec.clone());
         seen.insert(spec.content_hash());
         admit(
@@ -589,8 +687,9 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
     }
 
     // Mutation generations: elites parent a fresh population; every mutant
-    // is validity-checked, deduplicated, then evaluated under its root's
-    // oracle policy.
+    // is validity-checked and deduplicated, then the surviving population
+    // is evaluated as one round under each root's oracle policy and
+    // admitted in proposal order.
     for generation in 0..cfg.generations {
         let elites: Vec<Candidate> = {
             let mut ranked: Vec<&Candidate> = archive.values().collect();
@@ -609,6 +708,10 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
         };
         let mut rng = run_rng(cfg.base_seed.wrapping_add(generation as u64), SEARCH_STREAM);
 
+        // Propose: admission never feeds back into this generation's
+        // draws, so the whole population is fixed before anything runs.
+        let mut round = Vec::new();
+        let mut specs = Vec::new();
         for slot in 0..cfg.population {
             let parent = &elites[slot % elites.len()];
             let mut mutant = None;
@@ -629,23 +732,17 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
                 continue;
             }
 
-            let root = parent.eval.root;
-            let (oracle, oracle_key) = oracle_policy(root, cfg.vector, sweep, cache);
-            let mut evaluator = Evaluator {
-                cfg,
-                cache,
-                oracle,
-                oracle_key,
-                hits: 0,
-                misses: 0,
-            };
             let spec = Arc::new(mutant);
-            let label = spec.scenario_id().label();
-            let eval = evaluator.evaluate(&label, root, Some(spec.clone()));
-            eval_hits += evaluator.hits;
-            eval_misses += evaluator.misses;
-            evaluated += 1;
+            round.push(Proposal {
+                label: spec.scenario_id().label(),
+                root: parent.eval.root,
+                spec: Some(spec.clone()),
+            });
+            specs.push((spec, hash));
+        }
 
+        evaluated += round.len();
+        for ((spec, hash), eval) in specs.into_iter().zip(evaluator.evaluate(&round)) {
             admit(&mut archive, Candidate { spec, hash, eval });
         }
     }
@@ -673,8 +770,8 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
         evaluated,
         skipped_invalid,
         deduped,
-        eval_hits,
-        eval_misses,
+        eval_hits: evaluator.hits,
+        eval_misses: evaluator.misses,
     }
 }
 
@@ -760,9 +857,28 @@ mod tests {
         assert_eq!((eval.eb_pct(), eval.crash_pct()), (100.0, 0.0));
     }
 
-    /// The full driver is deterministic end to end: two fresh runs over
-    /// independent cold stores produce byte-identical reports, and the warm
-    /// rerun replays purely from evaluation-cache hits.
+    /// Every file of a store directory, name and bytes, in name order.
+    fn store_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("store dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let name = path
+                    .file_name()
+                    .expect("file name")
+                    .to_string_lossy()
+                    .into();
+                (name, std::fs::read(&path).expect("store file"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The full driver is deterministic end to end: fresh runs over
+    /// independent cold stores at any worker count produce byte-identical
+    /// reports and store files, and the warm rerun replays purely from
+    /// evaluation-cache hits.
     #[test]
     fn search_is_deterministic_and_replays_from_warm_store() {
         let dir = std::env::temp_dir().join(format!("search-det-{}", std::process::id()));
@@ -772,13 +888,24 @@ mod tests {
 
         let cache_a = OracleCache::at(dir.join("a"));
         let cold = run_search(&cfg, &sweep, &cache_a);
-        let cache_b = OracleCache::at(dir.join("b"));
-        let other_cold = run_search(&cfg, &sweep, &cache_b);
-        assert_eq!(
-            cold.render(),
-            other_cold.render(),
-            "independent cold runs must render identical frontiers"
-        );
+        for threads in [1, 3] {
+            let store = dir.join(format!("threads-{threads}"));
+            let other = SearchConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let other_cold = run_search(&other, &sweep, &OracleCache::at(&store));
+            assert_eq!(
+                cold.render(),
+                other_cold.render(),
+                "{threads} workers: cold runs must render identical frontiers"
+            );
+            assert_eq!(
+                store_files(&dir.join("a")),
+                store_files(&store),
+                "{threads} workers: cold stores must hold identical files"
+            );
+        }
         assert_eq!(cold.eval_hits, 0, "cold run cannot hit");
 
         let warm = run_search(&cfg, &sweep, &OracleCache::at(dir.join("a")));
@@ -790,6 +917,37 @@ mod tests {
             "every evaluation replays from the store"
         );
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An unreadable `search-eval` entry (a directory where the blob
+    /// should be) is reported as a store read error and recomputed; the
+    /// report is unchanged.
+    #[test]
+    fn unreadable_eval_entry_recomputes_and_reports() {
+        let dir = std::env::temp_dir().join(format!("search-ioerr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = tiny_config(AttackVector::Disappear);
+        let sweep = SweepConfig::tiny();
+        let cold = run_search(&cfg, &sweep, &OracleCache::at(&dir));
+
+        let blob = store_files(&dir)
+            .into_iter()
+            .map(|(name, _)| dir.join(name))
+            .find(|p| p.extension().is_some_and(|e| e == NS_SEARCH_EVAL))
+            .expect("cold run stored evaluations");
+        std::fs::remove_file(&blob).expect("remove blob");
+        std::fs::create_dir(&blob).expect("shadow dir");
+
+        let cache = OracleCache::at(&dir);
+        let rerun = run_search(&cfg, &sweep, &cache);
+        assert_eq!(cache.read_errors(), 1, "the failed read is reported");
+        assert_eq!(
+            rerun.eval_misses, 1,
+            "exactly the unreadable entry recomputes"
+        );
+        assert_eq!(rerun.eval_hits, cold.eval_misses - 1);
+        assert_eq!(rerun.render(), cold.render(), "recompute is bit-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,6 +21,7 @@ use av_faults::{FaultKind, FaultPlan, FaultSpec};
 use av_neural::train::Dataset;
 use av_scenarios::{ds, mutate, MutateConfig, ScenarioSpec};
 use av_simkit::rng::run_rng;
+use robotack::safety_hijacker::NnOracle;
 use std::sync::Arc;
 
 /// The committed golden fixtures (kept in sync with `golden_traces.rs`): if
@@ -275,6 +276,111 @@ fn generated_scenarios_are_batch_equivalent() {
     for batch_size in BATCH_SIZES {
         let bat = batched(&sessions, batch_size);
         assert_outcomes_equivalent(&seq, &bat, &format!("generated, batch {batch_size}"));
+    }
+}
+
+/// A second oracle, distinct in identity and in predictions, without a
+/// second training run: `oracle`'s network behind a shifted normalizer.
+fn shifted_oracle(oracle: &OracleSpec) -> OracleSpec {
+    let OracleSpec::Nn(nn) = oracle else {
+        panic!("expected an NN oracle")
+    };
+    let mut normalizer = nn.normalizer().clone();
+    normalizer.mean[0] += 4.0;
+    OracleSpec::Nn(Arc::new(NnOracle::new(nn.network().clone(), normalizer)))
+}
+
+/// The boundary search packs a whole round of small campaigns into one
+/// [`run_sweep`]: blocks then span campaigns with different scenarios,
+/// specs, oracles, and durations. Every run must still reproduce its own
+/// campaign's sequential digest, at any batch size and worker count.
+#[test]
+fn packed_sweep_matches_per_candidate_campaigns() {
+    let nn_a = synthetic_nn_oracle();
+    let nn_b = shifted_oracle(&nn_a);
+    let robotack = |vector, oracle: &OracleSpec| AttackerSpec::RoboTack {
+        vector: Some(vector),
+        oracle: oracle.clone(),
+    };
+    let mut rng = run_rng(0x5EA6, 0x7E57);
+    let mut mutant = |root: ScenarioSpec| {
+        let spec = mutate(&root, &mut rng, &MutateConfig::default());
+        assert!(spec.validate().is_ok(), "mutant stays spec-valid");
+        Arc::new(spec)
+    };
+    // Two runs per campaign, ten in all: neither divides nor is divided by
+    // the batch sizes above 1, so blocks straddle campaign boundaries and
+    // the last block is partial. DS-1 (45 s) and DS-3 (20 s) make mixed
+    // blocks ragged.
+    let runs = 2;
+    let campaigns = [
+        Campaign::new(
+            "ds1-nn-a",
+            ScenarioId::Ds1,
+            robotack(AttackVector::Disappear, &nn_a),
+            runs,
+            30,
+        ),
+        Campaign::new(
+            "ds3-kinematic",
+            ScenarioId::Ds3,
+            robotack(AttackVector::MoveOut, &OracleSpec::Kinematic),
+            runs,
+            30,
+        ),
+        Campaign::generated(
+            "gen-ds2-nn-b",
+            mutant(ds::ds2()),
+            robotack(AttackVector::MoveOut, &nn_b),
+            runs,
+            30,
+        ),
+        Campaign::generated(
+            "gen-ds1-nn-a",
+            mutant(ds::ds1()),
+            robotack(AttackVector::Disappear, &nn_a),
+            runs,
+            30,
+        ),
+        Campaign::generated(
+            "gen-ds5-kinematic",
+            mutant(ds::ds5()),
+            robotack(AttackVector::MoveIn, &OracleSpec::Kinematic),
+            runs,
+            30,
+        ),
+    ];
+
+    let mut expected = Vec::new();
+    let mut launched = 0;
+    for campaign in &campaigns {
+        let result =
+            run_campaign_dispatch(campaign, 1, DispatchMode::WorkStealing).expect("1 worker");
+        launched += result.n_launched();
+        expected.extend(result.outcomes.iter().map(|o| o.record.digest()));
+    }
+    assert!(
+        launched > 0,
+        "an attack must launch for the test to mean anything"
+    );
+
+    let per = runs as usize;
+    for batch_size in [1, 3, 8, 64] {
+        for threads in [1, 2, 3] {
+            let packed = run_sweep(
+                campaigns.len() * per,
+                threads,
+                batch_size,
+                &|_| Telemetry::disabled(),
+                |i, tele| campaigns[i / per].session((i % per) as u64, tele),
+                |outcome| outcome.record.digest(),
+            )
+            .expect("threads >= 1");
+            assert_eq!(
+                packed, expected,
+                "packed sweep at batch {batch_size}, {threads} workers"
+            );
+        }
     }
 }
 

@@ -171,11 +171,26 @@ impl Eval {
     }
 
     /// The outcome-feature cell this candidate occupies: deciles of EB and
-    /// crash rate, plus a coarse median-K bucket.
+    /// crash rate, plus a coarse median-K bucket. A candidate with no
+    /// launched run has no median K and goes to K bucket 0.
     pub fn cell(&self) -> (u8, u8, u8) {
         let decile = |pct: f64| (pct / 10.0).floor().clamp(0.0, 10.0) as u8;
-        let k_bucket = (self.median_k / 10.0).floor().clamp(0.0, 12.0) as u8;
+        let k_bucket = if self.launched == 0 {
+            0
+        } else {
+            (self.median_k / 10.0).floor().clamp(0.0, 12.0) as u8
+        };
         (decile(self.eb_pct()), decile(self.crash_pct()), k_bucket)
+    }
+
+    /// The median-K table cell: `n/a` when no run launched (the median of
+    /// no runs is undefined).
+    fn median_k_text(&self) -> String {
+        if self.launched == 0 {
+            "n/a".to_string()
+        } else {
+            format!("{:.0}", self.median_k)
+        }
     }
 }
 
@@ -274,13 +289,13 @@ impl SearchReport {
         for b in &self.baselines {
             writeln!(
                 out,
-                "| {} | {}/{} | {:.1} | {:.1} | {:.0} | {:.1} |",
+                "| {} | {}/{} | {:.1} | {:.1} | {} | {:.1} |",
                 b.label,
                 b.launched,
                 b.runs,
                 b.eb_pct(),
                 b.crash_pct(),
-                b.median_k,
+                b.median_k_text(),
                 b.score()
             )
             .unwrap();
@@ -300,14 +315,14 @@ impl SearchReport {
         for c in self.frontier.iter().take(8) {
             writeln!(
                 out,
-                "| {} | {} | {}/{} | {:.1} | {:.1} | {:.0} | {:.1} | {} |",
+                "| {} | {} | {}/{} | {:.1} | {:.1} | {} | {:.1} | {} |",
                 c.eval.label,
                 c.eval.root.name(),
                 c.eval.launched,
                 c.eval.runs,
                 c.eval.eb_pct(),
                 c.eval.crash_pct(),
-                c.eval.median_k,
+                c.eval.median_k_text(),
                 c.eval.score(),
                 knob_summary(&c.spec)
             )
@@ -450,7 +465,14 @@ fn decode_eval(key: u64, bytes: &[u8], label: &str, root: ScenarioId, runs: u64)
         return None;
     }
     let (launched, eb, crashes) = (word(16), word(32), word(40));
-    if launched > runs || eb > launched || crashes > launched {
+    let median_k = f64::from_bits(word(48));
+    // Only a candidate with no launched run may carry a non-finite median K
+    // (the median of nothing); anywhere else it is corruption.
+    if launched > runs
+        || eb > launched
+        || crashes > launched
+        || (launched > 0 && !median_k.is_finite())
+    {
         return None;
     }
     Some(Eval {
@@ -460,7 +482,7 @@ fn decode_eval(key: u64, bytes: &[u8], label: &str, root: ScenarioId, runs: u64)
         runs,
         eb,
         crashes,
-        median_k: f64::from_bits(word(48)),
+        median_k,
     })
 }
 
@@ -825,6 +847,64 @@ mod tests {
             decode_eval(99, &hostile, "x", ScenarioId::Ds2, 6).is_none(),
             "launched > runs rejected"
         );
+        for bad_k in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut hostile = bytes.clone();
+            hostile[48..56].copy_from_slice(&bad_k.to_bits().to_le_bytes());
+            assert!(
+                decode_eval(99, &hostile, "x", ScenarioId::Ds2, 6).is_none(),
+                "non-finite median K with launched runs rejected: {bad_k}"
+            );
+        }
+        // The median K of no launched run is NaN: that one is legitimate.
+        let none_launched = Eval {
+            launched: 0,
+            eb: 0,
+            crashes: 0,
+            median_k: f64::NAN,
+            ..eval
+        };
+        let back = decode_eval(
+            99,
+            &encode_eval(99, &none_launched),
+            "x",
+            ScenarioId::Ds2,
+            6,
+        )
+        .expect("no-launch summary decodes");
+        assert!(back.launched == 0 && back.median_k.is_nan());
+    }
+
+    /// A candidate with no launched run has no median K: it renders `n/a`
+    /// and sits in K bucket 0, explicitly rather than through a NaN cast.
+    #[test]
+    fn no_launch_candidate_has_no_median_k() {
+        let eval = Eval {
+            label: "DS-1".into(),
+            root: ScenarioId::Ds1,
+            launched: 0,
+            runs: 40,
+            eb: 0,
+            crashes: 0,
+            median_k: stats::median(&[]),
+        };
+        assert!(eval.median_k.is_nan(), "median of no runs is undefined");
+        assert_eq!(eval.cell(), (0, 0, 0));
+        assert_eq!(eval.median_k_text(), "n/a");
+
+        let report = SearchReport {
+            config: tiny_config(AttackVector::MoveOut),
+            baselines: vec![eval],
+            frontier: Vec::new(),
+            cells: 1,
+            evaluated: 0,
+            skipped_invalid: 0,
+            deduped: 0,
+            eval_hits: 0,
+            eval_misses: 0,
+        };
+        let rendered = report.render();
+        assert!(rendered.contains("| DS-1 | 0/40 | 0.0 | 0.0 | n/a | 0.0 |"));
+        assert!(!rendered.contains("NaN"), "{rendered}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Component microbenchmarks.
 
 use av_neural::mlp::Mlp;
+use av_neural::train::Normalizer;
 use av_perception::calibration::DetectorCalibration;
 use av_perception::detector::Detector;
 use av_perception::hungarian;
@@ -12,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robotack::patch;
+use robotack::safety_hijacker::{AttackFeatures, NnOracle, SafetyOracle};
 use robotack_bench::bench_world;
 use std::hint::black_box;
 
@@ -65,27 +67,33 @@ fn bench_camera(c: &mut Criterion) {
     });
 }
 
-fn bench_nn(c: &mut Criterion) {
+fn bench_nn_oracle(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
-    let net = Mlp::paper_architecture(5, &mut rng);
-    let input = [20.0, -5.0, 0.2, -0.1, 40.0];
-    c.bench_function("nn_forward_100_100_50", |b| {
-        b.iter(|| black_box(net.forward(black_box(&input))))
+    let net = Mlp::paper_architecture(AttackFeatures::INPUT_DIM, &mut rng);
+    let normalizer = Normalizer {
+        mean: vec![20.0, -5.0, 0.0, 0.0, 45.0],
+        std: vec![10.0, 3.0, 0.5, 0.5, 25.0],
+    };
+    let oracle = NnOracle::new(net, normalizer);
+    let features = AttackFeatures {
+        delta: 20.0,
+        v_rel_lon: -5.0,
+        v_rel_lat: 0.2,
+        a_rel_lon: -0.1,
+    };
+    // The sequential engine's path: one k-search query at a time.
+    c.bench_function("nn_oracle_query", |b| {
+        b.iter(|| black_box(oracle.predict_delta(black_box(&features), black_box(40))))
     });
-    // The batched-inference kernel at the batch engine's row counts: the
-    // per-row cost must drop well below the scalar forward for cross-session
-    // GEMM batching to pay off.
-    for rows in [4usize, 16] {
-        let mut batch = av_neural::matrix::Matrix::zeros(rows, 5);
-        for r in 0..rows {
-            batch.row_mut(r).copy_from_slice(&input);
-        }
-        let mut scratch = av_neural::matrix::Matrix::zeros(0, 0);
-        let mut out = av_neural::matrix::Matrix::zeros(0, 0);
-        c.bench_function(&format!("nn_forward_batch_{rows}_rows"), |b| {
+    // The batch engine's path: one k-search round across lanes (rounds have
+    // about 15 rows on average at batch 32).
+    for rows in [1u32, 4, 15, 32] {
+        let queries: Vec<(AttackFeatures, u32)> = (0..rows).map(|i| (features, 5 + i)).collect();
+        let mut out = Vec::new();
+        c.bench_function(&format!("nn_oracle_round_{rows}_rows"), |b| {
             b.iter(|| {
-                net.forward_batch_into(black_box(&batch), &mut scratch, &mut out);
-                black_box(out.get(0, 0))
+                oracle.predict_delta_batch(black_box(&queries), &mut out);
+                black_box(out[0])
             })
         });
     }
@@ -117,7 +125,7 @@ criterion_group!(
     bench_kalman,
     bench_detector,
     bench_camera,
-    bench_nn,
+    bench_nn_oracle,
     bench_patch
 );
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! (§IV-B), the minimal sufficient attack length `K` (Eq. 2) is found by
 //! binary search in `O(log K_max)` oracle evaluations.
 
-use av_neural::matrix::Matrix;
+use av_neural::infer::InferenceMlp;
 use av_neural::mlp::Mlp;
 use av_neural::train::Normalizer;
 use serde::{Deserialize, Serialize};
@@ -61,26 +61,66 @@ pub trait SafetyOracle {
 }
 
 /// The paper's learned oracle: a per-vector MLP over normalized features.
+///
+/// The oracle keeps exactly one copy of the network's weights, in the
+/// transposed inference layout ([`InferenceMlp`]), plus the dropout rate the
+/// trained network recorded; [`NnOracle::network`] rebuilds the row-major
+/// [`Mlp`] on demand.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NnOracle {
-    net: Mlp,
+    net: InferenceMlp,
+    dropout: f64,
     normalizer: Normalizer,
 }
 
 impl NnOracle {
     /// Wraps a trained network and its input normalizer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network maps [`AttackFeatures::INPUT_DIM`] inputs
+    /// to one output.
     pub fn new(net: Mlp, normalizer: Normalizer) -> Self {
+        NnOracle::from_inference(InferenceMlp::new(&net), net.dropout, normalizer)
+    }
+
+    /// Wraps a network already in its inference form (e.g. decoded straight
+    /// from a snapshot), the dropout rate it was trained with, and its
+    /// input normalizer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network maps [`AttackFeatures::INPUT_DIM`] inputs
+    /// to one output.
+    pub fn from_inference(net: InferenceMlp, dropout: f64, normalizer: Normalizer) -> Self {
         assert_eq!(
             net.input_dim(),
             AttackFeatures::INPUT_DIM,
             "oracle input dim"
         );
-        NnOracle { net, normalizer }
+        assert_eq!(net.output_dim(), 1, "oracle output dim");
+        NnOracle {
+            net,
+            dropout,
+            normalizer,
+        }
     }
 
-    /// The underlying network (for diagnostics).
-    pub fn network(&self) -> &Mlp {
+    /// The underlying network, rebuilt in its row-major training form
+    /// (bit-equal parameters) — for diagnostics and tests.
+    pub fn network(&self) -> Mlp {
+        self.net.to_mlp(self.dropout)
+    }
+
+    /// The network in its inference form — the oracle's only copy of the
+    /// weights, which snapshots serialize without rebuilding an [`Mlp`].
+    pub fn inference(&self) -> &InferenceMlp {
         &self.net
+    }
+
+    /// The dropout rate the network was trained with.
+    pub fn dropout(&self) -> f64 {
+        self.dropout
     }
 
     /// The input normalizer (for diagnostics and snapshotting).
@@ -88,44 +128,30 @@ impl NnOracle {
         &self.normalizer
     }
 
-    /// Answers a batch of `(features, k)` queries with one GEMM per network
-    /// layer, appending one prediction per query to `out` (cleared first).
+    /// Answers a k-search round of `(features, k)` queries, appending one
+    /// prediction per query to `out` (cleared first).
     ///
-    /// Each output row is bit-identical to the corresponding
-    /// [`SafetyOracle::predict_delta`] call — see
-    /// [`Mlp::forward_batch_into`] for why — so a batch engine may coalesce
-    /// queries from many sessions without perturbing any session's decision.
+    /// Each query runs through the same one-row inference kernel as
+    /// [`SafetyOracle::predict_delta`], so every answer is bit-identical to
+    /// the scalar call and a batch engine may coalesce queries from many
+    /// sessions without perturbing any session's decision.
     pub fn predict_delta_batch(&self, queries: &[(AttackFeatures, u32)], out: &mut Vec<f64>) {
-        // A batch engine calls this once per k-search round on a hot loop;
-        // per-worker scratch keeps every round allocation-free.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<(Matrix, Matrix, Matrix)> = std::cell::RefCell::new((
-                Matrix::zeros(0, 0),
-                Matrix::zeros(0, 0),
-                Matrix::zeros(0, 0),
-            ));
-        }
         out.clear();
-        if queries.is_empty() {
-            return;
-        }
-        SCRATCH.with(|cell| {
-            let (input, scratch, y) = &mut *cell.borrow_mut();
-            input.reshape(queries.len(), AttackFeatures::INPUT_DIM);
-            for (r, (features, k)) in queries.iter().enumerate() {
-                self.normalizer
-                    .apply_into(&features.input_array(*k), input.row_mut(r));
-            }
-            self.net.forward_batch_into(input, scratch, y);
-            out.extend((0..queries.len()).map(|r| y.get(r, 0)));
-        });
+        out.extend(
+            queries
+                .iter()
+                .map(|(features, k)| self.predict_delta(features, *k)),
+        );
     }
 }
 
 impl SafetyOracle for NnOracle {
     fn predict_delta(&self, features: &AttackFeatures, k: u32) -> f64 {
-        let input = self.normalizer.apply(&features.to_input(k));
-        self.net.forward(&input)[0]
+        let mut input = features.input_array(k);
+        self.normalizer.apply_in_place(&mut input);
+        let mut delta = [0.0];
+        self.net.forward_into(&input, &mut delta);
+        delta[0]
     }
 }
 
@@ -213,7 +239,7 @@ pub struct AttackDecision {
 /// oracle evaluations are performed by the *caller*.
 ///
 /// This inversion lets a batch engine gather the pending query from many
-/// concurrent sessions, answer them all with one GEMM
+/// concurrent sessions, answer them all in one round
 /// ([`NnOracle::predict_delta_batch`]), and feed the predictions back — while
 /// producing exactly the same sequence of (features, k) queries, and
 /// therefore exactly the same decision, as the inline search.
@@ -554,30 +580,49 @@ mod tests {
             (vec![x, -x, 0.5 * x, x * x, x + 1.0], vec![x])
         }));
         let oracle = NnOracle::new(net, Normalizer::fit(&data));
-        let queries: Vec<(AttackFeatures, u32)> = (0..17)
-            .map(|i| {
-                let x = f64::from(i);
-                (
-                    AttackFeatures {
-                        delta: 30.0 - x,
-                        v_rel_lon: -5.0 + 0.3 * x,
-                        v_rel_lat: 0.1 * x,
-                        a_rel_lon: -0.2 * x,
-                    },
-                    5 + i,
-                )
-            })
-            .collect();
-        let mut batched = Vec::new();
-        oracle.predict_delta_batch(&queries, &mut batched);
-        assert_eq!(batched.len(), queries.len());
-        for ((f, k), b) in queries.iter().zip(&batched) {
-            assert_eq!(
-                b.to_bits(),
-                oracle.predict_delta(f, *k).to_bits(),
-                "batched prediction diverged at k={k}"
-            );
+        // Round widths around the kernel's block edges: single rows, the
+        // batch engine's typical 15-row round, and either side of 32.
+        for rows in [1u32, 2, 15, 32, 33] {
+            let queries: Vec<(AttackFeatures, u32)> = (0..rows)
+                .map(|i| {
+                    let x = f64::from(i);
+                    (
+                        AttackFeatures {
+                            delta: 30.0 - x,
+                            v_rel_lon: -5.0 + 0.3 * x,
+                            v_rel_lat: 0.1 * x,
+                            a_rel_lon: -0.2 * x,
+                        },
+                        5 + i,
+                    )
+                })
+                .collect();
+            let mut batched = vec![f64::NAN; 3];
+            oracle.predict_delta_batch(&queries, &mut batched);
+            assert_eq!(batched.len(), queries.len());
+            for ((f, k), b) in queries.iter().zip(&batched) {
+                assert_eq!(
+                    b.to_bits(),
+                    oracle.predict_delta(f, *k).to_bits(),
+                    "{rows}-row round diverged at k={k}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn nn_oracle_keeps_one_bit_equal_copy_of_the_network() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
+        let net = Mlp::paper_architecture(AttackFeatures::INPUT_DIM, &mut rng);
+        let normalizer = Normalizer {
+            mean: vec![0.0; AttackFeatures::INPUT_DIM],
+            std: vec![1.0; AttackFeatures::INPUT_DIM],
+        };
+        let oracle = NnOracle::new(net.clone(), normalizer);
+        assert_eq!(oracle.network(), net, "rebuilt network is bit-equal");
+        let f = features(12.0);
+        let reference = net.forward(&f.to_input(30))[0];
+        assert_eq!(oracle.predict_delta(&f, 30).to_bits(), reference.to_bits());
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!   kinematics live in flat per-field arrays and behaviors are stepped in
 //!   place, eliminating the per-actor-per-tick behavior clone of
 //!   `World::step` while remaining bit-identical to it.
-//! - **Batched oracle inference**: when several lanes' attackers defer a
+//! - **Batched oracle rounds**: when several lanes' attackers defer a
 //!   launch decision on the same camera tick, their safety-hijacker k-search
-//!   queries are answered together — one GEMM per NN oracle per bisection
-//!   round ([`NnOracle::predict_delta_batch`]) instead of one forward pass
-//!   per query, with per-session RNG streams untouched.
+//!   queries are answered together — one call per NN oracle per bisection
+//!   round ([`NnOracle::predict_delta_batch`]), running the same one-row
+//!   inference kernel as the sequential engine over each row, with
+//!   per-session RNG streams untouched.
 //!
 //! # Determinism contract
 //!
@@ -29,10 +30,11 @@
 //! sequential engine for every scenario, seed, fault plan, and batch size —
 //! the batch engine calls the exact same `RunState` methods in the same
 //! per-lane order, the engine clock reproduces `World::time_us` exactly
-//! (`tick × round(SIM_DT·1e6)`), and every batched numeric path (world step,
-//! oracle GEMM) is pinned bit-identical to its scalar counterpart by tests
-//! in `av-simkit`, `av-neural`, and `robotack`. The integration suite
-//! (`tests/batch_equivalence.rs`) pins the end-to-end digests.
+//! (`tick × round(SIM_DT·1e6)`), the world step is pinned bit-identical to
+//! its scalar counterpart by tests in `av-simkit`, and oracle rounds run the
+//! very kernel the scalar path runs (pinned in `av-neural` and `robotack`).
+//! The integration suite (`tests/batch_equivalence.rs`) pins the end-to-end
+//! digests.
 //!
 //! Sessions that end early (collision) or have shorter scenarios retire from
 //! the batch without perturbing survivors: a retired lane is simply never
@@ -47,6 +49,7 @@ use av_simkit::BatchWorld;
 use av_telemetry::{Stage, Telemetry, TraceEvent};
 use robotack::safety_hijacker::{AttackFeatures, DeferredDecision, NnOracle};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Reusable per-worker lane state: one [`SessionWorker`] (warm ADS + frame
 /// buffers) per lane plus the shared scheduler fire buffer.
@@ -216,8 +219,9 @@ fn nn_oracle(session: &SimSession) -> Option<&Arc<NnOracle>> {
 /// terminal. A k-search exposes one query at a time (the next bisection
 /// midpoint depends on the previous answer), so resolution proceeds in
 /// rounds: each round gathers the current query of every still-pending lane,
-/// groups them by oracle identity, and answers each NN group with a single
-/// batched forward pass — bit-identical per row to the scalar oracle.
+/// groups them by oracle identity, and answers each NN group with one
+/// [`NnOracle::predict_delta_batch`] call — bit-identical per row to the
+/// scalar oracle.
 fn resolve_deferred(
     sessions: &[SimSession],
     states: &[Option<RunState>],
@@ -265,7 +269,26 @@ fn resolve_deferred(
         for (oracle, members) in &groups {
             queries.clear();
             queries.extend(members.iter().map(|&ri| (round[ri].1, round[ri].2)));
+            // One clock read per group, and only when some lane records
+            // metrics: each row gets an even share of the call, so
+            // `oracle_query` counts match the sequential engine's.
+            let lane_tele = |di: usize| {
+                states[deferred[di].0]
+                    .as_ref()
+                    .expect("deferred lane is active")
+                    .telemetry()
+            };
+            let started = members
+                .iter()
+                .any(|&ri| lane_tele(round[ri].0).registry().is_some())
+                .then(Instant::now);
             oracle.predict_delta_batch(&queries, &mut answers);
+            if let Some(started) = started {
+                let share = started.elapsed() / members.len() as u32;
+                for &ri in members {
+                    lane_tele(round[ri].0).record(Stage::OracleQuery, share);
+                }
+            }
             for (&ri, &delta) in members.iter().zip(&answers) {
                 deferred[round[ri].0].1.feed(delta);
             }

@@ -15,7 +15,7 @@ use robotack::vector::AttackVector;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (args, rest) = Args::parse_known(&argv);
+    let (args, rest) = Args::parse_known(&argv).unwrap_or_else(|e| e.exit());
 
     let mut vectors = Vec::new();
     let mut iter = rest.iter();

@@ -57,7 +57,7 @@ fn list(dag: &Dag) {
 /// the resumable manifest — the same request type and validation path the
 /// daemon uses.
 fn one_shot(argv: &[String]) {
-    let args = SuiteArgs::parse_from(argv);
+    let args = SuiteArgs::parse_from(argv).unwrap_or_else(|e| e.exit());
     let store = Arc::new(args.base.artifact_store());
     let service = PaperEvalService::new(args.base.clone(), store);
 
@@ -104,7 +104,7 @@ fn one_shot(argv: &[String]) {
 /// Daemon mode: serve evaluation requests on the Unix socket until a
 /// shutdown sentinel arrives, then print the greppable summary.
 fn serve_main(argv: &[String]) {
-    let args = SuiteArgs::parse_from(argv);
+    let args = SuiteArgs::parse_from(argv).unwrap_or_else(|e| e.exit());
     let store = Arc::new(args.base.artifact_store());
     let service = PaperEvalService::new(args.base.clone(), store);
     let opts = ServeOptions {
@@ -133,7 +133,7 @@ fn serve_main(argv: &[String]) {
 /// Client mode: send one request (or the shutdown sentinel) to a running
 /// daemon, mirror progress to stderr, print the reassembled stdout.
 fn request_main(argv: &[String]) {
-    let args = SuiteArgs::parse_from(argv);
+    let args = SuiteArgs::parse_from(argv).unwrap_or_else(|e| e.exit());
     let socket = args.socket_path();
     let timeout = Duration::from_secs(30);
 

@@ -6,19 +6,23 @@
 //! under a timed Move_Out attack — so a bare `cargo run --bin trace` shows
 //! every layer of the pipeline reporting: scheduler ticks, sensor samples,
 //! detector output, track updates, the attack launch and phase changes,
-//! planner mode transitions, and the emergency stop.
+//! planner mode transitions, and the emergency stop. `--robotack` swaps the
+//! timed attack for full RoboTack (safety-hijacker timing over the kinematic
+//! oracle), so the latency table also shows the `oracle_query` stage.
 //!
 //! ```text
-//! trace [--scenario ds1..ds5] [--seed N] [--golden] [--out FILE]
+//! trace [--scenario ds1..ds5] [--seed N] [--golden] [--robotack] [--out FILE]
 //! ```
 
 use av_experiments::prelude::*;
+use av_experiments::suite::ArgError;
 use std::io::Write;
 
 struct TraceArgs {
     scenario: ScenarioId,
     seed: u64,
     golden: bool,
+    robotack: bool,
     out: Option<String>,
 }
 
@@ -33,30 +37,44 @@ fn parse_scenario(s: &str) -> Option<ScenarioId> {
     }
 }
 
+fn missing(flag: &'static str) -> ! {
+    ArgError::MissingValue { flag }.exit()
+}
+
+fn bad(flag: &'static str, value: String, expected: &'static str) -> ! {
+    ArgError::BadValue {
+        flag,
+        value,
+        expected,
+    }
+    .exit()
+}
+
 fn parse_args() -> TraceArgs {
     let mut args = TraceArgs {
         scenario: ScenarioId::Ds2,
         seed: 0,
         golden: false,
+        robotack: false,
         out: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--scenario" => {
-                if let Some(s) = iter.next().as_deref().and_then(parse_scenario) {
-                    args.scenario = s;
-                } else {
-                    eprintln!("--scenario expects ds1..ds5");
-                }
+                let v = iter.next().unwrap_or_else(|| missing("--scenario"));
+                args.scenario =
+                    parse_scenario(&v).unwrap_or_else(|| bad("--scenario", v, "ds1..ds5"));
             }
             "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                }
+                let v = iter.next().unwrap_or_else(|| missing("--seed"));
+                args.seed = v
+                    .parse()
+                    .unwrap_or_else(|_| bad("--seed", v, "a non-negative integer"));
             }
+            "--out" => args.out = Some(iter.next().unwrap_or_else(|| missing("--out"))),
             "--golden" => args.golden = true,
-            "--out" => args.out = iter.next(),
+            "--robotack" => args.robotack = true,
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
@@ -67,6 +85,11 @@ fn main() {
     let args = parse_args();
     let attacker = if args.golden {
         AttackerSpec::None
+    } else if args.robotack {
+        AttackerSpec::RoboTack {
+            vector: Some(AttackVector::MoveOut),
+            oracle: OracleSpec::Kinematic,
+        }
     } else {
         // A timed Move_Out attack that reliably launches without any oracle
         // training (the same configuration the integration tests pin).

@@ -27,7 +27,7 @@
 //! is a miss, never a panic.
 
 use crate::train_sh::{collect_dataset, train_oracle_on, SweepConfig, TrainedOracle};
-use av_neural::mlp::Mlp;
+use av_neural::infer::InferenceMlp;
 use av_neural::train::{Dataset, Normalizer};
 use av_simkit::scenario::ScenarioId;
 use av_suite::dedup::Claim;
@@ -379,12 +379,14 @@ impl OracleCache {
 
 /// Serializes a [`TrainedOracle`] (all integers/floats little-endian).
 fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
-    let net = oracle.oracle.network();
+    // Parameters stream straight out of the oracle's inference form: no
+    // row-major copy of the network is built just to be serialized.
+    let net = oracle.oracle.inference();
     let norm = oracle.oracle.normalizer();
     let sizes = net.layer_sizes();
-    let params = net.flatten_params();
+    let n_params = net.param_count();
 
-    let mut out = Vec::with_capacity(64 + 8 * (2 * norm.mean.len() + sizes.len() + params.len()));
+    let mut out = Vec::with_capacity(64 + 8 * (2 * norm.mean.len() + sizes.len() + n_params));
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
@@ -397,13 +399,13 @@ fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
     for &s in &norm.std {
         out.extend_from_slice(&s.to_bits().to_le_bytes());
     }
-    out.extend_from_slice(&net.dropout.to_bits().to_le_bytes());
+    out.extend_from_slice(&oracle.oracle.dropout().to_bits().to_le_bytes());
     out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
-    for &s in &sizes {
+    for &s in sizes {
         out.extend_from_slice(&(s as u64).to_le_bytes());
     }
-    out.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    for &p in &params {
+    out.extend_from_slice(&(n_params as u64).to_le_bytes());
+    for p in net.params() {
         out.extend_from_slice(&p.to_bits().to_le_bytes());
     }
     out
@@ -472,9 +474,10 @@ fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
         return None;
     }
 
-    let net = Mlp::from_flat(&sizes, dropout, &params)?;
-    // NnOracle::new asserts the input shape and predict_delta indexes the
-    // first output — pre-check both so hostile bytes can never panic.
+    // Straight into the inference form: no intermediate row-major copy.
+    let net = InferenceMlp::from_flat(&sizes, &params)?;
+    // NnOracle asserts the input and output shape — pre-check both so
+    // hostile bytes can never panic.
     if net.input_dim() != AttackFeatures::INPUT_DIM
         || net.output_dim() != 1
         || mean.len() != net.input_dim()
@@ -482,7 +485,11 @@ fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
         return None;
     }
     Some(TrainedOracle {
-        oracle: Arc::new(NnOracle::new(net, Normalizer { mean, std })),
+        oracle: Arc::new(NnOracle::from_inference(
+            net,
+            dropout,
+            Normalizer { mean, std },
+        )),
         val_mse,
         examples,
     })
@@ -639,6 +646,40 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode(3, &padded).is_none(), "trailing garbage");
+    }
+
+    #[test]
+    fn zero_width_hidden_layer_snapshot_answers_without_panicking() {
+        // `sizes = [5, 0, 1]` is structurally well-formed (the only
+        // parameter is the output bias), so decode accepts it; both the
+        // scalar and the batch path must answer the empty sum plus the
+        // bias instead of panicking on hostile store bytes.
+        let net = av_neural::mlp::Mlp::from_flat(&[5, 0, 1], 0.1, &[0.75]).expect("well-formed");
+        let snapshot = TrainedOracle {
+            oracle: Arc::new(NnOracle::new(
+                net,
+                Normalizer {
+                    mean: vec![0.0; 5],
+                    std: vec![1.0; 5],
+                },
+            )),
+            val_mse: 1.0,
+            examples: 1,
+        };
+        let back = decode(4, &encode(4, &snapshot)).expect("well-formed snapshot decodes");
+        assert!(bitwise_eq(&snapshot, &back));
+        use robotack::safety_hijacker::SafetyOracle;
+        let f = AttackFeatures {
+            delta: 25.0,
+            v_rel_lon: -3.0,
+            v_rel_lat: 0.5,
+            a_rel_lon: -0.1,
+        };
+        assert_eq!(back.oracle.predict_delta(&f, 20), 0.75);
+        let mut batched = Vec::new();
+        back.oracle
+            .predict_delta_batch(&[(f, 20), (f, 40)], &mut batched);
+        assert_eq!(batched, [0.75, 0.75]);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   series never accumulate), and summaries are stored and admitted in
 //!   proposal order. Each root's oracle is resolved once per search, so
 //!   lanes of one root share one oracle and their k-search rounds fuse
-//!   into one GEMM. The lockstep engine's bit-identity contract is what
+//!   into one oracle call. The lockstep engine's bit-identity contract is what
 //!   makes cached and fresh evaluations, and any ⟨batch, threads⟩,
 //!   interchangeable.
 //! - **Evaluation cache.** Each ⟨spec, vector, run shape, oracle⟩

@@ -210,8 +210,8 @@ impl SessionTasks {
 /// inference across lanes: [`RunState::camera_task`] runs capture, the
 /// fault tap, and the attacker's `begin_frame`; when that returns a
 /// [`DeferredDecision`] the engine answers its oracle queries (inline and
-/// scalar in the sequential engine, batched GEMM across lanes in the batch
-/// engine) and then calls [`RunState::camera_resume`].
+/// one at a time in the sequential engine, a round per oracle across lanes
+/// in the batch engine) and then calls [`RunState::camera_resume`].
 pub(crate) struct RunState {
     config: RunConfig,
     scenario: Scenario,
@@ -408,8 +408,10 @@ impl RunState {
     }
 
     /// Answers one oracle query on behalf of a [`DeferredDecision`] — the
-    /// sequential engine's scalar resolution path.
+    /// sequential engine's scalar resolution path, timed as one
+    /// [`Stage::OracleQuery`] sample.
     pub(crate) fn oracle_eval(&self, features: &AttackFeatures, k: u32) -> f64 {
+        let _t = self.tele.time(Stage::OracleQuery);
         self.attacker.oracle_eval(features, k)
     }
 
@@ -687,7 +689,7 @@ impl SimSession {
                 } else if task == tasks.camera {
                     if let Some(mut deferred) = state.camera_task(&world) {
                         // Scalar inline resolution — the batch engine
-                        // answers the same queries with one GEMM across
+                        // answers the same queries a round at a time across
                         // lanes instead.
                         while let Some((features, k)) = deferred.pending() {
                             let delta = state.oracle_eval(&features, k);

@@ -57,13 +57,98 @@ impl Default for Args {
     }
 }
 
+/// A command-line value that is missing or does not parse. Every experiment
+/// binary reports it and exits with status 2 instead of falling back to a
+/// default (a typo like `--runs 2O` must not silently run 120 runs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// The flag was the last argument, with no value after it.
+    MissingValue {
+        /// The flag, e.g. `--runs`.
+        flag: &'static str,
+    },
+    /// The value after the flag is not what the flag takes.
+    BadValue {
+        /// The flag, e.g. `--runs`.
+        flag: &'static str,
+        /// The value as given.
+        value: String,
+        /// What the flag takes, e.g. "a non-negative integer".
+        expected: &'static str,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} takes {expected}, not {value:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+impl ArgError {
+    /// Reports the error on stderr and exits with status 2 — the usage-error
+    /// path every experiment binary shares.
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
+
+/// The raw value after `flag`, or [`ArgError::MissingValue`].
+fn value<'a>(
+    iter: &mut impl Iterator<Item = &'a String>,
+    flag: &'static str,
+) -> Result<&'a str, ArgError> {
+    iter.next()
+        .map(String::as_str)
+        .ok_or(ArgError::MissingValue { flag })
+}
+
+/// The value after `flag` parsed as `T`, or a typed error naming the flag.
+fn parsed<'a, T: std::str::FromStr>(
+    iter: &mut impl Iterator<Item = &'a String>,
+    flag: &'static str,
+    expected: &'static str,
+) -> Result<T, ArgError> {
+    let raw = value(iter, flag)?;
+    raw.parse().map_err(|_| ArgError::BadValue {
+        flag,
+        value: raw.to_string(),
+        expected,
+    })
+}
+
+/// The value after `flag` as a count of at least 1.
+fn positive<'a>(
+    iter: &mut impl Iterator<Item = &'a String>,
+    flag: &'static str,
+) -> Result<usize, ArgError> {
+    let raw = value(iter, flag)?;
+    match raw.parse() {
+        Ok(v) if v > 0 => Ok(v),
+        _ => Err(ArgError::BadValue {
+            flag,
+            value: raw.to_string(),
+            expected: "a positive integer",
+        }),
+    }
+}
+
 impl Args {
     /// Parses `--runs N`, `--quick`, `--seed S`, `--cache-dir DIR`,
     /// `--no-cache`, `--batch N` from `std::env::args`, warning about
-    /// anything else.
+    /// anything else. A missing or unparseable value exits with status 2.
     pub fn parse() -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let (args, unknown) = Args::parse_known(&argv);
+        let (args, unknown) = Args::parse_known(&argv).unwrap_or_else(|e| e.exit());
         for other in unknown {
             eprintln!("ignoring unknown argument {other:?}");
         }
@@ -73,7 +158,13 @@ impl Args {
     /// Parses the shared options out of `argv`, returning the arguments it
     /// did not understand (so wrapper CLIs like `suite` can layer their own
     /// flags on top without re-implementing the shared ones).
-    pub fn parse_known(argv: &[String]) -> (Args, Vec<String>) {
+    ///
+    /// # Errors
+    ///
+    /// A shared flag with a missing or unparseable value is an
+    /// [`ArgError`]; unknown flags are not errors.
+    pub fn parse_known(argv: &[String]) -> Result<(Args, Vec<String>), ArgError> {
+        const COUNT: &str = "a non-negative integer";
         let mut args = Args::default();
         let mut unknown = Vec::new();
         let mut iter = argv.iter();
@@ -83,31 +174,21 @@ impl Args {
                     args.quick = true;
                     args.runs = args.runs.min(12);
                 }
-                "--runs" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.runs = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.seed = v;
-                    }
-                }
+                "--runs" => args.runs = parsed(&mut iter, "--runs", COUNT)?,
+                "--seed" => args.seed = parsed(&mut iter, "--seed", COUNT)?,
                 "--cache-dir" => {
-                    if let Some(v) = iter.next() {
-                        args.cache_dir = Some(PathBuf::from(v));
-                    }
+                    args.cache_dir = Some(PathBuf::from(value(&mut iter, "--cache-dir")?));
                 }
                 "--no-cache" => args.no_cache = true,
                 "--batch" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.dispatch = DispatchMode::Batched { batch_size: v };
-                    }
+                    args.dispatch = DispatchMode::Batched {
+                        batch_size: parsed(&mut iter, "--batch", COUNT)?,
+                    };
                 }
                 other => unknown.push(other.to_string()),
             }
         }
-        (args, unknown)
+        Ok((args, unknown))
     }
 
     /// The artifact store these options select: disabled under
@@ -230,14 +311,21 @@ impl Default for SuiteArgs {
 
 impl SuiteArgs {
     /// Parses suite flags plus the shared [`Args`] from `std::env::args`.
+    /// A missing or unparseable value exits with status 2.
     pub fn parse() -> SuiteArgs {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        SuiteArgs::parse_from(&argv)
+        SuiteArgs::parse_from(&argv).unwrap_or_else(|e| e.exit())
     }
 
-    /// Parses suite flags plus the shared [`Args`] from `argv`.
-    pub fn parse_from(argv: &[String]) -> SuiteArgs {
-        let (base, rest) = Args::parse_known(argv);
+    /// Parses suite flags plus the shared [`Args`] from `argv`, warning
+    /// about unknown flags.
+    ///
+    /// # Errors
+    ///
+    /// A flag with a missing or unparseable value, `--jobs 0`, or
+    /// `--request-slots 0` is an [`ArgError`].
+    pub fn parse_from(argv: &[String]) -> Result<SuiteArgs, ArgError> {
+        let (base, rest) = Args::parse_known(argv)?;
         let mut args = SuiteArgs {
             base,
             ..SuiteArgs::default()
@@ -245,50 +333,29 @@ impl SuiteArgs {
         let mut iter = rest.iter();
         while let Some(a) = iter.next() {
             match a.as_str() {
-                "--jobs" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.jobs = v;
-                    }
-                }
-                "--only" => {
-                    if let Some(v) = iter.next() {
-                        args.only.push(v.to_string());
-                    }
-                }
+                "--jobs" => args.jobs = positive(&mut iter, "--jobs")?,
+                "--only" => args.only.push(value(&mut iter, "--only")?.to_string()),
                 "--list" => args.list = true,
                 "--manifest" => {
-                    if let Some(v) = iter.next() {
-                        args.manifest = Some(PathBuf::from(v));
-                    }
+                    args.manifest = Some(PathBuf::from(value(&mut iter, "--manifest")?));
                 }
                 "--no-resume" => args.no_resume = true,
-                "--socket" => {
-                    if let Some(v) = iter.next() {
-                        args.socket = Some(PathBuf::from(v));
-                    }
-                }
-                "--request-slots" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.request_slots = v;
-                    }
-                }
+                "--socket" => args.socket = Some(PathBuf::from(value(&mut iter, "--socket")?)),
+                "--request-slots" => args.request_slots = positive(&mut iter, "--request-slots")?,
                 "--priority" => {
-                    if let Some(v) = iter.next().and_then(|v| Priority::parse(v)) {
-                        args.priority = v;
-                    }
+                    let raw = value(&mut iter, "--priority")?;
+                    args.priority = Priority::parse(raw).ok_or_else(|| ArgError::BadValue {
+                        flag: "--priority",
+                        value: raw.to_string(),
+                        expected: "interactive or batch",
+                    })?;
                 }
-                "--id" => {
-                    if let Some(v) = iter.next() {
-                        args.id = v.to_string();
-                    }
-                }
+                "--id" => args.id = value(&mut iter, "--id")?.to_string(),
                 "--shutdown" => args.shutdown = true,
                 other => eprintln!("ignoring unknown argument {other:?}"),
             }
         }
-        args.jobs = args.jobs.max(1);
-        args.request_slots = args.request_slots.max(1);
-        args
+        Ok(args)
     }
 
     /// The manifest path this run appends to.
@@ -491,18 +558,112 @@ mod tests {
             .iter()
             .map(ToString::to_string)
             .collect();
-        let (args, unknown) = Args::parse_known(&argv);
+        let (args, unknown) = Args::parse_known(&argv).expect("valid flags");
         assert!(args.quick);
         assert_eq!(args.seed, 7);
         assert_eq!(unknown, ["--jobs", "4", "--only", "table2"]);
 
-        let suite = SuiteArgs::parse_from(&argv);
+        let suite = SuiteArgs::parse_from(&argv).expect("valid flags");
         assert!(suite.base.quick);
         assert_eq!(suite.base.seed, 7);
         assert_eq!(suite.jobs, 4);
         assert_eq!(suite.only, ["table2"]);
         assert!(!suite.list);
         assert!(suite.manifest_path().ends_with("suite-manifest.jsonl"));
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn shared_flags_parse_their_values() {
+        let (args, unknown) =
+            Args::parse_known(&argv(&["--runs", "7", "--seed", "9", "--batch", "16"]))
+                .expect("valid flags");
+        assert_eq!((args.runs, args.seed), (7, 9));
+        assert_eq!(args.dispatch, DispatchMode::Batched { batch_size: 16 });
+        assert!(unknown.is_empty());
+    }
+
+    #[test]
+    fn bad_or_missing_shared_values_name_their_flag() {
+        for flag in ["--runs", "--seed", "--batch"] {
+            let err = Args::parse_known(&argv(&[flag, "2O"])).expect_err("unparseable value");
+            assert_eq!(
+                err,
+                ArgError::BadValue {
+                    flag,
+                    value: "2O".into(),
+                    expected: "a non-negative integer",
+                }
+            );
+            assert!(err.to_string().contains(flag), "{err}");
+            let err = Args::parse_known(&argv(&["--quick", flag])).expect_err("missing value");
+            assert_eq!(err, ArgError::MissingValue { flag });
+        }
+        for flag in ["--runs", "--seed", "--batch"] {
+            assert!(
+                Args::parse_known(&argv(&[flag, "-1"])).is_err(),
+                "{flag} -1"
+            );
+        }
+        let err = Args::parse_known(&argv(&["--cache-dir"])).expect_err("missing dir");
+        assert_eq!(
+            err,
+            ArgError::MissingValue {
+                flag: "--cache-dir"
+            }
+        );
+    }
+
+    #[test]
+    fn bad_or_missing_suite_values_name_their_flag() {
+        for flag in ["--jobs", "--request-slots"] {
+            for bad in ["x", "0", "-2"] {
+                let err = SuiteArgs::parse_from(&argv(&[flag, bad])).expect_err(bad);
+                assert_eq!(
+                    err,
+                    ArgError::BadValue {
+                        flag,
+                        value: bad.into(),
+                        expected: "a positive integer",
+                    }
+                );
+            }
+            let err = SuiteArgs::parse_from(&argv(&[flag])).expect_err("missing value");
+            assert_eq!(err, ArgError::MissingValue { flag });
+        }
+        let err = SuiteArgs::parse_from(&argv(&["--priority", "urgent"])).expect_err("bad class");
+        assert_eq!(
+            err,
+            ArgError::BadValue {
+                flag: "--priority",
+                value: "urgent".into(),
+                expected: "interactive or batch",
+            }
+        );
+        for flag in ["--priority", "--only", "--manifest", "--socket", "--id"] {
+            let err = SuiteArgs::parse_from(&argv(&[flag])).expect_err("missing value");
+            assert_eq!(err, ArgError::MissingValue { flag });
+        }
+        // The shared flags fail the same way through the suite parser.
+        assert_eq!(
+            SuiteArgs::parse_from(&argv(&["--runs"])).expect_err("missing"),
+            ArgError::MissingValue { flag: "--runs" }
+        );
+        let ok = SuiteArgs::parse_from(&argv(&[
+            "--jobs",
+            "3",
+            "--request-slots",
+            "4",
+            "--priority",
+            "batch",
+            "--bogus",
+        ]))
+        .expect("unknown flags only warn");
+        assert_eq!((ok.jobs, ok.request_slots), (3, 4));
+        assert_eq!(ok.priority, Priority::Batch);
     }
 
     #[test]

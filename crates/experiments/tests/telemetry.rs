@@ -181,3 +181,59 @@ fn zero_threads_is_rejected_not_clamped() {
     assert_eq!(err, CampaignError::ZeroThreads);
     assert!(err.to_string().contains("at least one"), "{err}");
 }
+
+/// Every answered oracle query is one `oracle_query` sample in both
+/// engines: the sequential engine times each inline query, the batch engine
+/// splits each round's kernel call evenly over its rows. So the stage count
+/// (like every other deterministic counter) is dispatch-invariant, and the
+/// stage shows up in the latency table the `trace` binary prints.
+#[test]
+fn nn_oracle_query_counts_are_dispatch_invariant() {
+    let data = av_neural::train::Dataset::from_rows((0..64).map(|i| {
+        let delta = 5.0 + f64::from(i % 16) * 2.0;
+        let k = f64::from(i % 8) * 10.0;
+        (vec![delta, -3.0, 0.5, -0.1, k], vec![delta - 0.1 * k])
+    }));
+    let oracle = av_experiments::train_sh::train_oracle_on(&data)
+        .expect("synthetic dataset trains")
+        .oracle;
+    let campaign = Campaign::new(
+        "nn-oracle-queries",
+        ScenarioId::Ds1,
+        AttackerSpec::RoboTack {
+            vector: Some(AttackVector::Disappear),
+            oracle: OracleSpec::Nn(oracle),
+        },
+        6,
+        30,
+    )
+    .with_metrics();
+    let snapshot = |threads, mode| {
+        run_campaign_dispatch(&campaign, threads, mode)
+            .expect("threads >= 1")
+            .metrics
+            .expect("with_metrics collects a registry")
+    };
+    let sequential = snapshot(1, DispatchMode::WorkStealing);
+    let batched = snapshot(2, DispatchMode::Batched { batch_size: 7 });
+    let queries = |s: &MetricsSnapshot| s.stage(Stage::OracleQuery).expect("stage").count;
+    assert!(
+        queries(&sequential) > 0,
+        "the NN campaign queried its oracle"
+    );
+    assert_eq!(
+        queries(&sequential),
+        queries(&batched),
+        "oracle_query count"
+    );
+    let invariant = |s: &MetricsSnapshot| {
+        s.deterministic_counts()
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("batch_"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(invariant(&sequential), invariant(&batched));
+    assert!(sequential
+        .render_latency_table()
+        .contains("| oracle_query |"));
+}

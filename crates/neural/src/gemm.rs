@@ -1,22 +1,22 @@
-//! The shared GEMM micro-kernel layer behind every matrix product in the
-//! crate.
+//! The shared GEMM micro-kernel layer behind every training matrix product
+//! in the crate.
 //!
 //! Training a safety-hijacker oracle is GEMM-bound: the minibatch forward
 //! pass (`x · Wᵀ`), the weight gradients (`δᵀ · x`), and the backpropagated
 //! deltas (`δ · W`) each run one of the three kernel families here on every
-//! minibatch of every epoch, and the batch engine's cross-session inference
-//! rides the same layer through [`layer_forward_t`]. All callers —
-//! [`Matrix::matmul_into`], [`Matrix::t_matmul_into`],
-//! [`Matrix::matmul_t_into`], `Mlp::forward_train_into`/`backward_into`,
-//! and `Mlp::forward_batch_into` — resolve to the kernels in this module,
-//! so there is exactly one place where accumulation order (and therefore
-//! bit-level reproducibility) is decided.
+//! minibatch of every epoch. All callers — `Matrix::matmul_into`,
+//! `Matrix::t_matmul_into`, `Matrix::matmul_t_into`, and
+//! `Mlp::forward_train_into`/`backward_into` — resolve to the kernels in
+//! this module, so there is exactly one place where training's
+//! accumulation order (and therefore bit-level reproducibility) is decided.
+//! Dropout-free inference does not come here: it runs the one-row kernel of
+//! [`crate::infer`], which is deliberately independent of [`GemmMode`].
 //!
 //! # Kernel families
 //!
 //! | family | computes | reduction | used by |
 //! |---|---|---|---|
-//! | `nt` | `C = A × Bᵀ` | over columns (`k`) | training/batch forward |
+//! | `nt` | `C = A × Bᵀ` | over columns (`k`) | training forward |
 //! | `tn` | `C = Aᵀ × B` | over rows (`r`) | weight gradients |
 //! | `nn` | `C = A × B` | over inner dim (`k`) | backpropagated deltas |
 //!
@@ -97,11 +97,11 @@
 //! oracle-training path against the naive reference build and diffs the
 //! resulting artifacts byte-for-byte.
 
-use crate::matrix::Matrix;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which GEMM implementation the [`Matrix`] product methods dispatch to.
+/// Which GEMM implementation the [`crate::matrix::Matrix`] product methods
+/// dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmMode {
     /// Register-blocked micro-kernels (the default). Bit-identical to
@@ -572,8 +572,7 @@ pub fn nt_tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usiz
 thread_local! {
     /// Scratch for the `nt` fast path's transposed copy of `B`. Thread-local
     /// (not per-call) so steady-state training performs no heap allocation
-    /// after the first minibatch, mirroring the batch engine's scratch
-    /// pattern.
+    /// after the first minibatch.
     static BT_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -1010,72 +1009,6 @@ pub(crate) fn nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usi
         GemmMode::Blocked => nn_blocked(a, b, c, m, k, n),
         GemmMode::Tiled => nn_tiled(a, b, c, m, k, n, K_PANEL),
         GemmMode::Naive => nn_naive(a, b, c, m, k, n),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The batch engine's transposed layer kernel.
-// ---------------------------------------------------------------------------
-
-/// One dense layer over transposed activations: `x_t` is (in × N), `out_t`
-/// becomes (out × N), both feature-major.
-///
-/// For each output unit `j`, the kernel runs a register block of up to 32
-/// batch lanes: independent accumulators, each summing its own lane's
-/// products strictly in `k` order — the independent lanes vectorize while
-/// every lane's sum keeps the exact accumulation order of `Mlp::forward`.
-/// Bias is added once per element after the full dot, then ReLU, matching
-/// the per-example path. Remainder lanes step down through 16/8/4/2-wide
-/// blocks before the final scalar lane, so even ragged batch widths keep
-/// several chains in flight.
-///
-/// This kernel is deliberately **mode-independent**: every [`GemmMode`]
-/// leaves batched inference bit-identical to the scalar forward pass, so
-/// campaign digests never depend on the training-kernel configuration.
-pub fn layer_forward_t(w: &Matrix, bias: &[f64], relu: bool, x_t: &Matrix, out_t: &mut Matrix) {
-    let n = x_t.cols();
-    debug_assert_eq!(x_t.rows(), w.cols());
-    out_t.reshape(w.rows(), n);
-    // Lane-block widths: enough independent 8-wide vector chains to hide FMA
-    // latency on wide SIMD hosts, with narrower blocks mopping up.
-    macro_rules! lane_block {
-        ($width:literal, $i:ident, $wrow:ident, $xflat:ident, $orow:ident, $b:ident) => {
-            while $i + $width <= n {
-                let mut acc = [0.0f64; $width];
-                for (&wk, xrow) in $wrow.iter().zip($xflat.chunks_exact(n)) {
-                    let lanes = &xrow[$i..$i + $width];
-                    for (a, &x) in acc.iter_mut().zip(lanes) {
-                        *a += x * wk;
-                    }
-                }
-                for (o, a) in $orow[$i..$i + $width].iter_mut().zip(acc) {
-                    let v = a + $b;
-                    *o = if relu && v < 0.0 { 0.0 } else { v };
-                }
-                $i += $width;
-            }
-        };
-    }
-    debug_assert_eq!(bias.len(), w.rows());
-    let xflat = x_t.as_slice();
-    for (j, &b) in bias.iter().enumerate() {
-        let wrow = w.row(j);
-        let orow = out_t.row_mut(j);
-        let mut i = 0;
-        lane_block!(32, i, wrow, xflat, orow, b);
-        lane_block!(16, i, wrow, xflat, orow, b);
-        lane_block!(8, i, wrow, xflat, orow, b);
-        lane_block!(4, i, wrow, xflat, orow, b);
-        lane_block!(2, i, wrow, xflat, orow, b);
-        while i < n {
-            let mut s = 0.0;
-            for (&wk, xrow) in wrow.iter().zip(xflat.chunks_exact(n)) {
-                s += xrow[i] * wk;
-            }
-            let v = s + b;
-            orow[i] = if relu && v < 0.0 { 0.0 } else { v };
-            i += 1;
-        }
     }
 }
 

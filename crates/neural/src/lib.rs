@@ -8,12 +8,14 @@
 //! - [`matrix`]: row-major `f64` matrices with the handful of ops backprop
 //!   needs.
 //! - [`gemm`]: the shared register-blocked / cache-tiled GEMM micro-kernel
-//!   layer every product (training *and* batched inference) routes through,
-//!   plus the process-wide [`gemm::GemmMode`] selecting blocked (default,
-//!   bit-identical to the naive reference) vs tiled (faster long
-//!   reductions, reorders FP accumulation) vs naive kernels.
+//!   layer every training product routes through, plus the process-wide
+//!   [`gemm::GemmMode`] selecting blocked (default, bit-identical to the
+//!   naive reference) vs tiled (faster long reductions, reorders FP
+//!   accumulation) vs naive kernels.
 //! - [`mlp`]: the network — He initialization, forward (train/eval),
 //!   backward, parameter access.
+//! - [`infer`]: the immutable inference form (transposed weights) and the
+//!   one register-blocked kernel every dropout-free forward pass runs.
 //! - [`optim`]: the Adam optimizer over flat parameter/gradient slices.
 //! - [`mod@train`]: datasets, normalization, the training loop, and train/val
 //!   splitting.
@@ -38,12 +40,14 @@
 #![warn(missing_docs)]
 
 pub mod gemm;
+pub mod infer;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
 pub mod train;
 
 pub use gemm::GemmMode;
+pub use infer::InferenceMlp;
 pub use matrix::Matrix;
 pub use mlp::{ForwardCache, Mlp, TrainScratch};
 pub use optim::Adam;

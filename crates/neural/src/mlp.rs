@@ -1,6 +1,6 @@
 //! The feed-forward network: dense layers + ReLU + dropout.
 
-use crate::gemm::{self, layer_forward_t, BiasDiffEpilogue, Epilogue, LayerEpilogue};
+use crate::gemm::{self, BiasDiffEpilogue, Epilogue, LayerEpilogue};
 use crate::matrix::Matrix;
 use crate::optim::{AdamLane, AdamStep};
 use av_simkit::rng as simrng;
@@ -145,82 +145,35 @@ impl Mlp {
         self.layers.last().expect("nonempty").b.len()
     }
 
-    /// Inference forward pass (dropout disabled).
+    /// Inference forward pass (dropout disabled) — the row-major reference
+    /// the inference kernel ([`crate::infer::InferenceMlp`]) is pinned
+    /// against. Each output accumulates `w · x` strictly in input order from
+    /// `+0.0`, then adds the bias, then applies ReLU. The explicit `+0.0`
+    /// start (rather than `Iterator::sum`, whose neutral element is `-0.0`)
+    /// is what every kernel in the crate starts from.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         debug_assert_eq!(input.len(), self.input_dim());
         let mut x = input.to_vec();
         for layer in &self.layers {
-            let mut y = layer.b.clone();
-            for (o, yo) in y.iter_mut().enumerate() {
-                *yo += layer
-                    .w
-                    .row(o)
-                    .iter()
-                    .zip(&x)
-                    .map(|(w, xi)| w * xi)
-                    .sum::<f64>();
-                if layer.relu && *yo < 0.0 {
-                    *yo = 0.0;
-                }
-            }
-            x = y;
+            x = layer
+                .b
+                .iter()
+                .enumerate()
+                .map(|(o, &b)| {
+                    let mut s = 0.0;
+                    for (w, xi) in layer.w.row(o).iter().zip(&x) {
+                        s += w * xi;
+                    }
+                    let v = s + b;
+                    if layer.relu && v < 0.0 {
+                        0.0
+                    } else {
+                        v
+                    }
+                })
+                .collect();
         }
         x
-    }
-
-    /// Batched inference forward pass (dropout disabled); row `r` of the
-    /// result is bit-identical to `forward(batch.row(r))`.
-    ///
-    /// Allocating convenience wrapper around [`Mlp::forward_batch_into`].
-    pub fn forward_batch(&self, batch: &Matrix) -> Matrix {
-        let mut scratch = Matrix::zeros(0, 0);
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_batch_into(batch, &mut scratch, &mut out);
-        out
-    }
-
-    /// Batched inference forward pass (dropout disabled) into reusable
-    /// scratch buffers; the result ends up in `out`.
-    ///
-    /// Bit-identity with the per-example path: the kernel accumulates each
-    /// output element as the same ordered dot product that [`Mlp::forward`]
-    /// uses, and adding the bias after the dot (`Σ + b` instead of `b + Σ`)
-    /// is exact because IEEE-754 addition is commutative. The lane kernel
-    /// ([`crate::gemm::layer_forward_t`]) is deliberately independent of the
-    /// process-wide [`crate::gemm::GemmMode`], so batched inference stays
-    /// bit-identical to [`Mlp::forward`] even when training runs tiled.
-    ///
-    /// The speed over per-example forwards comes from keeping activations
-    /// *transposed* (feature-major, one column per batch row): the same
-    /// feature of 8 adjacent batch rows is contiguous, so the layer kernel
-    /// runs 8 independent k-ordered sums in SIMD lanes — per-row bits
-    /// unchanged, since no sum is reassociated, only interleaved with the
-    /// other rows' sums.
-    pub fn forward_batch_into(&self, batch: &Matrix, scratch: &mut Matrix, out: &mut Matrix) {
-        debug_assert_eq!(batch.cols(), self.input_dim());
-        let n = batch.rows();
-        // Transpose the batch into `scratch`: (N × K) → (K × N).
-        scratch.reshape(batch.cols(), n);
-        for r in 0..n {
-            for (k, &v) in batch.row(r).iter().enumerate() {
-                scratch.row_mut(k)[r] = v;
-            }
-        }
-        // `scratch` holds the transposed input of each layer, `out` receives
-        // its transposed output; the final swap leaves the last layer's
-        // output transposed in `scratch`.
-        for layer in &self.layers {
-            layer_forward_t(&layer.w, &layer.b, layer.relu, scratch, out);
-            std::mem::swap(scratch, out);
-        }
-        // Un-transpose the result into `out`: (J × N) → (N × J).
-        let j_out = scratch.rows();
-        out.reshape(n, j_out);
-        for j in 0..j_out {
-            for (i, &v) in scratch.row(j).iter().enumerate() {
-                out.row_mut(i)[j] = v;
-            }
-        }
     }
 
     /// Batched training forward pass with inverted dropout; returns the
@@ -786,44 +739,6 @@ mod tests {
         let a = net.forward(&[0.1, -0.2, 0.3]);
         let b = net.forward(&[0.1, -0.2, 0.3]);
         assert_eq!(a, b, "inference ignores dropout randomness");
-    }
-
-    #[test]
-    fn forward_batch_rows_are_bit_identical_to_forward() {
-        let mut r = rng();
-        let net = Mlp::new(&[5, 100, 100, 50, 1], 0.1, &mut r);
-        for rows in [1usize, 7, 64] {
-            let mut batch = Matrix::zeros(rows, 5);
-            for v in batch.as_mut_slice() {
-                *v = simrng::normal(&mut r, 0.0, 2.0);
-            }
-            let out = net.forward_batch(&batch);
-            assert_eq!(out.rows(), rows);
-            assert_eq!(out.cols(), 1);
-            for i in 0..rows {
-                let single = net.forward(batch.row(i));
-                assert_eq!(
-                    out.get(i, 0).to_bits(),
-                    single[0].to_bits(),
-                    "row {i} of a {rows}-row batch diverged from the scalar path"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forward_batch_into_reuses_buffers() {
-        let net = Mlp::new(&[3, 8, 2], 0.0, &mut rng());
-        let batch = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 1.0, 2.0, -3.0]);
-        let mut scratch = Matrix::from_vec(1, 1, vec![9e9]);
-        let mut out = Matrix::from_vec(1, 1, vec![9e9]);
-        net.forward_batch_into(&batch, &mut scratch, &mut out);
-        let fresh = net.forward_batch(&batch);
-        assert_eq!(
-            out.as_slice(),
-            fresh.as_slice(),
-            "dirty scratch must not leak"
-        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Datasets, normalization, and the training loop.
 
+use crate::infer::InferenceMlp;
 use crate::matrix::Matrix;
 use crate::mlp::{Mlp, TrainScratch};
 use crate::optim::Adam;
@@ -258,25 +259,20 @@ pub fn train<R: Rng + ?Sized>(
 
 /// Mean squared error of `net` over a dataset (validation metric).
 ///
-/// Runs one batched forward pass over the whole dataset instead of an
-/// allocating per-row [`Mlp::forward`]. Bit-identical to the per-row loop:
-/// every row of [`Mlp::forward_batch_into`] is pinned equal to the scalar
-/// path, and both the per-row squared-error sums and the cross-row total
-/// accumulate in the same order as before.
+/// Runs every row through the inference kernel
+/// ([`crate::infer::InferenceMlp`]), whose answers are pinned bit-identical
+/// to [`Mlp::forward`]; the per-row squared-error sums and the cross-row
+/// total accumulate in the same order as the historical per-row loop.
 pub fn mse(net: &Mlp, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let idx: Vec<usize> = (0..data.len()).collect();
-    let mut x = Matrix::zeros(0, 0);
-    x.gather_rows(net.input_dim(), &data.inputs, &idx);
-    let mut scratch = Matrix::zeros(0, 0);
-    let mut out = Matrix::zeros(0, 0);
-    net.forward_batch_into(&x, &mut scratch, &mut out);
+    let inference = InferenceMlp::new(net);
+    let mut out = vec![0.0; net.output_dim()];
     let mut total = 0.0;
-    for (r, y) in data.targets.iter().enumerate() {
+    for (x, y) in data.inputs.iter().zip(&data.targets) {
+        inference.forward_into(x, &mut out);
         total += out
-            .row(r)
             .iter()
             .zip(y)
             .map(|(a, b)| (a - b) * (a - b))
@@ -374,9 +370,9 @@ mod tests {
 
     #[test]
     fn mse_matches_per_row_forward_reference() {
-        // The batched route must reproduce the historical per-row loop to
-        // the bit (forward_batch rows are pinned equal to forward; the sum
-        // orders are unchanged).
+        // The kernel route must reproduce the historical per-row loop to
+        // the bit (kernel rows are pinned equal to forward; the sum orders
+        // are unchanged).
         let mut r = rng();
         let net = Mlp::new(&[3, 17, 2], 0.1, &mut r);
         let data = Dataset::from_rows((0..29).map(|i| {

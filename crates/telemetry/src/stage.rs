@@ -1,6 +1,7 @@
 //! The instrumented pipeline stages.
 
-/// One timed stage of the simulation pipeline.
+/// One timed stage of the simulation pipeline (and of the attacker's
+/// oracle inference inside it).
 ///
 /// Each variant corresponds to a `Telemetry::time` call site somewhere in
 /// the workspace; the per-stage duration histograms in the metrics registry
@@ -20,6 +21,11 @@ pub enum Stage {
     FaultTap,
     /// The attacker's man-in-the-middle frame hook.
     AttackerFrame,
+    /// One answered safety-hijacker oracle query (one k-search step). The
+    /// batch engine answers a round of queries per oracle in one call and
+    /// records that call's duration split evenly over its rows, so counts
+    /// match the sequential engine's one sample per query.
+    OracleQuery,
     /// ADS perception: camera branch (detect → track → fuse).
     PerceptionCamera,
     /// ADS perception: LiDAR branch (fusion refinement).
@@ -36,13 +42,14 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 13] = [
         Stage::SchedulerAdvance,
         Stage::GpsSample,
         Stage::CameraCapture,
         Stage::LidarScan,
         Stage::FaultTap,
         Stage::AttackerFrame,
+        Stage::OracleQuery,
         Stage::PerceptionCamera,
         Stage::PerceptionLidar,
         Stage::PlannerTick,
@@ -68,6 +75,7 @@ impl Stage {
             Stage::LidarScan => "lidar_scan",
             Stage::FaultTap => "fault_tap",
             Stage::AttackerFrame => "attacker_frame",
+            Stage::OracleQuery => "oracle_query",
             Stage::PerceptionCamera => "perception_camera",
             Stage::PerceptionLidar => "perception_lidar",
             Stage::PlannerTick => "planner_tick",
@@ -87,7 +95,7 @@ mod tests {
         for (i, stage) in Stage::ALL.iter().enumerate() {
             assert_eq!(stage.index(), i);
         }
-        assert_eq!(Stage::COUNT, 12);
+        assert_eq!(Stage::COUNT, 13);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Batch-size sweep for the lockstep batch engine.
 //!
 //! Times the NN-oracle RoboTack campaign (the paper's primary workload, and
-//! the one cross-session GEMM batching accelerates) under sequential dispatch
-//! and `DispatchMode::Batched` at several batch sizes, asserting along the way
-//! that every per-run digest is bit-identical to the sequential engine.
+//! the one whose k-search queries the batch engine fuses into cross-session
+//! rounds) under sequential dispatch and `DispatchMode::Batched` at several
+//! batch sizes, asserting along the way that every per-run digest is
+//! bit-identical to the sequential engine.
 //!
 //! This regenerates the `batched_campaign` section of `BENCH_suite.json`:
 //!

@@ -81,22 +81,10 @@ fn bench_nn_oracle(c: &mut Criterion) {
         v_rel_lat: 0.2,
         a_rel_lon: -0.1,
     };
-    // The sequential engine's path: one k-search query at a time.
+    // One k-search query: both engines answer every query this way.
     c.bench_function("nn_oracle_query", |b| {
         b.iter(|| black_box(oracle.predict_delta(black_box(&features), black_box(40))))
     });
-    // The batch engine's path: one k-search round across lanes (rounds have
-    // about 15 rows on average at batch 32).
-    for rows in [1u32, 4, 15, 32] {
-        let queries: Vec<(AttackFeatures, u32)> = (0..rows).map(|i| (features, 5 + i)).collect();
-        let mut out = Vec::new();
-        c.bench_function(&format!("nn_oracle_round_{rows}_rows"), |b| {
-            b.iter(|| {
-                oracle.predict_delta_batch(black_box(&queries), &mut out);
-                black_box(out[0])
-            })
-        });
-    }
 }
 
 fn bench_patch(c: &mut Criterion) {

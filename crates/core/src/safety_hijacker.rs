@@ -64,8 +64,7 @@ pub trait SafetyOracle {
 ///
 /// The oracle keeps exactly one copy of the network's weights, in the
 /// transposed inference layout ([`InferenceMlp`]), plus the dropout rate the
-/// trained network recorded; [`NnOracle::network`] rebuilds the row-major
-/// [`Mlp`] on demand.
+/// trained network recorded, so snapshots reproduce the network exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NnOracle {
     net: InferenceMlp,
@@ -106,12 +105,6 @@ impl NnOracle {
         }
     }
 
-    /// The underlying network, rebuilt in its row-major training form
-    /// (bit-equal parameters) — for diagnostics and tests.
-    pub fn network(&self) -> Mlp {
-        self.net.to_mlp(self.dropout)
-    }
-
     /// The network in its inference form — the oracle's only copy of the
     /// weights, which snapshots serialize without rebuilding an [`Mlp`].
     pub fn inference(&self) -> &InferenceMlp {
@@ -126,22 +119,6 @@ impl NnOracle {
     /// The input normalizer (for diagnostics and snapshotting).
     pub fn normalizer(&self) -> &Normalizer {
         &self.normalizer
-    }
-
-    /// Answers a k-search round of `(features, k)` queries, appending one
-    /// prediction per query to `out` (cleared first).
-    ///
-    /// Each query runs through the same one-row inference kernel as
-    /// [`SafetyOracle::predict_delta`], so every answer is bit-identical to
-    /// the scalar call and a batch engine may coalesce queries from many
-    /// sessions without perturbing any session's decision.
-    pub fn predict_delta_batch(&self, queries: &[(AttackFeatures, u32)], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            queries
-                .iter()
-                .map(|(features, k)| self.predict_delta(features, *k)),
-        );
     }
 }
 
@@ -239,8 +216,8 @@ pub struct AttackDecision {
 /// oracle evaluations are performed by the *caller*.
 ///
 /// This inversion lets a batch engine gather the pending query from many
-/// concurrent sessions, answer them all in one round
-/// ([`NnOracle::predict_delta_batch`]), and feed the predictions back — while
+/// concurrent sessions, answer them all in one round, and feed the
+/// predictions back — while
 /// producing exactly the same sequence of (features, k) queries, and
 /// therefore exactly the same decision, as the inline search.
 #[derive(Debug, Clone)]
@@ -571,46 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn nn_oracle_batch_matches_scalar_bitwise() {
-        use av_neural::train::{Dataset, Normalizer};
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-        let net = Mlp::paper_architecture(AttackFeatures::INPUT_DIM, &mut rng);
-        let data = Dataset::from_rows((0..8).map(|i| {
-            let x = f64::from(i);
-            (vec![x, -x, 0.5 * x, x * x, x + 1.0], vec![x])
-        }));
-        let oracle = NnOracle::new(net, Normalizer::fit(&data));
-        // Round widths around the kernel's block edges: single rows, the
-        // batch engine's typical 15-row round, and either side of 32.
-        for rows in [1u32, 2, 15, 32, 33] {
-            let queries: Vec<(AttackFeatures, u32)> = (0..rows)
-                .map(|i| {
-                    let x = f64::from(i);
-                    (
-                        AttackFeatures {
-                            delta: 30.0 - x,
-                            v_rel_lon: -5.0 + 0.3 * x,
-                            v_rel_lat: 0.1 * x,
-                            a_rel_lon: -0.2 * x,
-                        },
-                        5 + i,
-                    )
-                })
-                .collect();
-            let mut batched = vec![f64::NAN; 3];
-            oracle.predict_delta_batch(&queries, &mut batched);
-            assert_eq!(batched.len(), queries.len());
-            for ((f, k), b) in queries.iter().zip(&batched) {
-                assert_eq!(
-                    b.to_bits(),
-                    oracle.predict_delta(f, *k).to_bits(),
-                    "{rows}-row round diverged at k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn nn_oracle_keeps_one_bit_equal_copy_of_the_network() {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
         let net = Mlp::paper_architecture(AttackFeatures::INPUT_DIM, &mut rng);
@@ -619,7 +556,14 @@ mod tests {
             std: vec![1.0; AttackFeatures::INPUT_DIM],
         };
         let oracle = NnOracle::new(net.clone(), normalizer);
-        assert_eq!(oracle.network(), net, "rebuilt network is bit-equal");
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(oracle.inference().layer_sizes(), net.layer_sizes());
+        assert_eq!(
+            bits(oracle.inference().params().collect()),
+            bits(net.flatten_params()),
+            "the one copy holds bit-equal parameters"
+        );
+        assert_eq!(oracle.dropout().to_bits(), net.dropout.to_bits());
         let f = features(12.0);
         let reference = net.forward(&f.to_input(30))[0];
         assert_eq!(oracle.predict_delta(&f, 30).to_bits(), reference.to_bits());

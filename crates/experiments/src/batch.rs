@@ -17,12 +17,11 @@
 //!   kinematics live in flat per-field arrays and behaviors are stepped in
 //!   place, eliminating the per-actor-per-tick behavior clone of
 //!   `World::step` while remaining bit-identical to it.
-//! - **Batched oracle rounds**: when several lanes' attackers defer a
-//!   launch decision on the same camera tick, their safety-hijacker k-search
-//!   queries are answered together — one call per NN oracle per bisection
-//!   round ([`NnOracle::predict_delta_batch`]), running the same one-row
-//!   inference kernel as the sequential engine over each row, with
-//!   per-session RNG streams untouched.
+//! - **Oracle rounds**: when several lanes' attackers defer a launch
+//!   decision on the same camera tick, their safety-hijacker k-searches
+//!   advance together, one bisection round at a time, each query answered
+//!   by the lane's own oracle exactly as the sequential engine answers it,
+//!   with per-session RNG streams untouched.
 //!
 //! # Determinism contract
 //!
@@ -31,9 +30,9 @@
 //! the batch engine calls the exact same `RunState` methods in the same
 //! per-lane order, the engine clock reproduces `World::time_us` exactly
 //! (`tick × round(SIM_DT·1e6)`), the world step is pinned bit-identical to
-//! its scalar counterpart by tests in `av-simkit`, and oracle rounds run the
-//! very kernel the scalar path runs (pinned in `av-neural` and `robotack`).
-//! The integration suite (`tests/batch_equivalence.rs`) pins the end-to-end
+//! its scalar counterpart by tests in `av-simkit`, and oracle rounds make
+//! the very `RunState::oracle_eval` call the sequential engine makes. The
+//! integration suite (`tests/batch_equivalence.rs`) pins the end-to-end
 //! digests.
 //!
 //! Sessions that end early (collision) or have shorter scenarios retire from
@@ -41,15 +40,13 @@
 //! visited again, and per-lane RNG/oracle state is fully isolated in its
 //! `RunState`.
 
-use crate::runner::{AttackerSpec, OracleSpec, RunOutcome};
+use crate::runner::RunOutcome;
 use crate::session::{RunState, SessionTasks, SessionWorker, SimSession};
 use av_simkit::scheduler::{Scheduler, Task};
 use av_simkit::units::SIM_DT;
 use av_simkit::BatchWorld;
 use av_telemetry::{Stage, Telemetry, TraceEvent};
-use robotack::safety_hijacker::{AttackFeatures, DeferredDecision, NnOracle};
-use std::sync::Arc;
-use std::time::Instant;
+use robotack::safety_hijacker::DeferredDecision;
 
 /// Reusable per-worker lane state: one [`SessionWorker`] (warm ADS + frame
 /// buffers) per lane plus the shared scheduler fire buffer.
@@ -157,7 +154,7 @@ impl LanePool {
             // Oracle barrier — answer every deferred lane's k-search queries,
             // batching rows across lanes per NN oracle.
             if !deferred.is_empty() {
-                resolve_deferred(sessions, &states, &mut deferred, engine_tele, t);
+                resolve_deferred(&states, &mut deferred, engine_tele, t);
                 for (lane, d) in deferred.drain(..) {
                     let state = states[lane].as_mut().expect("deferred lane is active");
                     state.camera_resume(batch.lane(lane), d.into_decision());
@@ -202,96 +199,30 @@ impl LanePool {
     }
 }
 
-/// The NN oracle a session's attacker consults, when it has one. Lanes
-/// without an NN oracle (kinematic, baselines) resolve their queries through
-/// the scalar [`RunState::oracle_eval`] path instead.
-fn nn_oracle(session: &SimSession) -> Option<&Arc<NnOracle>> {
-    match session.attacker_spec() {
-        AttackerSpec::RoboTack {
-            oracle: OracleSpec::Nn(nn),
-            ..
-        } => Some(nn),
-        _ => None,
-    }
-}
-
 /// Answers every pending oracle query of `deferred` until all k-searches are
 /// terminal. A k-search exposes one query at a time (the next bisection
 /// midpoint depends on the previous answer), so resolution proceeds in
-/// rounds: each round gathers the current query of every still-pending lane,
-/// groups them by oracle identity, and answers each NN group with one
-/// [`NnOracle::predict_delta_batch`] call — bit-identical per row to the
-/// scalar oracle.
+/// rounds: each round answers the current query of every still-pending lane
+/// through that lane's own [`RunState::oracle_eval`] — the very call, and
+/// the same per-query `oracle_query` timing, as the sequential engine.
 fn resolve_deferred(
-    sessions: &[SimSession],
     states: &[Option<RunState>],
     deferred: &mut [(usize, DeferredDecision)],
     engine_tele: &Telemetry,
     t: f64,
 ) {
-    // (index into `deferred`, query) for the current round.
-    let mut round: Vec<(usize, AttackFeatures, u32)> = Vec::new();
-    // NN groups: oracle identity (Arc pointer) → round indices.
-    let mut groups: Vec<(Arc<NnOracle>, Vec<usize>)> = Vec::new();
-    let mut queries: Vec<(AttackFeatures, u32)> = Vec::new();
-    let mut answers: Vec<f64> = Vec::new();
     loop {
-        round.clear();
-        for (di, (_, d)) in deferred.iter().enumerate() {
+        let mut queries: u32 = 0;
+        for (lane, d) in deferred.iter_mut() {
             if let Some((features, k)) = d.pending() {
-                round.push((di, features, k));
+                let state = states[*lane].as_ref().expect("deferred lane is active");
+                d.feed(state.oracle_eval(&features, k));
+                queries += 1;
             }
         }
-        if round.is_empty() {
+        if queries == 0 {
             return;
         }
-        let n_queries = round.len() as u32;
-        engine_tele.emit(t, || TraceEvent::BatchOracleInference {
-            queries: n_queries,
-        });
-
-        groups.clear();
-        for (ri, &(di, features, k)) in round.iter().enumerate() {
-            let lane = deferred[di].0;
-            match nn_oracle(&sessions[lane]) {
-                Some(nn) => match groups.iter_mut().find(|(o, _)| Arc::ptr_eq(o, nn)) {
-                    Some((_, members)) => members.push(ri),
-                    None => groups.push((nn.clone(), vec![ri])),
-                },
-                None => {
-                    // Scalar path: the lane's own oracle, exactly as the
-                    // sequential engine would call it.
-                    let state = states[lane].as_ref().expect("deferred lane is active");
-                    deferred[di].1.feed(state.oracle_eval(&features, k));
-                }
-            }
-        }
-        for (oracle, members) in &groups {
-            queries.clear();
-            queries.extend(members.iter().map(|&ri| (round[ri].1, round[ri].2)));
-            // One clock read per group, and only when some lane records
-            // metrics: each row gets an even share of the call, so
-            // `oracle_query` counts match the sequential engine's.
-            let lane_tele = |di: usize| {
-                states[deferred[di].0]
-                    .as_ref()
-                    .expect("deferred lane is active")
-                    .telemetry()
-            };
-            let started = members
-                .iter()
-                .any(|&ri| lane_tele(round[ri].0).registry().is_some())
-                .then(Instant::now);
-            oracle.predict_delta_batch(&queries, &mut answers);
-            if let Some(started) = started {
-                let share = started.elapsed() / members.len() as u32;
-                for &ri in members {
-                    lane_tele(round[ri].0).record(Stage::OracleQuery, share);
-                }
-            }
-            for (&ri, &delta) in members.iter().zip(&answers) {
-                deferred[round[ri].0].1.feed(delta);
-            }
-        }
+        engine_tele.emit(t, || TraceEvent::BatchOracleInference { queries });
     }
 }

@@ -6,23 +6,21 @@
 //! under a timed Move_Out attack — so a bare `cargo run --bin trace` shows
 //! every layer of the pipeline reporting: scheduler ticks, sensor samples,
 //! detector output, track updates, the attack launch and phase changes,
-//! planner mode transitions, and the emergency stop. `--robotack` swaps the
-//! timed attack for full RoboTack (safety-hijacker timing over the kinematic
-//! oracle), so the latency table also shows the `oracle_query` stage.
+//! planner mode transitions, and the emergency stop.
 //!
 //! ```text
-//! trace [--scenario ds1..ds5] [--seed N] [--golden] [--robotack] [--out FILE]
+//! trace [--scenario ds1..ds5] [--seed N] [--golden] [--out FILE]
 //! ```
 
 use av_experiments::prelude::*;
-use av_experiments::suite::ArgError;
+use av_experiments::suite::{parsed, value, ArgError};
 use std::io::Write;
 
+#[derive(Debug, PartialEq)]
 struct TraceArgs {
     scenario: ScenarioId,
     seed: u64,
     golden: bool,
-    robotack: bool,
     out: Option<String>,
 }
 
@@ -37,59 +35,40 @@ fn parse_scenario(s: &str) -> Option<ScenarioId> {
     }
 }
 
-fn missing(flag: &'static str) -> ! {
-    ArgError::MissingValue { flag }.exit()
-}
-
-fn bad(flag: &'static str, value: String, expected: &'static str) -> ! {
-    ArgError::BadValue {
-        flag,
-        value,
-        expected,
-    }
-    .exit()
-}
-
-fn parse_args() -> TraceArgs {
+/// Parses the `trace` flags out of `argv` (program name excluded). A
+/// missing or unparseable value is an [`ArgError`]; unknown flags warn.
+fn parse_args(argv: &[String]) -> Result<TraceArgs, ArgError> {
     let mut args = TraceArgs {
         scenario: ScenarioId::Ds2,
         seed: 0,
         golden: false,
-        robotack: false,
         out: None,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--scenario" => {
-                let v = iter.next().unwrap_or_else(|| missing("--scenario"));
-                args.scenario =
-                    parse_scenario(&v).unwrap_or_else(|| bad("--scenario", v, "ds1..ds5"));
+                let raw = value(&mut iter, "--scenario")?;
+                args.scenario = parse_scenario(raw).ok_or_else(|| ArgError::BadValue {
+                    flag: "--scenario",
+                    value: raw.to_string(),
+                    expected: "ds1..ds5",
+                })?;
             }
-            "--seed" => {
-                let v = iter.next().unwrap_or_else(|| missing("--seed"));
-                args.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| bad("--seed", v, "a non-negative integer"));
-            }
-            "--out" => args.out = Some(iter.next().unwrap_or_else(|| missing("--out"))),
+            "--seed" => args.seed = parsed(&mut iter, "--seed", "a non-negative integer")?,
+            "--out" => args.out = Some(value(&mut iter, "--out")?.to_string()),
             "--golden" => args.golden = true,
-            "--robotack" => args.robotack = true,
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| e.exit());
     let attacker = if args.golden {
         AttackerSpec::None
-    } else if args.robotack {
-        AttackerSpec::RoboTack {
-            vector: Some(AttackVector::MoveOut),
-            oracle: OracleSpec::Kinematic,
-        }
     } else {
         // A timed Move_Out attack that reliably launches without any oracle
         // training (the same configuration the integration tests pin).
@@ -126,5 +105,63 @@ fn main() {
     );
     if let Some(snapshot) = telemetry.metrics() {
         eprintln!("\n{}", snapshot.render_latency_table());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse_args(&argv(&[
+            "--scenario",
+            "DS-4",
+            "--seed",
+            "7",
+            "--golden",
+            "--out",
+            "t.jsonl",
+        ]))
+        .expect("valid flags");
+        assert_eq!(
+            args,
+            TraceArgs {
+                scenario: ScenarioId::Ds4,
+                seed: 7,
+                golden: true,
+                out: Some("t.jsonl".into()),
+            }
+        );
+    }
+
+    #[test]
+    fn missing_or_bad_values_name_the_flag() {
+        for flag in ["--scenario", "--seed", "--out"] {
+            assert_eq!(
+                parse_args(&argv(&[flag])),
+                Err(ArgError::MissingValue { flag })
+            );
+        }
+        assert_eq!(
+            parse_args(&argv(&["--seed", "7x"])),
+            Err(ArgError::BadValue {
+                flag: "--seed",
+                value: "7x".into(),
+                expected: "a non-negative integer",
+            })
+        );
+        assert_eq!(
+            parse_args(&argv(&["--scenario", "ds9"])),
+            Err(ArgError::BadValue {
+                flag: "--scenario",
+                value: "ds9".into(),
+                expected: "ds1..ds5",
+            })
+        );
     }
 }

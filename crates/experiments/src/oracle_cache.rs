@@ -564,14 +564,13 @@ mod tests {
     }
 
     fn bitwise_eq(a: &TrainedOracle, b: &TrainedOracle) -> bool {
-        let (na, nb) = (a.oracle.network(), b.oracle.network());
+        let (na, nb) = (a.oracle.inference(), b.oracle.inference());
         let (ma, mb) = (a.oracle.normalizer(), b.oracle.normalizer());
         na.layer_sizes() == nb.layer_sizes()
-            && na.dropout.to_bits() == nb.dropout.to_bits()
+            && a.oracle.dropout().to_bits() == b.oracle.dropout().to_bits()
             && na
-                .flatten_params()
-                .iter()
-                .zip(nb.flatten_params().iter())
+                .params()
+                .zip(nb.params())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
             && ma.mean == mb.mean
             && ma.std == mb.std
@@ -651,9 +650,10 @@ mod tests {
     #[test]
     fn zero_width_hidden_layer_snapshot_answers_without_panicking() {
         // `sizes = [5, 0, 1]` is structurally well-formed (the only
-        // parameter is the output bias), so decode accepts it; both the
-        // scalar and the batch path must answer the empty sum plus the
-        // bias instead of panicking on hostile store bytes.
+        // parameter is the output bias), so decode accepts it; the oracle
+        // (which both engines query one row at a time) must answer the
+        // empty sum plus the bias instead of panicking on hostile store
+        // bytes.
         let net = av_neural::mlp::Mlp::from_flat(&[5, 0, 1], 0.1, &[0.75]).expect("well-formed");
         let snapshot = TrainedOracle {
             oracle: Arc::new(NnOracle::new(
@@ -676,10 +676,7 @@ mod tests {
             a_rel_lon: -0.1,
         };
         assert_eq!(back.oracle.predict_delta(&f, 20), 0.75);
-        let mut batched = Vec::new();
-        back.oracle
-            .predict_delta_batch(&[(f, 20), (f, 40)], &mut batched);
-        assert_eq!(batched, [0.75, 0.75]);
+        assert_eq!(back.oracle.predict_delta(&f, 40), 0.75);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   ⟨launched, EB, crash, K⟩ on the spot (full outcomes with their time
 //!   series never accumulate), and summaries are stored and admitted in
 //!   proposal order. Each root's oracle is resolved once per search, so
-//!   lanes of one root share one oracle and their k-search rounds fuse
-//!   into one oracle call. The lockstep engine's bit-identity contract is what
+//!   lanes of one root share one copy of its weights. The lockstep engine's
+//!   bit-identity contract is what
 //!   makes cached and fresh evaluations, and any ⟨batch, threads⟩,
 //!   interchangeable.
 //! - **Evaluation cache.** Each ⟨spec, vector, run shape, oracle⟩

@@ -652,12 +652,6 @@ impl SimSession {
         &self.telemetry
     }
 
-    /// The attacker specification this session builds per run (the batch
-    /// engine groups sessions by oracle identity to batch NN inference).
-    pub(crate) fn attacker_spec(&self) -> &AttackerSpec {
-        &self.attacker
-    }
-
     /// Executes the run. A session is reusable: running twice with the same
     /// configuration produces bit-identical records (and, modulo wall-clock
     /// metrics, identical event streams).

@@ -103,7 +103,7 @@ impl ArgError {
 }
 
 /// The raw value after `flag`, or [`ArgError::MissingValue`].
-fn value<'a>(
+pub fn value<'a>(
     iter: &mut impl Iterator<Item = &'a String>,
     flag: &'static str,
 ) -> Result<&'a str, ArgError> {
@@ -113,7 +113,7 @@ fn value<'a>(
 }
 
 /// The value after `flag` parsed as `T`, or a typed error naming the flag.
-fn parsed<'a, T: std::str::FromStr>(
+pub fn parsed<'a, T: std::str::FromStr>(
     iter: &mut impl Iterator<Item = &'a String>,
     flag: &'static str,
     expected: &'static str,

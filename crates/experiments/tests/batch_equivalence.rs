@@ -110,7 +110,7 @@ fn assert_outcomes_equivalent(seq: &[RunOutcome], bat: &[RunOutcome], label: &st
 }
 
 /// A small NN oracle trained on a synthetic dataset, shared across sessions
-/// so the batch engine's Arc-identity grouping sees one GEMM group.
+/// as a campaign shares its oracle.
 fn synthetic_nn_oracle() -> OracleSpec {
     let data = Dataset::from_rows((0..64).map(|i| {
         let delta = 5.0 + f64::from(i % 16) * 2.0;
@@ -287,7 +287,11 @@ fn shifted_oracle(oracle: &OracleSpec) -> OracleSpec {
     };
     let mut normalizer = nn.normalizer().clone();
     normalizer.mean[0] += 4.0;
-    OracleSpec::Nn(Arc::new(NnOracle::new(nn.network().clone(), normalizer)))
+    OracleSpec::Nn(Arc::new(NnOracle::from_inference(
+        nn.inference().clone(),
+        nn.dropout(),
+        normalizer,
+    )))
 }
 
 /// The boundary search packs a whole round of small campaigns into one

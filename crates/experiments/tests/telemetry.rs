@@ -183,10 +183,10 @@ fn zero_threads_is_rejected_not_clamped() {
 }
 
 /// Every answered oracle query is one `oracle_query` sample in both
-/// engines: the sequential engine times each inline query, the batch engine
-/// splits each round's kernel call evenly over its rows. So the stage count
-/// (like every other deterministic counter) is dispatch-invariant, and the
-/// stage shows up in the latency table the `trace` binary prints.
+/// engines, which answer each query through the same timed call. So the
+/// stage count (like every other deterministic counter) is
+/// dispatch-invariant, and the stage shows up in the latency table the
+/// `trace` binary prints.
 #[test]
 fn nn_oracle_query_counts_are_dispatch_invariant() {
     let data = av_neural::train::Dataset::from_rows((0..64).map(|i| {

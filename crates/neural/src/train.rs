@@ -127,25 +127,12 @@ impl Normalizer {
     /// Normalizes one input row.
     pub fn apply(&self, input: &[f64]) -> Vec<f64> {
         let mut out = input.to_vec();
-        self.apply_into(input, &mut out);
+        self.apply_in_place(&mut out);
         out
     }
 
-    /// Normalizes one input row into a caller-held buffer (same bits as
+    /// Normalizes one input row in place (same bits as
     /// [`Normalizer::apply`], no allocation).
-    pub fn apply_into(&self, input: &[f64], out: &mut [f64]) {
-        for ((o, (x, m)), s) in out
-            .iter_mut()
-            .zip(input.iter().zip(&self.mean))
-            .zip(&self.std)
-        {
-            *o = (x - m) / s;
-        }
-    }
-
-    /// Normalizes one input row in place (element-wise, so aliasing input
-    /// and output is fine — same bits as [`Normalizer::apply`], no
-    /// allocation and no second buffer).
     pub fn apply_in_place(&self, row: &mut [f64]) {
         for ((x, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
             *x = (*x - m) / s;

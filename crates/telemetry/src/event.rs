@@ -183,8 +183,8 @@ pub enum TraceEvent {
         /// Sessions still live in the batch this tick.
         lanes: u32,
     },
-    /// The batch engine answered one round of coalesced oracle queries with
-    /// a single batched forward pass.
+    /// The batch engine answered one round of oracle queries: the pending
+    /// k-search query of every lane still searching.
     ///
     /// Engine-level bookkeeping, excluded from cross-dispatch invariance
     /// like [`TraceEvent::BatchStepped`].

@@ -44,7 +44,6 @@ pub use stage::Stage;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Interior state behind an enabled sink: the sink itself plus the next
 /// event sequence number (assigned under the same lock so the stream is
@@ -149,18 +148,6 @@ impl Telemetry {
         StageTimer::start(self.metrics.clone(), stage)
     }
 
-    /// Records one duration measured elsewhere for `stage` — for work timed
-    /// once but attributed to several samples (the batch engine's per-round
-    /// oracle call, split over its rows). No-op without a registry; callers
-    /// that read the clock should check [`Telemetry::registry`] first so a
-    /// disabled handle stays free.
-    pub fn record(&self, stage: Stage, elapsed: Duration) {
-        if let Some(metrics) = &self.metrics {
-            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-            metrics.record_duration(stage, ns);
-        }
-    }
-
     /// The attached registry, if any (for snapshots and merging).
     pub fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref()
@@ -239,17 +226,6 @@ mod tests {
         tele.emit(0.0, || TraceEvent::AebEngaged);
         let snap = tele.metrics().unwrap();
         assert_eq!(snap.event_count(event::EventKind::AebEngaged), 1);
-    }
-
-    #[test]
-    fn record_adds_a_sample_only_with_a_registry() {
-        let tele = Telemetry::metrics_only();
-        tele.record(Stage::OracleQuery, Duration::from_micros(3));
-        Telemetry::disabled().record(Stage::OracleQuery, Duration::from_micros(3));
-        let snap = tele.metrics().unwrap();
-        let s = snap.stage(Stage::OracleQuery).unwrap();
-        assert_eq!((s.count, s.total_ns), (1, 3_000));
-        assert!(snap.render_latency_table().contains("| oracle_query |"));
     }
 
     #[test]

@@ -21,10 +21,8 @@ pub enum Stage {
     FaultTap,
     /// The attacker's man-in-the-middle frame hook.
     AttackerFrame,
-    /// One answered safety-hijacker oracle query (one k-search step). The
-    /// batch engine answers a round of queries per oracle in one call and
-    /// records that call's duration split evenly over its rows, so counts
-    /// match the sequential engine's one sample per query.
+    /// One answered safety-hijacker oracle query (one k-search step), in
+    /// either engine.
     OracleQuery,
     /// ADS perception: camera branch (detect → track → fuse).
     PerceptionCamera,

@@ -32,11 +32,6 @@ fn bench_campaign_dispatch(c: &mut Criterion) {
             DispatchMode::WorkStealing,
         ),
         (
-            "chunking_default_threads",
-            default_threads(),
-            DispatchMode::StaticChunks,
-        ),
-        (
             "batched_4_1_thread",
             1,
             DispatchMode::Batched { batch_size: 4 },
@@ -125,21 +120,14 @@ fn bench_mlp_epoch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fused training step against its split reference, plus the bare
-/// interleaved Adam pass at paper-net size (15 801 parameters).
+/// The fused training step, plus the bare interleaved Adam pass at
+/// paper-net size (15 801 parameters).
 ///
 /// `fused_epoch` is the production `train()` path: diff-fused forward over
 /// the persistent `Wᵀ` shadow, then backward GEMMs whose epilogues run the
 /// ReLU/dropout backward, the Adam update, and the shadow refresh.
-/// `unfused_epoch` is the split twin — `backward_into` followed by a
-/// cursor-order `update_slice` sweep — which is bit-identical in outcome
-/// (pinned by `fused_backward_adam_matches_split_reference`), so the delta
-/// between the two is pure pipeline-fusion effect.
 fn bench_training_pipeline(c: &mut Criterion) {
-    use av_neural::matrix::Matrix;
-    use av_neural::mlp::TrainScratch;
     use av_neural::optim::Adam;
-    use rand::seq::SliceRandom;
 
     let data = synthetic_dataset(128);
     let mut group = c.benchmark_group("training_pipeline");
@@ -158,37 +146,6 @@ fn bench_training_pipeline(c: &mut Criterion) {
                 },
                 &mut rng,
             );
-            black_box(net)
-        })
-    });
-    group.bench_function("unfused_epoch", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(0x0011_ACED);
-            let mut net = Mlp::paper_architecture(5, &mut rng);
-            let mut adam = Adam::new(net.param_count(), 1e-3);
-            let mut order: Vec<usize> = (0..data.len()).collect();
-            order.shuffle(&mut rng);
-            let (in_dim, out_dim) = (net.input_dim(), net.output_dim());
-            let mut x = Matrix::zeros(0, 0);
-            let mut y = Matrix::zeros(0, 0);
-            let mut dl = Matrix::zeros(0, 0);
-            let mut scratch = TrainScratch::new();
-            for chunk in order.chunks(16) {
-                let rows = chunk.len();
-                x.gather_rows(in_dim, &data.inputs, chunk);
-                y.gather_rows(out_dim, &data.targets, chunk);
-                net.forward_train_diff_into(&x, &y, &mut rng, &mut scratch);
-                let n = (rows * out_dim) as f64;
-                dl.reshape(rows, out_dim);
-                for r in 0..rows {
-                    for col in 0..out_dim {
-                        dl.set(r, col, 2.0 * scratch.output().get(r, col) / n);
-                    }
-                }
-                net.backward_into(&dl, &mut scratch);
-                let mut step = adam.step();
-                net.apply_grads_slices(scratch.grads(), |p, g| step.update_slice(p, g));
-            }
             black_box(net)
         })
     });

@@ -214,10 +214,6 @@ pub enum DispatchMode {
     /// rest drain the queue. The default.
     #[default]
     WorkStealing,
-    /// Historical static partition: the seed range is split into one
-    /// contiguous chunk per worker up front. One long run stalls its whole
-    /// chunk. Kept as a comparison shim for benchmarks and regression tests.
-    StaticChunks,
     /// Lockstep batched execution (`crate::batch`): workers claim contiguous
     /// blocks of `batch_size` runs and advance each block's sessions in
     /// lockstep off one shared scheduler, a structure-of-arrays world, and
@@ -290,8 +286,8 @@ pub fn run_campaign_dispatch(
     };
 
     // Batched dispatch replaces the per-run execution engine itself, so it
-    // engages even on the single-worker path (unlike the scheduling-only
-    // modes, which all degenerate to a plain sequential loop there).
+    // engages even on the single-worker path (unlike work stealing, which
+    // degenerates to a plain sequential loop there).
     if let DispatchMode::Batched { batch_size } = mode {
         let outcomes = run_sweep(
             runs,
@@ -309,9 +305,8 @@ pub fn run_campaign_dispatch(
     // scratch allocations survive every run the worker claims.
     let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
     outcomes.resize_with(runs, || None);
-    // Spawning more workers than runs would only create idle threads (and,
-    // under static chunking, the old `chunk.max(1)` misassigned seeds when
-    // threads > runs); cap the worker count at the queue length.
+    // Spawning more workers than runs would only create idle threads; cap
+    // the worker count at the queue length.
     let workers = threads.min(runs);
     if workers <= 1 {
         let tele = worker_telemetry(0);
@@ -323,65 +318,41 @@ pub fn run_campaign_dispatch(
             *slot = Some(run_one(campaign, i as u64, &tele, &mut session_worker));
         }
     } else {
-        match mode {
-            DispatchMode::WorkStealing => {
-                let next = AtomicU64::new(0);
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|worker| {
-                            let tele = worker_telemetry(worker);
-                            let next = &next;
-                            scope.spawn(move |_| {
-                                let mut session_worker = SessionWorker::new();
-                                let mut claimed: Vec<(usize, RunOutcome)> = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    let Ok(i) = usize::try_from(i) else { break };
-                                    if i >= runs {
-                                        break;
-                                    }
-                                    tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                                        index: i as u64,
-                                    });
-                                    let outcome =
-                                        run_one(campaign, i as u64, &tele, &mut session_worker);
-                                    claimed.push((i, outcome));
-                                }
-                                claimed
-                            })
-                        })
-                        .collect();
-                    // Scatter each worker's claims back into seed order; the
-                    // claim set is a partition of 0..runs, so every slot
-                    // fills exactly once.
-                    for handle in handles {
-                        for (i, outcome) in handle.join().expect("campaign worker panicked") {
-                            outcomes[i] = Some(outcome);
-                        }
-                    }
-                })
-                .expect("campaign scope panicked");
-            }
-            DispatchMode::StaticChunks => {
-                let chunk = runs.div_ceil(workers);
-                crossbeam::thread::scope(|scope| {
-                    for (worker, slice) in outcomes.chunks_mut(chunk).enumerate() {
-                        let tele = worker_telemetry(worker);
-                        let start = worker * chunk;
-                        scope.spawn(move |_| {
-                            let mut session_worker = SessionWorker::new();
-                            for (offset, slot) in slice.iter_mut().enumerate() {
-                                let i = (start + offset) as u64;
-                                tele.emit(0.0, || TraceEvent::CampaignRunDispatched { index: i });
-                                *slot = Some(run_one(campaign, i, &tele, &mut session_worker));
+        let next = AtomicU64::new(0);
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let tele = worker_telemetry(worker);
+                    let next = &next;
+                    scope.spawn(move |_| {
+                        let mut session_worker = SessionWorker::new();
+                        let mut claimed: Vec<(usize, RunOutcome)> = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Ok(i) = usize::try_from(i) else { break };
+                            if i >= runs {
+                                break;
                             }
-                        });
-                    }
+                            tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
+                                index: i as u64,
+                            });
+                            let outcome = run_one(campaign, i as u64, &tele, &mut session_worker);
+                            claimed.push((i, outcome));
+                        }
+                        claimed
+                    })
                 })
-                .expect("campaign worker panicked");
+                .collect();
+            // Scatter each worker's claims back into seed order; the
+            // claim set is a partition of 0..runs, so every slot
+            // fills exactly once.
+            for handle in handles {
+                for (i, outcome) in handle.join().expect("campaign worker panicked") {
+                    outcomes[i] = Some(outcome);
+                }
             }
-            DispatchMode::Batched { .. } => unreachable!("batched dispatch handled above"),
-        }
+        })
+        .expect("campaign scope panicked");
     }
 
     let outcomes = outcomes
@@ -533,9 +504,6 @@ mod tests {
         for threads in [1, 2, 3, 7, default_threads(), 16] {
             let par = run_campaign_with_threads(&campaign, threads).unwrap();
             assert_same_outcomes(&seq, &par, &format!("{threads} threads, stealing"));
-            let chunked =
-                run_campaign_dispatch(&campaign, threads, DispatchMode::StaticChunks).unwrap();
-            assert_same_outcomes(&seq, &chunked, &format!("{threads} threads, chunked"));
         }
     }
 

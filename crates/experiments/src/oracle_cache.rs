@@ -65,20 +65,12 @@ pub const NS_DATASET: &str = "dataset";
 /// is trained on): a digest of every input that determines the result
 /// bit-for-bit.
 ///
-/// A GEMM mode that [reorders FP
-/// accumulation](av_neural::gemm::GemmMode::reorders_fp) (currently only
-/// [`av_neural::gemm::GemmMode::Tiled`]) produces last-ulp-different trained
-/// parameters, so it is folded into the key: tiled-mode artifacts live
-/// under their own addresses and can never be confused with the default
-/// blocked/naive family, whose keys are unchanged (blocked and naive are
-/// bit-identical by construction and deliberately share addresses — that
-/// equivalence is what CI's kernel smoke job diffs).
+/// The GEMM mode is deliberately not an input: both modes are bit-identical
+/// by construction and share addresses — that equivalence is what CI's
+/// kernel smoke job diffs.
 pub fn cache_key(scenario: ScenarioId, vector: AttackVector, sweep: &SweepConfig) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(u64::from(DATASET_CODE_VERSION));
-    if av_neural::gemm::mode().reorders_fp() {
-        h.write(b"gemm:tiled");
-    }
     // Generated scenarios fold their content hash after the shared "GEN"
     // name, so every spec gets its own address; the fixed DS-1..5 keys
     // write exactly the bytes they always did (pinned by regression test).

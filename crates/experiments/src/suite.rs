@@ -7,6 +7,7 @@ use crate::campaign::{
 use crate::oracle_cache::{OracleCache, DATASET_CODE_VERSION};
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::train_sh::SweepConfig;
+use av_neural::gemm::UnknownGemmMode;
 use av_simkit::scenario::ScenarioId;
 use av_suite::api::{EvalRequest, Priority};
 use av_suite::fnv::Fnv1a;
@@ -57,9 +58,11 @@ impl Default for Args {
     }
 }
 
-/// A command-line value that is missing or does not parse. Every experiment
-/// binary reports it and exits with status 2 instead of falling back to a
-/// default (a typo like `--runs 2O` must not silently run 120 runs).
+/// A command-line value that is missing or does not parse, or an
+/// `AV_GEMM_MODE` that names no kernel. Every experiment binary reports it
+/// and exits with status 2 instead of falling back to a default (a typo
+/// like `--runs 2O` must not silently run 120 runs, nor
+/// `AV_GEMM_MODE=naiv` silently run the blocked kernels).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// The flag was the last argument, with no value after it.
@@ -76,6 +79,8 @@ pub enum ArgError {
         /// What the flag takes, e.g. "a non-negative integer".
         expected: &'static str,
     },
+    /// The `AV_GEMM_MODE` environment variable names no GEMM mode.
+    GemmMode(UnknownGemmMode),
 }
 
 impl std::fmt::Display for ArgError {
@@ -87,6 +92,7 @@ impl std::fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "{flag} takes {expected}, not {value:?}"),
+            ArgError::GemmMode(e) => e.fmt(f),
         }
     }
 }
@@ -161,10 +167,12 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// A shared flag with a missing or unparseable value is an
-    /// [`ArgError`]; unknown flags are not errors.
+    /// A shared flag with a missing or unparseable value, or an
+    /// `AV_GEMM_MODE` other than `blocked` or `naive`, is an [`ArgError`];
+    /// unknown flags are not errors.
     pub fn parse_known(argv: &[String]) -> Result<(Args, Vec<String>), ArgError> {
         const COUNT: &str = "a non-negative integer";
+        av_neural::gemm::mode_from_env().map_err(ArgError::GemmMode)?;
         let mut args = Args::default();
         let mut unknown = Vec::new();
         let mut iter = argv.iter();
@@ -384,12 +392,9 @@ impl SuiteArgs {
             runs: self.base.runs,
             quick: self.base.quick,
             seed: self.base.seed,
-            // The wire API models the two CLI-reachable modes; the
-            // historical static-chunks shim (benchmark-only) maps to the
-            // default.
             batch: match self.base.dispatch {
                 DispatchMode::Batched { batch_size } => Some(batch_size),
-                DispatchMode::WorkStealing | DispatchMode::StaticChunks => None,
+                DispatchMode::WorkStealing => None,
             },
             jobs: self.jobs,
             priority: self.priority,

@@ -22,12 +22,11 @@ fn dispatch_campaign() -> Campaign {
     Campaign::new("prop-dispatch", ScenarioId::Ds1, AttackerSpec::None, 5, 40)
 }
 
-/// All three dispatch modes, parameterized by a drawn batch size (ignored
-/// by the non-batched modes).
+/// Both dispatch modes, parameterized by a drawn batch size (ignored by
+/// work stealing).
 fn dispatch_mode(selector: u8, batch_size: usize) -> DispatchMode {
-    match selector % 3 {
+    match selector % 2 {
         0 => DispatchMode::WorkStealing,
-        1 => DispatchMode::StaticChunks,
         _ => DispatchMode::Batched { batch_size },
     }
 }

@@ -201,6 +201,32 @@ fn table2_bin_stdout_equals_job_output_via_shared_store() {
 }
 
 #[test]
+fn unknown_gemm_mode_is_a_usage_error() {
+    // A typo or a retired mode must stop the binary before any kernel runs,
+    // not fall back to blocked (which would turn CI's naive-vs-blocked
+    // smoke into blocked-vs-blocked).
+    for (bin, value) in [
+        (env!("CARGO_BIN_EXE_table2"), "tiled"),
+        (env!("CARGO_BIN_EXE_suite"), "naiv"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--quick", "--runs", "1", "--no-cache"])
+            .env("AV_GEMM_MODE", value)
+            .output()
+            .expect("bin runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} AV_GEMM_MODE={value}");
+        assert!(out.stdout.is_empty(), "{bin} printed before failing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "error: AV_GEMM_MODE takes blocked or naive, not {value:?}"
+            )),
+            "{bin} stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn suite_bin_replays_and_skips_on_second_invocation() {
     let dir = scratch("suite-bin");
     let manifest = dir.join("manifest.jsonl");

@@ -6,8 +6,8 @@
 //! deltas (`δ · W`) each run one of the three kernel families here on every
 //! minibatch of every epoch. All callers — `Matrix::matmul_into`,
 //! `Matrix::t_matmul_into`, `Matrix::matmul_t_into`, and
-//! `Mlp::forward_train_into`/`backward_into` — resolve to the kernels in
-//! this module, so there is exactly one place where training's
+//! `Mlp::forward_train_diff_into`/`backward_adam_into` — resolve to the
+//! kernels in this module, so there is exactly one place where training's
 //! accumulation order (and therefore bit-level reproducibility) is decided.
 //! Dropout-free inference does not come here: it runs the one-row kernel of
 //! [`crate::infer`], which is deliberately independent of [`GemmMode`].
@@ -20,20 +20,20 @@
 //! | `tn` | `C = Aᵀ × B` | over rows (`r`) | weight gradients |
 //! | `nn` | `C = A × B` | over inner dim (`k`) | backpropagated deltas |
 //!
-//! Each family ships three implementations:
+//! Each family ships two implementations:
 //!
 //! - **naive** — reference triple loops. Every output element accumulates
 //!   its contributions strictly in ascending reduction-index order from a
-//!   `+0.0` start. This is the bit-level ground truth the other kernels
+//!   `+0.0` start. This is the bit-level ground truth the blocked kernels
 //!   are pinned against (and what `AV_GEMM_MODE=naive` routes through).
 //! - **blocked** (default) — register-blocked micro-kernels built from one
-//!   const-generic `R×C` tile (up to 4×4): an `R×C` block of outputs is
+//!   const-generic `R×C` tile (up to 4×8): an `R×C` block of outputs is
 //!   held in `R·C` register accumulators while the reduction loop streams
 //!   over both operands once. Every accumulator still sums *its*
 //!   contributions strictly in ascending index order, so the speedup comes
-//!   purely from instruction-level parallelism (up to 16 independent
-//!   FP-add chains hide the ~4-cycle add latency) and from loading each
-//!   operand element once per tile edge instead of once per output —
+//!   purely from instruction-level parallelism (up to 32 independent FP-add
+//!   chains hide the ~4-cycle add latency) and from loading each operand
+//!   element once per tile edge instead of once per output —
 //!   **bit-identical** to naive on every non-NaN output (finite values,
 //!   signed zeros, and infinities), with NaNs appearing in exactly the
 //!   same places for non-finite inputs. NaN *payloads* are the one thing
@@ -48,17 +48,6 @@
 //!   transposes `B` into a thread-local scratch on large shapes so the
 //!   inner loop vectorizes. (Pinned by unit tests and
 //!   `tests/gemm_props.rs`.)
-//! - **tiled** — the `TiledGemm` configuration ([`GemmMode::Tiled`]):
-//!   additionally blocks the reduction dimension into [`K_PANEL`]-wide
-//!   cache panels so each operand panel stays L1-resident across the whole
-//!   output tile sweep. Panel partial sums are accumulated into `C`
-//!   between panels, which **reorders floating-point addition** whenever
-//!   the reduction dimension exceeds one panel — results are no longer
-//!   bit-identical to naive (they agree to normal FP-summation error).
-//!   Because trained-oracle artifacts are content-addressed by bit
-//!   pattern, `av-experiments` keys tiled-mode artifacts separately; the
-//!   default mode is untiled exactly so that golden fixtures and cache
-//!   keys stay valid.
 //!
 //! # Fused epilogues
 //!
@@ -70,8 +59,8 @@
 //! accumulator chain completes, before the register result is written back
 //! — without reassociating a single FP add. [`nt_fused`] takes an
 //! [`Epilogue`] and applies it exactly there in blocked mode; under the
-//! naive (and tiled) modes it runs the plain kernel followed by a separate
-//! row-major [`epilogue_pass`], which computes the identical per-element
+//! naive mode it runs the plain kernel followed by a separate row-major
+//! [`epilogue_pass`], which computes the identical per-element
 //! expression — so `AV_GEMM_MODE=naive` stays the end-to-end bit-level
 //! reference for the *fused* pipeline too, and CI's kernel-equivalence
 //! smoke keeps proving the claim without modification.
@@ -90,12 +79,16 @@
 //!
 //! # Selecting a mode
 //!
-//! The process-wide mode defaults to [`GemmMode::Blocked`], may be set
-//! programmatically with [`set_mode`], and is seeded on first use from the
-//! `AV_GEMM_MODE` environment variable (`blocked` | `tiled` | `naive`) —
-//! which is how CI's kernel-equivalence smoke job runs the whole
+//! The process-wide mode is seeded on first use from the `AV_GEMM_MODE`
+//! environment variable (`blocked` | `naive`, [`GemmMode::Blocked`] when
+//! unset) — which is how CI's kernel-equivalence smoke job runs the whole
 //! oracle-training path against the naive reference build and diffs the
-//! resulting artifacts byte-for-byte.
+//! resulting artifacts byte-for-byte. Any other value is an
+//! [`UnknownGemmMode`] error, never a fallback: a typo in the smoke's
+//! naive leg must not quietly run blocked and diff blocked against
+//! itself. The experiment binaries check [`mode_from_env`] up front and
+//! exit with a usage error; [`mode`] panics rather than pick a kernel the
+//! operator did not ask for.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -107,85 +100,78 @@ pub enum GemmMode {
     /// Register-blocked micro-kernels (the default). Bit-identical to
     /// [`GemmMode::Naive`] for every input.
     Blocked,
-    /// The `TiledGemm` configuration: register blocking plus
-    /// [`K_PANEL`]-wide cache tiling of the reduction dimension. Faster on
-    /// long reductions but **reorders FP accumulation** — results differ
-    /// from the other modes at the last-ulp level, so content-addressed
-    /// training artifacts are keyed separately under this mode.
-    Tiled,
     /// Reference triple loops with strict index-order accumulation; the
     /// bit-level ground truth the blocked kernels are pinned against.
     Naive,
 }
 
-impl GemmMode {
-    /// Whether this mode reorders floating-point accumulation relative to
-    /// the strict index-order reference — i.e. whether its results can
-    /// differ bit-for-bit from [`GemmMode::Naive`]. Consumers that
-    /// content-address results by bit pattern (the oracle cache) must key
-    /// reordering modes separately.
-    pub fn reorders_fp(self) -> bool {
-        matches!(self, GemmMode::Tiled)
+/// The environment variable the process-wide [`mode`] is seeded from.
+const MODE_VAR: &str = "AV_GEMM_MODE";
+
+/// An `AV_GEMM_MODE` value that names no [`GemmMode`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownGemmMode(pub String);
+
+impl std::fmt::Display for UnknownGemmMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{MODE_VAR} takes blocked or naive, not {:?}", self.0)
     }
 }
 
-/// Reduction-dimension panel width of [`GemmMode::Tiled`]: 4 operand rows
-/// × 256 f64 = 8 KiB per operand panel, so both panels plus the output
-/// tile sit comfortably in a 32 KiB L1D.
-pub const K_PANEL: usize = 256;
+impl std::error::Error for UnknownGemmMode {}
+
+impl std::str::FromStr for GemmMode {
+    type Err = UnknownGemmMode;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "blocked" => Ok(GemmMode::Blocked),
+            "naive" => Ok(GemmMode::Naive),
+            other => Err(UnknownGemmMode(other.to_string())),
+        }
+    }
+}
+
+/// The mode `AV_GEMM_MODE` asks for; [`GemmMode::Blocked`] when unset.
+///
+/// # Errors
+///
+/// Any set value other than `blocked` or `naive` (empty and non-UTF-8
+/// values included) is an [`UnknownGemmMode`].
+pub fn mode_from_env() -> Result<GemmMode, UnknownGemmMode> {
+    match std::env::var_os(MODE_VAR) {
+        None => Ok(GemmMode::Blocked),
+        Some(v) => v.to_string_lossy().parse(),
+    }
+}
 
 const MODE_UNSET: u8 = 0;
 const MODE_BLOCKED: u8 = 1;
-const MODE_TILED: u8 = 2;
-const MODE_NAIVE: u8 = 3;
+const MODE_NAIVE: u8 = 2;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
-fn encode(mode: GemmMode) -> u8 {
-    match mode {
-        GemmMode::Blocked => MODE_BLOCKED,
-        GemmMode::Tiled => MODE_TILED,
-        GemmMode::Naive => MODE_NAIVE,
-    }
-}
-
-fn mode_from_env() -> GemmMode {
-    match std::env::var("AV_GEMM_MODE") {
-        Ok(v) if v == "blocked" => GemmMode::Blocked,
-        Ok(v) if v == "tiled" => GemmMode::Tiled,
-        Ok(v) if v == "naive" => GemmMode::Naive,
-        Ok(v) => {
-            eprintln!(
-                "[gemm] unknown AV_GEMM_MODE {v:?} (expected blocked|tiled|naive); using blocked"
-            );
-            GemmMode::Blocked
-        }
-        Err(_) => GemmMode::Blocked,
-    }
-}
-
-/// The process-wide GEMM mode. Seeded from `AV_GEMM_MODE` on first call
-/// (racing first readers all resolve the same environment value), defaults
-/// to [`GemmMode::Blocked`].
+/// The process-wide GEMM mode, seeded from [`mode_from_env`] on first call
+/// (racing first readers all resolve the same environment value).
+///
+/// # Panics
+///
+/// Panics if `AV_GEMM_MODE` holds an unknown value — no kernel is picked
+/// that the operator did not ask for.
 pub fn mode() -> GemmMode {
     match MODE.load(Ordering::Relaxed) {
         MODE_BLOCKED => GemmMode::Blocked,
-        MODE_TILED => GemmMode::Tiled,
         MODE_NAIVE => GemmMode::Naive,
         _ => {
-            let m = mode_from_env();
-            MODE.store(encode(m), Ordering::Relaxed);
+            let m = mode_from_env().unwrap_or_else(|e| panic!("{e}"));
+            let code = match m {
+                GemmMode::Blocked => MODE_BLOCKED,
+                GemmMode::Naive => MODE_NAIVE,
+            };
+            MODE.store(code, Ordering::Relaxed);
             m
         }
     }
-}
-
-/// Overrides the process-wide GEMM mode (e.g. a benchmark harness pinning
-/// one implementation). Set this before any training or inference runs:
-/// artifacts produced under a [reordering](GemmMode::reorders_fp) mode are
-/// not bit-compatible with default-mode golden fixtures.
-pub fn set_mode(mode: GemmMode) {
-    MODE.store(encode(mode), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +307,7 @@ impl Epilogue for BiasDiffEpilogue<'_> {
 }
 
 /// Applies `epi` to every element of a fully-accumulated `m×n` output, in
-/// row-major order — the unfused reference the naive and tiled modes use
+/// row-major order — the unfused reference the naive mode uses
 /// (per-element, so application order cannot change any result bit).
 pub fn epilogue_pass<E: Epilogue>(c: &mut [f64], m: usize, n: usize, epi: &mut E) {
     if n == 0 {
@@ -333,13 +319,11 @@ pub fn epilogue_pass<E: Epilogue>(c: &mut [f64], m: usize, n: usize, epi: &mut E
 }
 
 // ---------------------------------------------------------------------------
-// The generic R×C register tile (R, C ≤ 4) all three families build on.
+// The generic R×C register tile (R ≤ 4, C ≤ 8) all three families build on.
 // ---------------------------------------------------------------------------
 
-/// Writes a finished `R×C` accumulator tile into `c` at `(i, j)`. `store`
-/// overwrites through the epilogue (the single-panel / final-result path);
-/// otherwise panel partial sums accumulate and the epilogue is *not*
-/// applied (multi-panel tiled callers run [`epilogue_pass`] afterwards).
+/// Writes a finished `R×C` accumulator tile into `c` at `(i, j)`, applying
+/// the epilogue to each stored tile row.
 #[inline(always)]
 fn store_tile<const R: usize, const C: usize, E: Epilogue>(
     s: &[[f64; C]; R],
@@ -347,19 +331,12 @@ fn store_tile<const R: usize, const C: usize, E: Epilogue>(
     n: usize,
     i: usize,
     j: usize,
-    store: bool,
     epi: &mut E,
 ) {
     for (ii, srow) in s.iter().enumerate() {
         let crow = &mut c[(i + ii) * n + j..(i + ii) * n + j + C];
-        if store {
-            crow.copy_from_slice(srow);
-            epi.apply_row(i + ii, j, crow);
-        } else {
-            for (cv, &sv) in crow.iter_mut().zip(srow) {
-                *cv += sv;
-            }
-        }
+        crow.copy_from_slice(srow);
+        epi.apply_row(i + ii, j, crow);
     }
 }
 
@@ -413,12 +390,30 @@ pub fn nt_naive(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usiz
 /// operand layout changes, the accumulation chain does not — so the fast
 /// path stays bit-identical.
 pub fn nt_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    if m >= 4 && n >= 4 && k >= 1 {
-        with_transposed(b, n, k, |bt| {
-            nn_panel(a, bt, c, m, k, n, 0, k, true, &mut NoEpilogue)
-        });
-    } else {
-        nt_panel(a, b, c, m, n, k, 0, k, true, &mut NoEpilogue);
+    nt_blocked_bt(a, b, None, c, m, n, k, &mut NoEpilogue);
+}
+
+/// [`nt_blocked`] with an epilogue and an optional caller-provided `Bᵀ`.
+#[allow(clippy::too_many_arguments)]
+fn nt_blocked_bt<E: Epilogue>(
+    a: &[f64],
+    b: &[f64],
+    bt: Option<&[f64]>,
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+    epi: &mut E,
+) {
+    match bt {
+        Some(bt) => {
+            debug_assert_eq!(bt.len(), n * k);
+            nn_panel(a, bt, c, m, k, n, epi);
+        }
+        None if m >= 4 && n >= 4 && k >= 1 => {
+            with_transposed(b, n, k, |bt| nn_panel(a, bt, c, m, k, n, epi));
+        }
+        None => nt_panel(a, b, c, m, n, k, epi),
     }
 }
 
@@ -427,11 +422,11 @@ pub fn nt_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: us
 ///
 /// Dispatches on the process-wide [`mode`]: **blocked** applies `epi` in
 /// the micro-kernel store path, after each output element's strict-order
-/// chain completes (no separate pass, no FP reassociation); **naive** and
-/// **tiled** run the plain kernel followed by a row-major
-/// [`epilogue_pass`]. Both routes compute the identical per-element
-/// expression, so blocked stays bit-identical to naive end-to-end and the
-/// CI kernel-equivalence smoke covers the fused pipeline unmodified.
+/// chain completes (no separate pass, no FP reassociation); **naive** runs
+/// the plain kernel followed by a row-major [`epilogue_pass`]. Both routes
+/// compute the identical per-element expression, so blocked stays
+/// bit-identical to naive end-to-end and the CI kernel-equivalence smoke
+/// covers the fused pipeline unmodified.
 pub fn nt_fused<E: Epilogue>(
     a: &[f64],
     b: &[f64],
@@ -448,11 +443,11 @@ pub fn nt_fused<E: Epilogue>(
 /// (`bt`, `k×n` row-major, bit-equal to `Bᵀ`). In blocked mode the kernel
 /// runs directly over `bt`, skipping the per-call transpose into the
 /// thread-local scratch — this is how the fused training step reuses the
-/// persistent `Wᵀ` shadow its optimizer epilogue maintains. The naive and
-/// tiled modes ignore `bt` and read `b`, so the mode-equivalence contract
-/// is unchanged provided `bt` matches `Bᵀ` bit-for-bit (per-element
-/// operand *values* are what the accumulation order is defined over, not
-/// which buffer they stream from).
+/// persistent `Wᵀ` shadow its optimizer epilogue maintains. The naive mode
+/// ignores `bt` and reads `b`, so the mode-equivalence contract is
+/// unchanged provided `bt` matches `Bᵀ` bit-for-bit (per-element operand
+/// *values* are what the accumulation order is defined over, not which
+/// buffer they stream from).
 #[allow(clippy::too_many_arguments)]
 pub fn nt_fused_bt<E: Epilogue>(
     a: &[f64],
@@ -465,20 +460,7 @@ pub fn nt_fused_bt<E: Epilogue>(
     epi: &mut E,
 ) {
     match mode() {
-        GemmMode::Blocked => match bt {
-            Some(bt) => {
-                debug_assert_eq!(bt.len(), n * k);
-                nn_panel(a, bt, c, m, k, n, 0, k, true, epi);
-            }
-            None if m >= 4 && n >= 4 && k >= 1 => {
-                with_transposed(b, n, k, |bt| nn_panel(a, bt, c, m, k, n, 0, k, true, epi));
-            }
-            None => nt_panel(a, b, c, m, n, k, 0, k, true, epi),
-        },
-        GemmMode::Tiled => {
-            nt_tiled(a, b, c, m, n, k, K_PANEL);
-            epilogue_pass(c, m, n, epi);
-        }
+        GemmMode::Blocked => nt_blocked_bt(a, b, bt, c, m, n, k, epi),
         GemmMode::Naive => {
             nt_naive(a, b, c, m, n, k);
             epilogue_pass(c, m, n, epi);
@@ -491,7 +473,7 @@ pub fn nt_fused_bt<E: Epilogue>(
 /// each completed `dW` element's Adam divisions issue while the next
 /// tile's multiply/add stream keeps the FP ports busy). Mode dispatch
 /// mirrors [`nt_fused`]: blocked applies `epi` in the store path, naive
-/// and tiled run the plain kernel plus a row-major [`epilogue_pass`].
+/// runs the plain kernel plus a row-major [`epilogue_pass`].
 pub fn tn_fused<E: Epilogue>(
     a: &[f64],
     b: &[f64],
@@ -502,11 +484,7 @@ pub fn tn_fused<E: Epilogue>(
     epi: &mut E,
 ) {
     match mode() {
-        GemmMode::Blocked => tn_panel(a, b, c, m, n, 0, r, true, epi),
-        GemmMode::Tiled => {
-            tn_tiled(a, b, c, r, m, n, K_PANEL);
-            epilogue_pass(c, m, n, epi);
-        }
+        GemmMode::Blocked => tn_panel(a, b, c, m, n, r, epi),
         GemmMode::Naive => {
             tn_naive(a, b, c, r, m, n);
             epilogue_pass(c, m, n, epi);
@@ -527,45 +505,11 @@ pub fn nn_fused<E: Epilogue>(
     epi: &mut E,
 ) {
     match mode() {
-        GemmMode::Blocked => nn_panel(a, b, c, m, k, n, 0, k, true, epi),
-        GemmMode::Tiled => {
-            nn_tiled(a, b, c, m, k, n, K_PANEL);
-            epilogue_pass(c, m, n, epi);
-        }
+        GemmMode::Blocked => nn_panel(a, b, c, m, k, n, epi),
         GemmMode::Naive => {
             nn_naive(a, b, c, m, k, n);
             epilogue_pass(c, m, n, epi);
         }
-    }
-}
-
-/// Cache-tiled `C = A × Bᵀ`: the `k` reduction runs in `k_panel`-wide
-/// panels, each panel's register-blocked partial sums accumulated into
-/// `c`. With more than one panel this **reorders FP addition** (a panel
-/// boundary splits each dot chain); with `k <= k_panel` it is bit-identical
-/// to [`nt_blocked`]. Overwrites every element of `c`.
-pub fn nt_tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize, k_panel: usize) {
-    debug_assert!(k_panel > 0, "k_panel must be positive");
-    if k == 0 {
-        c[..m * n].fill(0.0);
-        return;
-    }
-    if m >= 4 && n >= 4 {
-        with_transposed(b, n, k, |bt| {
-            let mut k0 = 0;
-            while k0 < k {
-                let kw = (k - k0).min(k_panel);
-                nn_panel(a, bt, c, m, k, n, k0, kw, k0 == 0, &mut NoEpilogue);
-                k0 += kw;
-            }
-        });
-        return;
-    }
-    let mut k0 = 0;
-    while k0 < k {
-        let kw = (k - k0).min(k_panel);
-        nt_panel(a, b, c, m, n, k, k0, kw, k0 == 0, &mut NoEpilogue);
-        k0 += kw;
     }
 }
 
@@ -623,15 +567,12 @@ fn nt_tile<const R: usize, const C: usize, E: Epilogue>(
     k: usize,
     i: usize,
     j: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
-    let ar: [&[f64]; R] = std::array::from_fn(|rr| &a[(i + rr) * k + k0..(i + rr) * k + k0 + kw]);
-    let br: [&[f64]; C] = std::array::from_fn(|cc| &b[(j + cc) * k + k0..(j + cc) * k + k0 + kw]);
+    let ar: [&[f64]; R] = std::array::from_fn(|rr| &a[(i + rr) * k..(i + rr) * k + k]);
+    let br: [&[f64]; C] = std::array::from_fn(|cc| &b[(j + cc) * k..(j + cc) * k + k]);
     let mut s = [[0.0f64; C]; R];
-    for t in 0..kw {
+    for t in 0..k {
         let y: [f64; C] = std::array::from_fn(|cc| br[cc][t]);
         for (srow, arow) in s.iter_mut().zip(&ar) {
             let x = arow[t];
@@ -640,13 +581,12 @@ fn nt_tile<const R: usize, const C: usize, E: Epilogue>(
             }
         }
     }
-    store_tile(&s, c, n, i, j, store, epi);
+    store_tile(&s, c, n, i, j, epi);
 }
 
-/// One `R`-row band of the `nt` kernel: full-width 4-column tiles, then
-/// one narrower remainder tile covering the trailing `n % 4` outputs
+/// One `R`-row band of the `nt` kernel: full-width 8- and 4-column tiles,
+/// then one narrower remainder tile covering the trailing `n % 4` outputs
 /// together (independent chains — never one dot product at a time).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nt_band<const R: usize, E: Epilogue>(
     a: &[f64],
@@ -655,32 +595,27 @@ fn nt_band<const R: usize, E: Epilogue>(
     n: usize,
     k: usize,
     i: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut j = 0;
     while j + 8 <= n {
-        nt_tile::<R, 8, E>(a, b, c, n, k, i, j, k0, kw, store, epi);
+        nt_tile::<R, 8, E>(a, b, c, n, k, i, j, epi);
         j += 8;
     }
     if j + 4 <= n {
-        nt_tile::<R, 4, E>(a, b, c, n, k, i, j, k0, kw, store, epi);
+        nt_tile::<R, 4, E>(a, b, c, n, k, i, j, epi);
         j += 4;
     }
     macro_rules! tail {
         ($w:literal) => {
-            nt_tile::<R, $w, E>(a, b, c, n, k, i, j, k0, kw, store, epi)
+            nt_tile::<R, $w, E>(a, b, c, n, k, i, j, epi)
         };
     }
     remainder!(n - j, tail);
 }
 
-/// One reduction panel of the blocked `nt` kernel: columns `k0..k0+kw` of
-/// both operands. `store` overwrites `c` through the epilogue (first and
-/// only panel of the fused path), otherwise panel sums accumulate into it.
-#[allow(clippy::too_many_arguments)]
+/// The blocked `nt` kernel over the whole reduction, storing through the
+/// epilogue.
 fn nt_panel<E: Epilogue>(
     a: &[f64],
     b: &[f64],
@@ -688,19 +623,16 @@ fn nt_panel<E: Epilogue>(
     m: usize,
     n: usize,
     k: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut i = 0;
     while i + 4 <= m {
-        nt_band::<4, E>(a, b, c, n, k, i, k0, kw, store, epi);
+        nt_band::<4, E>(a, b, c, n, k, i, epi);
         i += 4;
     }
     macro_rules! tail {
         ($r:literal) => {
-            nt_band::<$r, E>(a, b, c, n, k, i, k0, kw, store, epi)
+            nt_band::<$r, E>(a, b, c, n, k, i, epi)
         };
     }
     remainder!(m - i, tail);
@@ -735,24 +667,7 @@ pub fn tn_naive(a: &[f64], b: &[f64], c: &mut [f64], r: usize, m: usize, n: usiz
 /// `R×C` output tile holds `R·C` strict-row-order accumulator chains).
 /// Overwrites every element of `c`.
 pub fn tn_blocked(a: &[f64], b: &[f64], c: &mut [f64], r: usize, m: usize, n: usize) {
-    tn_panel(a, b, c, m, n, 0, r, true, &mut NoEpilogue);
-}
-
-/// Cache-tiled `C = Aᵀ × B` with `r_panel`-row reduction panels; reorders
-/// FP addition once `r > r_panel` (bit-identical to [`tn_blocked`]
-/// otherwise). Overwrites every element of `c`.
-pub fn tn_tiled(a: &[f64], b: &[f64], c: &mut [f64], r: usize, m: usize, n: usize, r_panel: usize) {
-    debug_assert!(r_panel > 0, "r_panel must be positive");
-    if r == 0 {
-        c[..m * n].fill(0.0);
-        return;
-    }
-    let mut r0 = 0;
-    while r0 < r {
-        let rw = (r - r0).min(r_panel);
-        tn_panel(a, b, c, m, n, r0, rw, r0 == 0, &mut NoEpilogue);
-        r0 += rw;
-    }
+    tn_panel(a, b, c, m, n, r, &mut NoEpilogue);
 }
 
 /// One `R×C` tile of the `tn` kernel: the reduction walks rows of both
@@ -766,15 +681,13 @@ fn tn_tile<const R: usize, const C: usize, E: Epilogue>(
     c: &mut [f64],
     m: usize,
     n: usize,
+    r: usize,
     i: usize,
     j: usize,
-    r0: usize,
-    rw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut s = [[0.0f64; C]; R];
-    for t in r0..r0 + rw {
+    for t in 0..r {
         let arow = &a[t * m + i..t * m + i + R];
         let brow = &b[t * n + j..t * n + j + C];
         for (srow, &x) in s.iter_mut().zip(arow) {
@@ -783,7 +696,7 @@ fn tn_tile<const R: usize, const C: usize, E: Epilogue>(
             }
         }
     }
-    store_tile(&s, c, n, i, j, store, epi);
+    store_tile(&s, c, n, i, j, epi);
 }
 
 /// One `R`-row band of the `tn` kernel (see [`nt_band`]).
@@ -795,50 +708,46 @@ fn tn_band<const R: usize, E: Epilogue>(
     c: &mut [f64],
     m: usize,
     n: usize,
+    r: usize,
     i: usize,
-    r0: usize,
-    rw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut j = 0;
     while j + 8 <= n {
-        tn_tile::<R, 8, E>(a, b, c, m, n, i, j, r0, rw, store, epi);
+        tn_tile::<R, 8, E>(a, b, c, m, n, r, i, j, epi);
         j += 8;
     }
     if j + 4 <= n {
-        tn_tile::<R, 4, E>(a, b, c, m, n, i, j, r0, rw, store, epi);
+        tn_tile::<R, 4, E>(a, b, c, m, n, r, i, j, epi);
         j += 4;
     }
     macro_rules! tail {
         ($w:literal) => {
-            tn_tile::<R, $w, E>(a, b, c, m, n, i, j, r0, rw, store, epi)
+            tn_tile::<R, $w, E>(a, b, c, m, n, r, i, j, epi)
         };
     }
     remainder!(n - j, tail);
 }
 
-/// One reduction panel of the blocked `tn` kernel: rows `r0..r0+rw`.
-#[allow(clippy::too_many_arguments)]
+/// The blocked `tn` kernel over all `r` rows, storing through the
+/// epilogue.
 fn tn_panel<E: Epilogue>(
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
     m: usize,
     n: usize,
-    r0: usize,
-    rw: usize,
-    store: bool,
+    r: usize,
     epi: &mut E,
 ) {
     let mut i = 0;
     while i + 4 <= m {
-        tn_band::<4, E>(a, b, c, m, n, i, r0, rw, store, epi);
+        tn_band::<4, E>(a, b, c, m, n, r, i, epi);
         i += 4;
     }
     macro_rules! tail {
         ($r:literal) => {
-            tn_band::<$r, E>(a, b, c, m, n, i, r0, rw, store, epi)
+            tn_band::<$r, E>(a, b, c, m, n, r, i, epi)
         };
     }
     remainder!(m - i, tail);
@@ -872,24 +781,7 @@ pub fn nn_naive(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usiz
 /// output tile holds `R·C` strict-`k`-order accumulator chains).
 /// Overwrites every element of `c`.
 pub fn nn_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    nn_panel(a, b, c, m, k, n, 0, k, true, &mut NoEpilogue);
-}
-
-/// Cache-tiled `C = A × B` with `k_panel`-wide reduction panels; reorders
-/// FP addition once `k > k_panel` (bit-identical to [`nn_blocked`]
-/// otherwise). Overwrites every element of `c`.
-pub fn nn_tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize, k_panel: usize) {
-    debug_assert!(k_panel > 0, "k_panel must be positive");
-    if k == 0 {
-        c[..m * n].fill(0.0);
-        return;
-    }
-    let mut k0 = 0;
-    while k0 < k {
-        let kw = (k - k0).min(k_panel);
-        nn_panel(a, b, c, m, k, n, k0, kw, k0 == 0, &mut NoEpilogue);
-        k0 += kw;
-    }
+    nn_panel(a, b, c, m, k, n, &mut NoEpilogue);
 }
 
 /// One `R×C` tile of the `nn` kernel: `A` rows are `k`-contiguous, `B`
@@ -904,15 +796,12 @@ fn nn_tile<const R: usize, const C: usize, E: Epilogue>(
     n: usize,
     i: usize,
     j: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
-    let ar: [&[f64]; R] = std::array::from_fn(|rr| &a[(i + rr) * k + k0..(i + rr) * k + k0 + kw]);
+    let ar: [&[f64]; R] = std::array::from_fn(|rr| &a[(i + rr) * k..(i + rr) * k + k]);
     let mut s = [[0.0f64; C]; R];
-    for t in 0..kw {
-        let brow = &b[(k0 + t) * n + j..(k0 + t) * n + j + C];
+    for t in 0..k {
+        let brow = &b[t * n + j..t * n + j + C];
         for (srow, arow) in s.iter_mut().zip(&ar) {
             let x = arow[t];
             for (sv, &y) in srow.iter_mut().zip(brow) {
@@ -920,11 +809,10 @@ fn nn_tile<const R: usize, const C: usize, E: Epilogue>(
             }
         }
     }
-    store_tile(&s, c, n, i, j, store, epi);
+    store_tile(&s, c, n, i, j, epi);
 }
 
 /// One `R`-row band of the `nn` kernel (see [`nt_band`]).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nn_band<const R: usize, E: Epilogue>(
     a: &[f64],
@@ -933,32 +821,28 @@ fn nn_band<const R: usize, E: Epilogue>(
     k: usize,
     n: usize,
     i: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut j = 0;
     while j + 8 <= n {
-        nn_tile::<R, 8, E>(a, b, c, k, n, i, j, k0, kw, store, epi);
+        nn_tile::<R, 8, E>(a, b, c, k, n, i, j, epi);
         j += 8;
     }
     if j + 4 <= n {
-        nn_tile::<R, 4, E>(a, b, c, k, n, i, j, k0, kw, store, epi);
+        nn_tile::<R, 4, E>(a, b, c, k, n, i, j, epi);
         j += 4;
     }
     macro_rules! tail {
         ($w:literal) => {
-            nn_tile::<R, $w, E>(a, b, c, k, n, i, j, k0, kw, store, epi)
+            nn_tile::<R, $w, E>(a, b, c, k, n, i, j, epi)
         };
     }
     remainder!(n - j, tail);
 }
 
-/// One reduction panel of the blocked `nn` kernel: inner indices
-/// `k0..k0+kw`. This panel also backs the `nt` fast path (over a
-/// transposed `B`) and therefore the fused forward-layer store.
-#[allow(clippy::too_many_arguments)]
+/// The blocked `nn` kernel over the whole reduction, storing through the
+/// epilogue. This panel also backs the `nt` fast path (over a transposed
+/// `B`) and therefore the fused forward-layer store.
 fn nn_panel<E: Epilogue>(
     a: &[f64],
     b: &[f64],
@@ -966,19 +850,16 @@ fn nn_panel<E: Epilogue>(
     m: usize,
     k: usize,
     n: usize,
-    k0: usize,
-    kw: usize,
-    store: bool,
     epi: &mut E,
 ) {
     let mut i = 0;
     while i + 4 <= m {
-        nn_band::<4, E>(a, b, c, k, n, i, k0, kw, store, epi);
+        nn_band::<4, E>(a, b, c, k, n, i, epi);
         i += 4;
     }
     macro_rules! tail {
         ($r:literal) => {
-            nn_band::<$r, E>(a, b, c, k, n, i, k0, kw, store, epi)
+            nn_band::<$r, E>(a, b, c, k, n, i, epi)
         };
     }
     remainder!(m - i, tail);
@@ -991,7 +872,6 @@ fn nn_panel<E: Epilogue>(
 pub(crate) fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
     match mode() {
         GemmMode::Blocked => nt_blocked(a, b, c, m, n, k),
-        GemmMode::Tiled => nt_tiled(a, b, c, m, n, k, K_PANEL),
         GemmMode::Naive => nt_naive(a, b, c, m, n, k),
     }
 }
@@ -999,7 +879,6 @@ pub(crate) fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usi
 pub(crate) fn tn(a: &[f64], b: &[f64], c: &mut [f64], r: usize, m: usize, n: usize) {
     match mode() {
         GemmMode::Blocked => tn_blocked(a, b, c, r, m, n),
-        GemmMode::Tiled => tn_tiled(a, b, c, r, m, n, K_PANEL),
         GemmMode::Naive => tn_naive(a, b, c, r, m, n),
     }
 }
@@ -1007,7 +886,6 @@ pub(crate) fn tn(a: &[f64], b: &[f64], c: &mut [f64], r: usize, m: usize, n: usi
 pub(crate) fn nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     match mode() {
         GemmMode::Blocked => nn_blocked(a, b, c, m, k, n),
-        GemmMode::Tiled => nn_tiled(a, b, c, m, k, n, K_PANEL),
         GemmMode::Naive => nn_naive(a, b, c, m, k, n),
     }
 }
@@ -1099,70 +977,24 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernels_are_bit_identical_within_one_panel() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let (m, n, k) = (9, 6, 31);
-        let a = filled(m * k, &mut rng);
-        let b = filled(n * k, &mut rng);
-        let mut want = vec![0.0; m * n];
-        let mut got = vec![0.0; m * n];
-        nt_blocked(&a, &b, &mut want, m, n, k);
-        nt_tiled(&a, &b, &mut got, m, n, k, K_PANEL);
-        assert_bits(&want, &got, "nt_tiled(one panel)", m, n, k);
-    }
-
-    #[test]
-    fn tiled_kernels_reorder_but_stay_close_across_panels() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-        let (m, n, k) = (7, 5, 103);
-        let a = filled(m * k, &mut rng);
-        let b = filled(n * k, &mut rng);
-        let mut want = vec![0.0; m * n];
-        let mut got = vec![0.0; m * n];
-        nt_naive(&a, &b, &mut want, m, n, k);
-        // A tiny panel forces many panel boundaries (the reordering case).
-        nt_tiled(&a, &b, &mut got, m, n, k, 8);
-        for (w, g) in want.iter().zip(&got) {
-            let err = (w - g).abs() / w.abs().max(1.0);
-            assert!(err < 1e-12, "tiled drifted: {w} vs {g}");
-        }
-
-        let a = filled(k * m, &mut rng);
-        let b = filled(k * n, &mut rng);
-        tn_naive(&a, &b, &mut want, k, m, n);
-        tn_tiled(&a, &b, &mut got, k, m, n, 8);
-        for (w, g) in want.iter().zip(&got) {
-            let err = (w - g).abs() / w.abs().max(1.0);
-            assert!(err < 1e-12, "tn tiled drifted: {w} vs {g}");
-        }
-
-        let a = filled(m * k, &mut rng);
-        let b = filled(k * n, &mut rng);
-        nn_naive(&a, &b, &mut want, m, k, n);
-        nn_tiled(&a, &b, &mut got, m, k, n, 8);
-        for (w, g) in want.iter().zip(&got) {
-            let err = (w - g).abs() / w.abs().max(1.0);
-            assert!(err < 1e-12, "nn tiled drifted: {w} vs {g}");
-        }
-    }
-
-    #[test]
     fn kernels_overwrite_stale_output() {
-        // k = 0 must still clear the output buffer in every implementation.
+        // A zero-length reduction must still clear the output buffer in
+        // every implementation.
         for f in [nt_naive, nt_blocked] {
             let mut c = vec![7.0; 6];
             f(&[], &[], &mut c, 2, 3, 0);
             assert_eq!(c, vec![0.0; 6]);
         }
-        let mut c = vec![7.0; 6];
-        nt_tiled(&[], &[], &mut c, 2, 3, 0, K_PANEL);
-        assert_eq!(c, vec![0.0; 6]);
-        let mut c = vec![7.0; 6];
-        tn_tiled(&[], &[], &mut c, 0, 2, 3, K_PANEL);
-        assert_eq!(c, vec![0.0; 6]);
-        let mut c = vec![7.0; 6];
-        nn_tiled(&[], &[], &mut c, 2, 0, 3, K_PANEL);
-        assert_eq!(c, vec![0.0; 6]);
+        for f in [tn_naive, tn_blocked] {
+            let mut c = vec![7.0; 6];
+            f(&[], &[], &mut c, 0, 2, 3);
+            assert_eq!(c, vec![0.0; 6]);
+        }
+        for f in [nn_naive, nn_blocked] {
+            let mut c = vec![7.0; 6];
+            f(&[], &[], &mut c, 2, 0, 3);
+            assert_eq!(c, vec![0.0; 6]);
+        }
     }
 
     #[test]
@@ -1177,10 +1009,20 @@ mod tests {
     }
 
     #[test]
-    fn mode_reorders_fp_only_for_tiled() {
-        assert!(!GemmMode::Blocked.reorders_fp());
-        assert!(!GemmMode::Naive.reorders_fp());
-        assert!(GemmMode::Tiled.reorders_fp());
+    fn only_blocked_and_naive_name_a_mode() {
+        assert_eq!("blocked".parse(), Ok(GemmMode::Blocked));
+        assert_eq!("naive".parse(), Ok(GemmMode::Naive));
+        // A typo or a retired mode is an error naming the variable, never
+        // a silent fallback to blocked.
+        for bad in ["tiled", "naiv", "Blocked", " naive", ""] {
+            let err = bad.parse::<GemmMode>().unwrap_err();
+            assert_eq!(err, UnknownGemmMode(bad.to_string()));
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with("AV_GEMM_MODE takes blocked or naive"),
+                "{msg}"
+            );
+        }
     }
 
     fn assert_bits(want: &[f64], got: &[f64], kernel: &str, m: usize, n: usize, k: usize) {

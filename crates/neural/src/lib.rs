@@ -7,13 +7,14 @@
 //!
 //! - [`matrix`]: row-major `f64` matrices with the handful of ops backprop
 //!   needs.
-//! - [`gemm`]: the shared register-blocked / cache-tiled GEMM micro-kernel
-//!   layer every training product routes through, plus the process-wide
-//!   [`gemm::GemmMode`] selecting blocked (default, bit-identical to the
-//!   naive reference) vs tiled (faster long reductions, reorders FP
-//!   accumulation) vs naive kernels.
-//! - [`mlp`]: the network — He initialization, forward (train/eval),
-//!   backward, parameter access.
+//! - [`gemm`]: the shared register-blocked GEMM micro-kernel layer every
+//!   training product routes through, plus the process-wide
+//!   [`gemm::GemmMode`] selecting blocked (default) or the bit-identical
+//!   naive reference kernels.
+//! - [`mlp`]: the network — He initialization, the reference inference
+//!   forward, the one fused training step
+//!   ([`Mlp::forward_train_diff_into`] + [`Mlp::backward_adam_into`]),
+//!   parameter access.
 //! - [`infer`]: the immutable inference form (transposed weights) and the
 //!   one register-blocked kernel every dropout-free forward pass runs.
 //! - [`optim`]: the Adam optimizer over flat parameter/gradient slices.
@@ -49,6 +50,6 @@ pub mod train;
 pub use gemm::GemmMode;
 pub use infer::InferenceMlp;
 pub use matrix::Matrix;
-pub use mlp::{ForwardCache, Mlp, TrainScratch};
+pub use mlp::{Mlp, TrainScratch};
 pub use optim::Adam;
 pub use train::{train, Dataset, Normalizer, TrainConfig, TrainReport};

@@ -1,11 +1,10 @@
 //! Minimal row-major matrix type for the MLP's forward/backward passes.
 //!
 //! All three products dispatch to the shared micro-kernel layer in
-//! [`crate::gemm`]: register-blocked by default (bit-identical to the naive
-//! reference loops), cache-tiled under [`crate::gemm::GemmMode::Tiled`]
-//! (reorders FP accumulation). None of the kernels takes a sparsity
-//! shortcut, so non-finite inputs propagate exactly as IEEE-754 dictates —
-//! `0.0 × NaN` is NaN, never silently dropped.
+//! [`crate::gemm`]: register-blocked by default, bit-identical to the naive
+//! reference loops. None of the kernels takes a sparsity shortcut, so
+//! non-finite inputs propagate exactly as IEEE-754 dictates — `0.0 × NaN`
+//! is NaN, never silently dropped.
 
 use crate::gemm;
 use serde::{Deserialize, Serialize};

@@ -18,41 +18,17 @@ struct Dense {
     relu: bool,
 }
 
-/// Cached activations from a training forward pass.
-///
-/// Reusable: [`Mlp::forward_train_into`] reshapes the cached matrices in
-/// place, so a cache held across minibatches performs no per-batch
-/// allocation once warm.
+/// Owned scratch for a training loop: cached forward activations and
+/// dropout masks, backprop deltas, and per-layer gradients, all reshaped in
+/// place and reused across minibatches so steady-state training performs
+/// no heap allocation.
 #[derive(Debug, Default)]
-pub struct ForwardCache {
-    /// Input and post-activation output of each layer (len = layers + 1).
+pub struct TrainScratch {
+    /// Input and post-activation output of each layer (len = layers + 1);
+    /// the last entry holds the output layer's MSE diff.
     activations: Vec<Matrix>,
     /// Dropout keep-masks (already scaled) per hidden layer.
     masks: Vec<Option<Matrix>>,
-}
-
-impl ForwardCache {
-    /// Creates an empty cache; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        ForwardCache::default()
-    }
-
-    /// The output batch of the most recent training forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass has been run through this cache.
-    pub fn output(&self) -> &Matrix {
-        self.activations.last().expect("no forward pass cached")
-    }
-}
-
-/// Owned scratch for a training loop: forward cache, backprop deltas, and
-/// per-layer gradients, all reused across minibatches so steady-state
-/// training performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct TrainScratch {
-    cache: ForwardCache,
     delta: Matrix,
     delta_prev: Matrix,
     grads: Vec<(Matrix, Vec<f64>)>,
@@ -61,36 +37,24 @@ pub struct TrainScratch {
     /// current by its optimizer epilogue (which writes each updated weight
     /// to both buffers). While non-empty, the fused forward reads it
     /// directly instead of re-transposing every weight matrix on every
-    /// minibatch. Empty until the fused step runs, so scratches used with
-    /// the split backward/optimizer path never consult a stale shadow.
+    /// minibatch. Empty until the first fused step runs.
     wt: Vec<Matrix>,
 }
 
 impl TrainScratch {
     /// Creates an empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
-        TrainScratch {
-            cache: ForwardCache::new(),
-            delta: Matrix::zeros(0, 0),
-            delta_prev: Matrix::zeros(0, 0),
-            grads: Vec::new(),
-            wt: Vec::new(),
-        }
+        TrainScratch::default()
     }
 
-    /// The output batch of the most recent [`Mlp::forward_train_into`].
+    /// The output-layer diff `(x·Wᵀ + b) − targets` of the most recent
+    /// [`Mlp::forward_train_diff_into`].
     ///
     /// # Panics
     ///
     /// Panics if no forward pass has been run through this scratch.
     pub fn output(&self) -> &Matrix {
-        self.cache.output()
-    }
-
-    /// Per-layer gradients from the most recent [`Mlp::backward_into`] or
-    /// [`Mlp::backward_adam_into`], aligned with [`Mlp::apply_grads`].
-    pub fn grads(&self) -> &[(Matrix, Vec<f64>)] {
-        &self.grads
+        self.activations.last().expect("no forward pass cached")
     }
 }
 
@@ -176,44 +140,28 @@ impl Mlp {
         x
     }
 
-    /// Batched training forward pass with inverted dropout; returns the
-    /// output batch plus the cache for [`Mlp::backward`].
-    ///
-    /// Allocating convenience wrapper around [`Mlp::forward_train_into`].
-    pub fn forward_train<R: Rng + ?Sized>(
-        &self,
-        batch: &Matrix,
-        rng: &mut R,
-    ) -> (Matrix, ForwardCache) {
-        let mut cache = ForwardCache::new();
-        self.forward_train_cache(batch, rng, &mut cache, None, None);
-        (cache.output().clone(), cache)
-    }
-
-    /// Batched training forward pass into reusable scratch buffers. The
-    /// output batch is available as [`TrainScratch::output`]. Numerically
-    /// bit-identical to [`Mlp::forward_train`] (same accumulation order and
-    /// the same per-element dropout RNG draws).
-    pub fn forward_train_into<R: Rng + ?Sized>(
-        &self,
-        batch: &Matrix,
-        rng: &mut R,
-        scratch: &mut TrainScratch,
-    ) {
-        self.forward_train_cache(batch, rng, &mut scratch.cache, None, None);
-    }
-
-    /// Batched training forward pass with the output layer's MSE diff fused
-    /// into its GEMM epilogue: the last cached activation holds
+    /// The training forward pass, with inverted dropout and the output
+    /// layer's MSE diff fused into its GEMM epilogue: the last cached
+    /// activation ([`TrainScratch::output`]) holds
     /// `diff = (x·Wᵀ + b) − targets` instead of the raw output, so the
     /// training loop reads loss and delta from one buffer without a
-    /// separate output-sized subtraction pass.
+    /// separate output-sized subtraction pass. [`Mlp::backward_adam_into`]
+    /// never reads the output layer's activation (no ReLU there), only the
+    /// delta derived from `diff`.
     ///
-    /// Bit-identical to running [`Mlp::forward_train_into`] followed by a
-    /// per-element `out − target`: the epilogue computes the same two
-    /// rounded ops (`Σ + b`, then `− y`) in the same order. The backward
-    /// pass is unaffected — it never reads the output layer's activation
-    /// (no ReLU there), only the delta derived from `diff`.
+    /// Every layer runs one [`gemm::nt_fused_bt`] call whose epilogue
+    /// applies bias + ReLU + dropout mask (hidden layers) or bias − target
+    /// (the output layer) as each output element's strict-order
+    /// accumulator chain completes — the same rounded ops, in the same
+    /// order, as separate full-matrix passes.
+    ///
+    /// Dropout masks are drawn row-major *before* the layer's GEMM; the
+    /// draws are data-independent (one `rng.random()` per element,
+    /// unconditionally), so the RNG stream is identical to the historical
+    /// draw-after-GEMM pass and cached masks match bit-for-bit. Once the
+    /// fused optimizer step has built the scratch's persistent `Wᵀ`
+    /// shadow, the blocked kernel streams it directly — skipping the
+    /// per-layer transpose.
     pub fn forward_train_diff_into<R: Rng + ?Sized>(
         &self,
         batch: &Matrix,
@@ -223,7 +171,12 @@ impl Mlp {
     ) {
         debug_assert_eq!(targets.rows(), batch.rows());
         debug_assert_eq!(targets.cols(), self.output_dim());
-        let TrainScratch { cache, wt, .. } = scratch;
+        let TrainScratch {
+            activations,
+            masks,
+            wt,
+            ..
+        } = scratch;
         // Use the persistent Wᵀ shadow only once the fused optimizer step
         // has built (and is maintaining) it.
         let wt = if wt.len() == self.layers.len() {
@@ -231,33 +184,7 @@ impl Mlp {
         } else {
             None
         };
-        self.forward_train_cache(batch, rng, cache, Some(targets), wt);
-    }
-
-    /// The shared fused forward: every layer runs one [`gemm::nt_fused`]
-    /// call whose epilogue applies bias + ReLU + dropout mask as each
-    /// output element's strict-order accumulator chain completes — no
-    /// separate full-matrix passes. With `diff_targets`, the output layer's
-    /// epilogue additionally subtracts the target batch.
-    ///
-    /// Dropout masks are drawn row-major *before* the layer's GEMM; the
-    /// draws are data-independent (one `rng.random()` per element,
-    /// unconditionally), so the RNG stream is identical to the historical
-    /// draw-after-GEMM pass and cached masks match bit-for-bit.
-    /// `wt`, when present, holds every layer's transposed weights
-    /// (`wt[l]` = `Wₗᵀ`, bit-equal) and the blocked kernel streams it
-    /// directly — skipping the per-layer transpose. See
-    /// [`TrainScratch::wt`].
-    fn forward_train_cache<R: Rng + ?Sized>(
-        &self,
-        batch: &Matrix,
-        rng: &mut R,
-        cache: &mut ForwardCache,
-        diff_targets: Option<&Matrix>,
-        wt: Option<&[Matrix]>,
-    ) {
         let n_layers = self.layers.len();
-        let ForwardCache { activations, masks } = cache;
         activations.resize_with(n_layers + 1, || Matrix::zeros(0, 0));
         masks.resize_with(n_layers, || None);
         activations[0].copy_from(batch);
@@ -291,7 +218,7 @@ impl Mlp {
                 debug_assert_eq!(wt[li].cols(), out_dim);
                 wt[li].as_slice()
             });
-            if let Some(targets) = diff_targets.filter(|_| li + 1 == n_layers) {
+            if li + 1 == n_layers {
                 let mut epi = BiasDiffEpilogue::new(&layer.b, targets.as_slice(), out_dim);
                 gemm::nt_fused_bt(
                     x.as_slice(),
@@ -319,82 +246,13 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates `dl_dout` (batch × out) through the cached pass and
-    /// returns per-layer gradients aligned with [`Mlp::apply_grads`].
-    ///
-    /// Allocating convenience wrapper around [`Mlp::backward_into`].
-    pub fn backward(&self, cache: &ForwardCache, dl_dout: &Matrix) -> Vec<(Matrix, Vec<f64>)> {
-        let mut delta = Matrix::zeros(0, 0);
-        let mut delta_prev = Matrix::zeros(0, 0);
-        let mut grads = Vec::new();
-        self.backward_cache(cache, dl_dout, &mut delta, &mut delta_prev, &mut grads);
-        grads
-    }
-
-    /// Backpropagates `dl_dout` through the forward pass cached in `scratch`
-    /// (by [`Mlp::forward_train_into`]), leaving per-layer gradients in
-    /// [`TrainScratch::grads`]. Bit-identical to [`Mlp::backward`].
-    pub fn backward_into(&self, dl_dout: &Matrix, scratch: &mut TrainScratch) {
-        let TrainScratch {
-            cache,
-            delta,
-            delta_prev,
-            grads,
-            ..
-        } = scratch;
-        self.backward_cache(cache, dl_dout, delta, delta_prev, grads);
-    }
-
-    fn backward_cache(
-        &self,
-        cache: &ForwardCache,
-        dl_dout: &Matrix,
-        delta: &mut Matrix,
-        delta_prev: &mut Matrix,
-        grads: &mut Vec<(Matrix, Vec<f64>)>,
-    ) {
-        grads.resize_with(self.layers.len(), || (Matrix::zeros(0, 0), Vec::new()));
-        delta.copy_from(dl_dout);
-        for (li, layer) in self.layers.iter().enumerate().rev() {
-            // Through dropout mask and ReLU of this layer's output.
-            if layer.relu {
-                let out = &cache.activations[li + 1];
-                if let Some(mask) = &cache.masks[li] {
-                    for (d, m) in delta.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-                        *d *= m;
-                    }
-                }
-                for (d, &o) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                    if o <= 0.0 {
-                        *d = 0.0;
-                    }
-                }
-            }
-            let input = &cache.activations[li];
-            let (dw, db) = &mut grads[li];
-            // dW (out × in) = deltaᵀ × input
-            delta.t_matmul_into(input, dw);
-            db.clear();
-            db.resize(layer.b.len(), 0.0);
-            for r in 0..delta.rows() {
-                for (o, dbo) in db.iter_mut().enumerate() {
-                    *dbo += delta.get(r, o);
-                }
-            }
-            // delta for previous layer = delta × W
-            if li > 0 {
-                delta.matmul_into(&layer.w, delta_prev);
-                std::mem::swap(delta, delta_prev);
-            }
-        }
-    }
-
     /// The fused backward + optimizer step: backpropagates `dl_dout`
     /// through the forward pass cached in `scratch` **and** applies one
     /// Adam update to every parameter inside the same sweep. Bit-identical
-    /// to [`Mlp::backward_into`] followed by a cursor-order
+    /// to a plain backward pass followed by a cursor-order
     /// [`crate::optim::AdamStep::update_slice`] pass (pinned by a unit
-    /// test here and end-to-end by the CI kernel-equivalence smoke).
+    /// test against that split reference here and end-to-end by the CI
+    /// kernel-equivalence smoke).
     ///
     /// Three per-element fusions ride the backward GEMMs' store paths:
     ///
@@ -436,7 +294,8 @@ impl Mlp {
     ) {
         let n_layers = self.layers.len();
         let TrainScratch {
-            cache,
+            activations,
+            masks,
             delta,
             delta_prev,
             grads,
@@ -484,8 +343,8 @@ impl Mlp {
                 let w = self.layers[li].w.as_slice();
                 if self.layers[li - 1].relu {
                     let mut epi = ReluMaskEpilogue {
-                        mask: cache.masks[li - 1].as_ref().map(|m| m.as_slice()),
-                        out: cache.activations[li].as_slice(),
+                        mask: masks[li - 1].as_ref().map(|m| m.as_slice()),
+                        out: activations[li].as_slice(),
                         n: n_in,
                     };
                     gemm::nn_fused(
@@ -513,7 +372,7 @@ impl Mlp {
             // refresh) fused into the store path.
             {
                 let layer = &mut self.layers[li];
-                let input = &cache.activations[li];
+                let input = &activations[li];
                 dw.reshape(n_out, n_in);
                 let mut epi = AdamWEpilogue {
                     lane: step.lane(offset, n_out * n_in),
@@ -548,7 +407,7 @@ impl Mlp {
     }
 
     /// Flattens every parameter (per layer: weights row-major, then biases)
-    /// in the order [`Mlp::apply_grads`] visits them.
+    /// — the moment-slot order of the optimizer.
     pub fn flatten_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
@@ -595,32 +454,6 @@ impl Mlp {
             .iter()
             .map(|l| l.w.as_slice().len() + l.b.len())
             .sum()
-    }
-
-    /// Applies `f` to every (parameter, gradient) pair, layer by layer.
-    pub fn apply_grads<F: FnMut(&mut f64, f64)>(&mut self, grads: &[(Matrix, Vec<f64>)], mut f: F) {
-        for (layer, (dw, db)) in self.layers.iter_mut().zip(grads) {
-            for (p, g) in layer.w.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-                f(p, *g);
-            }
-            for (p, g) in layer.b.iter_mut().zip(db) {
-                f(p, *g);
-            }
-        }
-    }
-
-    /// Applies `f` to each (parameter slice, gradient slice) pair — weights
-    /// then biases, layer by layer. Visits parameters in the same order as
-    /// [`Mlp::apply_grads`], one call per slice instead of per scalar.
-    pub fn apply_grads_slices<F: FnMut(&mut [f64], &[f64])>(
-        &mut self,
-        grads: &[(Matrix, Vec<f64>)],
-        mut f: F,
-    ) {
-        for (layer, (dw, db)) in self.layers.iter_mut().zip(grads) {
-            f(layer.w.as_mut_slice(), dw.as_slice());
-            f(&mut layer.b, db);
-        }
     }
 }
 
@@ -755,54 +588,89 @@ mod tests {
         assert!(found_negative, "regression head must be unbounded");
     }
 
+    /// The split reference the fused step is pinned against: a plain
+    /// backward pass through the forward cached in `scratch`, leaving
+    /// per-layer gradients (aligned with [`Mlp::flatten_params`]) in
+    /// `scratch.grads` and touching no parameter.
+    fn backward_into(net: &Mlp, dl_dout: &Matrix, scratch: &mut TrainScratch) {
+        let TrainScratch {
+            activations,
+            masks,
+            delta,
+            delta_prev,
+            grads,
+            ..
+        } = scratch;
+        grads.resize_with(net.layers.len(), || (Matrix::zeros(0, 0), Vec::new()));
+        delta.copy_from(dl_dout);
+        for (li, layer) in net.layers.iter().enumerate().rev() {
+            // Through dropout mask and ReLU of this layer's output.
+            if layer.relu {
+                let out = &activations[li + 1];
+                if let Some(mask) = &masks[li] {
+                    for (d, m) in delta.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+                        *d *= m;
+                    }
+                }
+                for (d, &o) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                    if o <= 0.0 {
+                        *d = 0.0;
+                    }
+                }
+            }
+            let (dw, db) = &mut grads[li];
+            // dW (out × in) = deltaᵀ × input
+            delta.t_matmul_into(&activations[li], dw);
+            db.clear();
+            db.resize(layer.b.len(), 0.0);
+            for r in 0..delta.rows() {
+                for (o, dbo) in db.iter_mut().enumerate() {
+                    *dbo += delta.get(r, o);
+                }
+            }
+            // delta for previous layer = delta × W
+            if li > 0 {
+                delta.matmul_into(&layer.w, delta_prev);
+                std::mem::swap(delta, delta_prev);
+            }
+        }
+    }
+
     #[test]
     fn gradient_check_numeric() {
-        // Finite-difference check on a tiny net without dropout.
-        let mut net = Mlp::new(&[2, 3, 1], 0.0, &mut rng());
+        // Finite-difference check of the backward pass on a tiny net
+        // without dropout: the training forward's diff seeds the MSE delta.
+        let sizes = [2, 3, 1];
+        let net = Mlp::new(&sizes, 0.0, &mut rng());
         let x = Matrix::from_vec(1, 2, vec![0.7, -0.4]);
         let target = 0.3;
-        let loss = |net: &Mlp| {
+        let loss = |params: &[f64]| {
+            let net = Mlp::from_flat(&sizes, 0.0, params).expect("same shape");
             let y = net.forward(&[0.7, -0.4])[0];
             (y - target) * (y - target)
         };
-        let (out, cache) = net.forward_train(&x, &mut rng());
-        let dl = Matrix::from_vec(1, 1, vec![2.0 * (out.get(0, 0) - target)]);
-        let grads = net.backward(&cache, &dl);
+        let mut scratch = TrainScratch::new();
+        let y = Matrix::from_vec(1, 1, vec![target]);
+        net.forward_train_diff_into(&x, &y, &mut rng(), &mut scratch);
+        let dl = Matrix::from_vec(1, 1, vec![2.0 * scratch.output().get(0, 0)]);
+        backward_into(&net, &dl, &mut scratch);
 
-        // Collect analytic grads in order, then compare to numeric.
+        // Collect analytic grads in parameter order, then compare to numeric.
         let mut analytic = Vec::new();
-        for (dw, db) in &grads {
+        for (dw, db) in &scratch.grads {
             analytic.extend_from_slice(dw.as_slice());
             analytic.extend_from_slice(db);
         }
+        let params = net.flatten_params();
+        assert_eq!(analytic.len(), params.len());
         let eps = 1e-6;
         let mut max_err: f64 = 0.0;
-        assert_eq!(analytic.len(), net.param_count());
         for (idx, &analytic_grad) in analytic.iter().enumerate() {
-            // Perturb parameter `idx` via apply_grads indexing trick.
-            let mut i = 0;
-            net.apply_grads(&grads, |p, _| {
-                if i == idx {
-                    *p += eps;
-                }
-                i += 1;
-            });
-            let lp = loss(&net);
-            let mut i = 0;
-            net.apply_grads(&grads, |p, _| {
-                if i == idx {
-                    *p -= 2.0 * eps;
-                }
-                i += 1;
-            });
-            let lm = loss(&net);
-            let mut i = 0;
-            net.apply_grads(&grads, |p, _| {
-                if i == idx {
-                    *p += eps;
-                }
-                i += 1;
-            });
+            let mut p = params.clone();
+            p[idx] += eps;
+            let lp = loss(&p);
+            p[idx] -= 2.0 * eps;
+            let lm = loss(&p);
             let numeric = (lp - lm) / (2.0 * eps);
             max_err = max_err.max((numeric - analytic_grad).abs());
         }
@@ -813,11 +681,22 @@ mod tests {
     fn dropout_zeroes_some_activations_in_training() {
         let net = Mlp::new(&[4, 64, 1], 0.5, &mut rng());
         let x = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let mut r = rng();
-        let (_, cache) = net.forward_train(&x, &mut r);
-        let mask = cache.masks[0].as_ref().expect("hidden dropout mask");
+        let y = Matrix::from_vec(1, 1, vec![0.0]);
+        let mut scratch = TrainScratch::new();
+        net.forward_train_diff_into(&x, &y, &mut rng(), &mut scratch);
+        let mask = scratch.masks[0].as_ref().expect("hidden dropout mask");
         let zeros = mask.as_slice().iter().filter(|&&m| m == 0.0).count();
         assert!(zeros > 10, "dropout disabled? zeros = {zeros}");
+        // A dropped unit is exactly zero in the cached activation.
+        for (&m, &a) in mask
+            .as_slice()
+            .iter()
+            .zip(scratch.activations[1].as_slice())
+        {
+            if m == 0.0 {
+                assert_eq!(a, 0.0);
+            }
+        }
     }
 
     #[test]
@@ -867,9 +746,12 @@ mod tests {
                     dl.set(rr, cc, 2.0 * scratch_split.output().get(rr, cc) / n);
                 }
             }
-            net_split.backward_into(&dl, &mut scratch_split);
+            backward_into(&net_split, &dl, &mut scratch_split);
             let mut step = adam_split.step();
-            net_split.apply_grads_slices(scratch_split.grads(), |p, g| step.update_slice(p, g));
+            for (layer, (dw, db)) in net_split.layers.iter_mut().zip(&scratch_split.grads) {
+                step.update_slice(layer.w.as_mut_slice(), dw.as_slice());
+                step.update_slice(&mut layer.b, db);
+            }
 
             net_fused.forward_train_diff_into(&x, &y, &mut rng_fused, &mut scratch_fused);
             let mut dl2 = Matrix::zeros(rows, 2);
@@ -890,9 +772,9 @@ mod tests {
                 );
             }
             for (li, ((dw_s, db_s), (dw_f, db_f))) in scratch_split
-                .grads()
+                .grads
                 .iter()
-                .zip(scratch_fused.grads())
+                .zip(&scratch_fused.grads)
                 .enumerate()
             {
                 for (a, b) in dw_s.as_slice().iter().zip(dw_f.as_slice()) {

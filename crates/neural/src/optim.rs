@@ -8,12 +8,9 @@
 //! update is memory-bound (ROADMAP: ~25 % of a training epoch), and
 //! halving the moment traffic is the point. The per-element op *order* is
 //! unchanged, so results stay bit-identical to the split layout (pinned by
-//! a proptest over hostile gradients in `tests/props.rs`).
-//!
-//! Persistence keeps the historical split `m`/`v` shape via [`AdamRepr`]:
-//! any consumer that externalizes optimizer state converts through the
-//! repr (`From` in both directions), so the interleaved in-memory layout
-//! never leaks into a stored artifact.
+//! a proptest over hostile gradients in `tests/props.rs`). Optimizer state
+//! lives only for one training run and is never persisted: a stored oracle
+//! is its trained parameters.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,63 +28,6 @@ pub struct Adam {
     t: u64,
     /// Interleaved moment pairs: `mv[2i]` is `m_i`, `mv[2i + 1]` is `v_i`.
     mv: Vec<f64>,
-}
-
-/// The externalized shape of [`Adam`]: the historical split `m`/`v`
-/// vectors. Consumers persisting optimizer state go through this repr
-/// (via the `From` conversions), keeping the interleaved in-memory layout
-/// invisible to every stored artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdamRepr {
-    /// Learning rate.
-    pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical-stability epsilon.
-    pub eps: f64,
-    /// Steps taken.
-    pub t: u64,
-    /// First moments, one per parameter.
-    pub m: Vec<f64>,
-    /// Second moments, one per parameter.
-    pub v: Vec<f64>,
-}
-
-impl From<AdamRepr> for Adam {
-    fn from(r: AdamRepr) -> Self {
-        assert_eq!(r.m.len(), r.v.len(), "corrupt Adam state: m/v length skew");
-        let mut mv = Vec::with_capacity(r.m.len() * 2);
-        for (&m, &v) in r.m.iter().zip(&r.v) {
-            mv.push(m);
-            mv.push(v);
-        }
-        Adam {
-            lr: r.lr,
-            beta1: r.beta1,
-            beta2: r.beta2,
-            eps: r.eps,
-            t: r.t,
-            mv,
-        }
-    }
-}
-
-impl From<Adam> for AdamRepr {
-    fn from(a: Adam) -> Self {
-        let m = a.mv.chunks_exact(2).map(|p| p[0]).collect();
-        let v = a.mv.chunks_exact(2).map(|p| p[1]).collect();
-        AdamRepr {
-            lr: a.lr,
-            beta1: a.beta1,
-            beta2: a.beta2,
-            eps: a.eps,
-            t: a.t,
-            m,
-            v,
-        }
-    }
 }
 
 impl Adam {
@@ -383,37 +323,5 @@ mod tests {
         let mut x = 0.0;
         adam.step().update(&mut x, 1.0);
         assert_eq!(adam.steps_taken(), 1);
-    }
-
-    #[test]
-    fn wire_repr_keeps_split_m_v_format() {
-        // Serde routes through `AdamRepr` (`#[serde(from/into)]`), so the
-        // wire shape is whatever the repr holds: the historical separate
-        // `m`/`v` vectors. Pin the repr round trip de-/re-interleaving every
-        // state bit.
-        let mut adam = Adam::new(3, 0.1);
-        let mut p = [1.0, -2.0, 0.5];
-        for step in 0..5 {
-            let g = [0.3 + step as f64, -0.7, 1.1];
-            let mut s = adam.step();
-            s.update_slice(&mut p, &g);
-        }
-        let repr = AdamRepr::from(adam.clone());
-        assert_eq!(repr.m.len(), 3, "repr must expose a split m vector");
-        assert_eq!(repr.v.len(), 3, "repr must expose a split v vector");
-        for (i, (&m, &v)) in repr.m.iter().zip(&repr.v).enumerate() {
-            assert_eq!(m.to_bits(), adam.mv[2 * i].to_bits());
-            assert_eq!(v.to_bits(), adam.mv[2 * i + 1].to_bits());
-        }
-        let back = Adam::from(repr);
-        assert_eq!(adam, back, "round trip must preserve every state bit");
-    }
-
-    #[test]
-    #[should_panic(expected = "m/v length skew")]
-    fn corrupt_wire_state_is_rejected() {
-        let mut repr = AdamRepr::from(Adam::new(2, 0.1));
-        repr.v.pop();
-        let _ = Adam::from(repr);
     }
 }

@@ -102,10 +102,9 @@ fn assert_ieee_equiv(want: &[f64], got: &[f64], what: &str) -> Result<(), TestCa
     Ok(())
 }
 
-/// Shared body: all three blocked kernels vs their naive references, plus
-/// single-panel tiled vs blocked (bit-identical while one panel covers the
-/// whole reduction). `cmp` is [`assert_bits`] for finite data and
-/// [`assert_ieee_equiv`] when NaNs may appear.
+/// Shared body: all three blocked kernels vs their naive references. `cmp`
+/// is [`assert_bits`] for finite data and [`assert_ieee_equiv`] when NaNs
+/// may appear.
 fn check_families(
     m: usize,
     n: usize,
@@ -120,22 +119,16 @@ fn check_families(
     gemm::nt_naive(a, b, &mut want, m, n, k);
     gemm::nt_blocked(a, b, &mut got, m, n, k);
     cmp(&want, &got, "nt blocked")?;
-    gemm::nt_tiled(a, b, &mut got, m, n, k, gemm::K_PANEL);
-    cmp(&want, &got, "nt tiled (single panel)")?;
 
     let (a, b) = (&a_pool[..k * m], &b_pool[..k * n]);
     gemm::tn_naive(a, b, &mut want, k, m, n);
     gemm::tn_blocked(a, b, &mut got, k, m, n);
     cmp(&want, &got, "tn blocked")?;
-    gemm::tn_tiled(a, b, &mut got, k, m, n, gemm::K_PANEL);
-    cmp(&want, &got, "tn tiled (single panel)")?;
 
     let (a, b) = (&a_pool[..m * k], &b_pool[..k * n]);
     gemm::nn_naive(a, b, &mut want, m, k, n);
     gemm::nn_blocked(a, b, &mut got, m, k, n);
     cmp(&want, &got, "nn blocked")?;
-    gemm::nn_tiled(a, b, &mut got, m, k, n, gemm::K_PANEL);
-    cmp(&want, &got, "nn tiled (single panel)")?;
     Ok(())
 }
 
@@ -270,26 +263,6 @@ proptest! {
         let b = vec![poison; k * n];
         gemm::nn_blocked(&a, &b, &mut c, m, k, n);
         prop_assert!(c.iter().all(|v| v.is_nan()), "nn laundered {} through 0.0", poison);
-    }
-
-    /// Multi-panel tiling reorders FP addition but stays within normal
-    /// summation error of the reference on finite data.
-    #[test]
-    fn tiled_stays_close_across_panels(
-        m in 1usize..12, n in 1usize..12, k in 9usize..24,
-        a_pool in prop::collection::vec(finite(), POOL),
-        b_pool in prop::collection::vec(finite(), POOL),
-        panel in 1usize..8,
-    ) {
-        let (a, b) = (&a_pool[..m * k], &b_pool[..n * k]);
-        let mut want = vec![0.0; m * n];
-        let mut got = vec![0.0; m * n];
-        gemm::nt_naive(a, b, &mut want, m, n, k);
-        gemm::nt_tiled(a, b, &mut got, m, n, k, panel);
-        for (w, g) in want.iter().zip(&got) {
-            let err = (w - g).abs() / w.abs().max(1.0);
-            prop_assert!(err < 1e-12, "nt tiled drifted: {} vs {}", w, g);
-        }
     }
 
     /// The `Matrix` product methods (default mode: blocked) agree with the

@@ -192,7 +192,7 @@ fn bench_oracle_cache(c: &mut Criterion) {
 /// bodies: pure scheduling + manifest overhead per `suite` run. Must stay
 /// negligible next to the jobs themselves (milliseconds vs minutes).
 fn orchestrator_dag() -> Dag {
-    let mk = |id: String| Job::new(id, JobOutcome::default);
+    let mk = |id: String| Job::new(id, |_| JobOutcome::default());
     let mut jobs = Vec::new();
     for i in 0..6 {
         jobs.push(mk(format!("dataset:{i}")));

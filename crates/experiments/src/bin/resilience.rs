@@ -7,10 +7,11 @@
 //! `--no-cache` and trains (or loads) the NN oracle per RoboTack arm.
 
 use av_experiments::jobs;
+use av_experiments::memo::CampaignMemo;
 use av_experiments::suite::Args;
 
 fn main() {
     let args = Args::parse();
     let cache = args.oracle_cache();
-    print!("{}", jobs::resilience(&args, &cache));
+    print!("{}", jobs::resilience(&args, &cache, &CampaignMemo::new()));
 }

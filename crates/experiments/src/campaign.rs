@@ -141,67 +141,145 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Runs in which an attack was actually launched ("valid runs"; the
-    /// paper discards invalid runs, §VI-C).
-    pub fn launched(&self) -> Vec<&RunOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.attack.launched_at.is_some())
-            .collect()
+    /// The runs folded to the fields the paper's reports read.
+    pub fn summary(&self) -> CampaignSummary {
+        CampaignSummary {
+            name: self.name.clone(),
+            scenario: self.scenario,
+            runs: self.outcomes.iter().map(RunSummary::of).collect(),
+        }
     }
 
     /// Number of valid (attack-launched) runs.
     pub fn n_launched(&self) -> usize {
-        self.launched().len()
+        self.summary().n_launched()
     }
 
     /// Emergency-braking count and rate (%) over valid runs.
     pub fn eb(&self) -> (usize, f64) {
-        let launched = self.launched();
-        let n = launched.iter().filter(|o| o.eb_after_attack).count();
-        let pct = if launched.is_empty() {
-            0.0
-        } else {
-            100.0 * n as f64 / launched.len() as f64
-        };
-        (n, pct)
+        self.summary().eb()
     }
 
     /// Accident (crash) count and rate (%) over valid runs.
     pub fn crashes(&self) -> (usize, f64) {
-        let launched = self.launched();
-        let n = launched.iter().filter(|o| o.accident).count();
-        let pct = if launched.is_empty() {
+        self.summary().crashes()
+    }
+}
+
+/// One run folded to the fields the paper's reports and the boundary
+/// search read. The full [`RunOutcome`] carries the time-series record and
+/// the IDS alarms (a DS-1 run records ~450 samples); a summary keeps none
+/// of that, so a campaign can be held — and shared between reports —
+/// without them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// An attack was launched (a valid run, §VI-C).
+    pub launched: bool,
+    /// Planned attack length K (frames).
+    pub k: u32,
+    /// The oracle's δ prediction at launch.
+    pub predicted_delta: Option<f64>,
+    /// Emergency braking entered at/after the attack started.
+    pub eb: bool,
+    /// The paper's accident definition (see [`RunOutcome::accident`]).
+    pub accident: bool,
+    /// See [`RunOutcome::min_delta_post_attack`].
+    pub min_delta_post_attack: Option<f64>,
+    /// See [`RunOutcome::min_delta_attack_window`].
+    pub min_delta_attack_window: Option<f64>,
+    /// See [`RunOutcome::k_prime_ads`].
+    pub k_prime_ads: Option<u32>,
+    /// See [`RunOutcome::replica_divergence`].
+    pub replica_divergence: Option<f64>,
+    /// Camera frames the fault injector dropped or froze.
+    pub frames_lost: u64,
+    /// See [`RunOutcome::stale_frames`].
+    pub stale_frames: u64,
+}
+
+impl RunSummary {
+    /// Folds one finished run.
+    pub fn of(outcome: &RunOutcome) -> RunSummary {
+        RunSummary {
+            launched: outcome.attack.launched_at.is_some(),
+            k: outcome.attack.k,
+            predicted_delta: outcome.attack.predicted_delta,
+            eb: outcome.eb_after_attack,
+            accident: outcome.accident,
+            min_delta_post_attack: outcome.min_delta_post_attack,
+            min_delta_attack_window: outcome.min_delta_attack_window,
+            k_prime_ads: outcome.k_prime_ads,
+            replica_divergence: outcome.replica_divergence,
+            frames_lost: u64::from(outcome.faults.camera_frames_dropped)
+                + u64::from(outcome.faults.camera_frames_frozen),
+            stale_frames: outcome.stale_frames,
+        }
+    }
+}
+
+/// A campaign's runs folded to [`RunSummary`]s, in seed order, with the
+/// Table II / Fig. 6 / Fig. 7 statistics over them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignSummary {
+    /// Campaign id.
+    pub name: String,
+    /// Scenario run.
+    pub scenario: ScenarioId,
+    /// Every run, in seed order.
+    pub runs: Vec<RunSummary>,
+}
+
+impl CampaignSummary {
+    /// Runs in which an attack was actually launched ("valid runs"; the
+    /// paper discards invalid runs, §VI-C).
+    pub fn launched(&self) -> impl Iterator<Item = &RunSummary> {
+        self.runs.iter().filter(|r| r.launched)
+    }
+
+    /// Number of valid (attack-launched) runs.
+    pub fn n_launched(&self) -> usize {
+        self.launched().count()
+    }
+
+    /// Count and rate (%) over valid runs of the runs matching `hit`.
+    fn rate(&self, hit: impl Fn(&RunSummary) -> bool) -> (usize, f64) {
+        let launched = self.n_launched();
+        let n = self.launched().filter(|r| hit(r)).count();
+        let pct = if launched == 0 {
             0.0
         } else {
-            100.0 * n as f64 / launched.len() as f64
+            100.0 * n as f64 / launched as f64
         };
         (n, pct)
     }
 
+    /// Emergency-braking count and rate (%) over valid runs.
+    pub fn eb(&self) -> (usize, f64) {
+        self.rate(|r| r.eb)
+    }
+
+    /// Accident (crash) count and rate (%) over valid runs.
+    pub fn crashes(&self) -> (usize, f64) {
+        self.rate(|r| r.accident)
+    }
+
     /// Median planned attack length K (frames) over valid runs.
     pub fn median_k(&self) -> f64 {
-        let ks: Vec<f64> = self
-            .launched()
-            .iter()
-            .map(|o| f64::from(o.attack.k))
-            .collect();
+        let ks: Vec<f64> = self.launched().map(|r| f64::from(r.k)).collect();
         stats::median(&ks)
     }
 
     /// All measured K′ values (ADS-side, Fig. 7).
     pub fn k_primes(&self) -> Vec<f64> {
         self.launched()
-            .iter()
-            .filter_map(|o| o.k_prime_ads.map(f64::from))
+            .filter_map(|r| r.k_prime_ads.map(f64::from))
             .collect()
     }
 
     /// Min-δ-since-attack values (Fig. 6).
     pub fn min_deltas(&self) -> Vec<f64> {
         self.launched()
-            .iter()
-            .filter_map(|o| o.min_delta_post_attack)
+            .filter_map(|r| r.min_delta_post_attack)
             .collect()
     }
 }
@@ -265,6 +343,44 @@ pub fn run_campaign_dispatch(
     threads: usize,
     mode: DispatchMode,
 ) -> Result<CampaignResult, CampaignError> {
+    let (outcomes, metrics) = dispatch(campaign, threads, mode, |outcome| outcome)?;
+    Ok(CampaignResult {
+        name: campaign.name.clone(),
+        scenario: campaign.scenario,
+        outcomes,
+        metrics,
+    })
+}
+
+/// [`run_campaign_dispatch`] folded to [`RunSummary`]s inside the workers,
+/// so no more than one block of full outcomes per worker is ever held.
+/// The runs are bit-identical to `run_campaign_dispatch(..).summary()`.
+///
+/// # Errors
+///
+/// Returns [`CampaignError::ZeroThreads`] for `threads == 0`.
+pub fn run_campaign_summary(
+    campaign: &Campaign,
+    threads: usize,
+    mode: DispatchMode,
+) -> Result<CampaignSummary, CampaignError> {
+    let (runs, _) = dispatch(campaign, threads, mode, |outcome| RunSummary::of(&outcome))?;
+    Ok(CampaignSummary {
+        name: campaign.name.clone(),
+        scenario: campaign.scenario,
+        runs,
+    })
+}
+
+/// Executes every run of `campaign` and returns `reduce(outcome)` for
+/// each, in seed order, plus the merged metrics when the campaign
+/// collects them. `reduce` runs on the worker that ran the outcome.
+fn dispatch<T: Send>(
+    campaign: &Campaign,
+    threads: usize,
+    mode: DispatchMode,
+    reduce: impl Fn(RunOutcome) -> T + Sync,
+) -> Result<(Vec<T>, Option<MetricsSnapshot>), CampaignError> {
     if threads == 0 {
         return Err(CampaignError::ZeroThreads);
     }
@@ -295,15 +411,15 @@ pub fn run_campaign_dispatch(
             batch_size,
             &worker_telemetry,
             |i, tele| campaign.session(i as u64, tele),
-            |outcome| outcome,
+            reduce,
         )?;
-        return Ok(finish_campaign(campaign, outcomes, &registries));
+        return Ok((outcomes, merged_metrics(&registries)));
     }
 
     // Each worker keeps one long-lived SessionWorker (ADS + frame + scheduler
     // buffers) and resets it between runs instead of rebuilding — the warmed
     // scratch allocations survive every run the worker claims.
-    let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
+    let mut outcomes: Vec<Option<T>> = Vec::new();
     outcomes.resize_with(runs, || None);
     // Spawning more workers than runs would only create idle threads; cap
     // the worker count at the queue length.
@@ -315,10 +431,16 @@ pub fn run_campaign_dispatch(
             tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
                 index: i as u64,
             });
-            *slot = Some(run_one(campaign, i as u64, &tele, &mut session_worker));
+            *slot = Some(reduce(run_one(
+                campaign,
+                i as u64,
+                &tele,
+                &mut session_worker,
+            )));
         }
     } else {
         let next = AtomicU64::new(0);
+        let reduce = &reduce;
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
@@ -326,7 +448,7 @@ pub fn run_campaign_dispatch(
                     let next = &next;
                     scope.spawn(move |_| {
                         let mut session_worker = SessionWorker::new();
-                        let mut claimed: Vec<(usize, RunOutcome)> = Vec::new();
+                        let mut claimed: Vec<(usize, T)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Ok(i) = usize::try_from(i) else { break };
@@ -337,7 +459,7 @@ pub fn run_campaign_dispatch(
                                 index: i as u64,
                             });
                             let outcome = run_one(campaign, i as u64, &tele, &mut session_worker);
-                            claimed.push((i, outcome));
+                            claimed.push((i, reduce(outcome)));
                         }
                         claimed
                     })
@@ -359,27 +481,18 @@ pub fn run_campaign_dispatch(
         .into_iter()
         .map(|o| o.expect("all runs filled"))
         .collect();
-    Ok(finish_campaign(campaign, outcomes, &registries))
+    Ok((outcomes, merged_metrics(&registries)))
 }
 
-/// Packages seed-ordered outcomes with the merged per-worker metrics.
-fn finish_campaign(
-    campaign: &Campaign,
-    outcomes: Vec<RunOutcome>,
-    registries: &[Arc<MetricsRegistry>],
-) -> CampaignResult {
-    let metrics = registries.split_first().map(|(first, rest)| {
+/// The per-worker registries merged into one snapshot (`None` when the
+/// campaign collected no metrics).
+fn merged_metrics(registries: &[Arc<MetricsRegistry>]) -> Option<MetricsSnapshot> {
+    registries.split_first().map(|(first, rest)| {
         for r in rest {
             first.merge_from(r);
         }
         first.snapshot()
-    });
-    CampaignResult {
-        name: campaign.name.clone(),
-        scenario: campaign.scenario,
-        outcomes,
-        metrics,
-    }
+    })
 }
 
 /// Executes `sessions` runs as one sweep through the lockstep batch engine

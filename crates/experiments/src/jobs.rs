@@ -23,8 +23,19 @@
 //! any worker count yields the same bytes; each job gets its own
 //! [`OracleCache`] view over the shared store, which is what makes the
 //! per-job hit/miss scorecards in the run summary exact.
+//!
+//! Report jobs share simulated campaigns through the execution's
+//! [`CampaignMemo`] (a value of its [`av_suite::ExecScope`]): Table II's six
+//! RoboTack arms are simulated once per `execute` call, and fig6's R
+//! panels, fig7, fig8(a) and resilience's healthy cells read the same
+//! folded runs — whichever job asks first simulates, the others wait or
+//! take a prefix. The memo is not an artifact: it is not persisted, not
+//! counted in the hit/miss scorecards, and a later execution of the same
+//! DAG starts with an empty one. A standalone binary runs its report with
+//! a fresh memo, so its stdout stays byte-identical to the suite job's.
 
 use crate::characterize::characterize_detector;
+use crate::memo::CampaignMemo;
 use crate::oracle_cache::{dataset_digest, oracle_digest, OracleCache};
 use crate::prelude::*;
 use crate::report::{
@@ -34,7 +45,7 @@ use crate::report::{
 use crate::stats;
 use crate::stats::median;
 use crate::suite::{
-    oracle_for, report_cache, run_baseline_campaign, run_nosh_campaign, run_r_campaign, Args, ARMS,
+    baseline_campaign, nosh_campaign, oracle_for, r_campaign, report_cache, Args, ARMS,
 };
 use av_defense::ids::AlarmKind;
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
@@ -48,9 +59,16 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
+/// `campaign`'s folded runs through `memo`, on the host's default worker
+/// count under `args.dispatch`.
+fn fold(memo: &CampaignMemo, args: &Args, campaign: &Campaign) -> CampaignSummary {
+    memo.run(campaign, default_threads(), args.dispatch)
+        .expect("default_threads() is nonzero")
+}
+
 /// Table II: the six RoboTack campaigns plus the DS-5 random baseline,
 /// with the paper's reference numbers inline.
-pub fn table2(args: &Args, cache: &OracleCache) -> String {
+pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let sweep = args.sweep();
     eprintln!("table2: {} runs/campaign (quick={})", args.runs, args.quick);
 
@@ -93,14 +111,10 @@ pub fn table2(args: &Args, cache: &OracleCache) -> String {
         let (oracle, desc) = oracle_for(*scenario, *vector, &sweep, cache);
         eprintln!("  {desc}");
         eprintln!("running campaign {name} ...");
-        let result = run_r_campaign(
-            name,
-            *scenario,
-            *vector,
-            oracle,
-            args.runs,
-            args.seed,
-            args.dispatch,
+        let result = fold(
+            memo,
+            args,
+            &r_campaign(name, *scenario, *vector, oracle, args.runs, args.seed),
         );
         let crashes_apply = !name.contains("Move_In");
         rows.push((result, reference, crashes_apply));
@@ -108,7 +122,11 @@ pub fn table2(args: &Args, cache: &OracleCache) -> String {
 
     report_cache(cache);
     eprintln!("running DS-5-Baseline-Random ...");
-    let baseline = run_baseline_campaign(args.runs.max(24), args.seed + 5000, args.dispatch);
+    let baseline = fold(
+        memo,
+        args,
+        &baseline_campaign(args.runs.max(24), args.seed + 5000),
+    );
 
     let mut out = String::new();
     writeln!(out, "{}", render_table2(&rows, &baseline)).unwrap();
@@ -128,7 +146,7 @@ pub fn fig5(args: &Args) -> String {
 
 /// Fig. 6: min safety potential boxplots, RoboTack vs RoboTack without the
 /// safety hijacker, for DS-1/DS-2 × Disappear/Move_Out.
-pub fn fig6(args: &Args, cache: &OracleCache) -> String {
+pub fn fig6(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let sweep = args.sweep();
     let panels = [
         (
@@ -166,22 +184,15 @@ pub fn fig6(args: &Args, cache: &OracleCache) -> String {
         eprintln!("training oracle for {label} ...");
         let (oracle, desc) = oracle_for(scenario, vector, &sweep, cache);
         eprintln!("  {desc}");
-        let with_sh = run_r_campaign(
-            "R",
-            scenario,
-            vector,
-            oracle,
-            args.runs,
-            args.seed,
-            args.dispatch,
+        let with_sh = fold(
+            memo,
+            args,
+            &r_campaign("R", scenario, vector, oracle, args.runs, args.seed),
         );
-        let without_sh = run_nosh_campaign(
-            "R w/o SH",
-            scenario,
-            vector,
-            args.runs,
-            args.seed + 77,
-            args.dispatch,
+        let without_sh = fold(
+            memo,
+            args,
+            &nosh_campaign("R w/o SH", scenario, vector, args.runs, args.seed + 77),
         );
         writeln!(
             out,
@@ -209,19 +220,15 @@ pub fn fig6(args: &Args, cache: &OracleCache) -> String {
 
 /// Fig. 7: time-steps K′ needed to move the perceived object in/out by Ω,
 /// on vehicles (DS-1/DS-3) and pedestrians (DS-2/DS-4).
-pub fn fig7(args: &Args, cache: &OracleCache) -> String {
+pub fn fig7(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let sweep = args.sweep();
     let run = |scenario, vector, name: &str| {
         eprintln!("campaign {name} ...");
         let (oracle, _) = oracle_for(scenario, vector, &sweep, cache);
-        run_r_campaign(
-            name,
-            scenario,
-            vector,
-            oracle,
-            args.runs,
-            args.seed,
-            args.dispatch,
+        fold(
+            memo,
+            args,
+            &r_campaign(name, scenario, vector, oracle, args.runs, args.seed),
         )
         .k_primes()
     };
@@ -284,7 +291,7 @@ pub fn fig7(args: &Args, cache: &OracleCache) -> String {
 /// Fig. 8: safety-hijacker NN quality — (a) attack success probability vs
 /// binned prediction error; (b) predicted vs ground-truth δ after k
 /// attacked frames (DS-1 Move_Out).
-pub fn fig8(args: &Args, cache: &OracleCache) -> String {
+pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let sweep = args.sweep();
     let mut out = String::new();
 
@@ -300,23 +307,23 @@ pub fn fig8(args: &Args, cache: &OracleCache) -> String {
         (ScenarioId::Ds1, oracle_ds1.clone()),
         (ScenarioId::Ds2, oracle_ds2),
     ] {
-        let result = run_r_campaign(
-            "fig8a",
-            scenario,
-            AttackVector::MoveOut,
-            oracle,
-            args.runs,
-            args.seed,
-            args.dispatch,
+        let result = fold(
+            memo,
+            args,
+            &r_campaign(
+                "fig8a",
+                scenario,
+                AttackVector::MoveOut,
+                oracle,
+                args.runs,
+                args.seed,
+            ),
         );
-        for outcome in result.launched() {
-            if let (Some(pred), Some(actual)) = (
-                outcome.attack.predicted_delta,
-                outcome.min_delta_attack_window,
-            ) {
+        for run in result.launched() {
+            if let (Some(pred), Some(actual)) = (run.predicted_delta, run.min_delta_attack_window) {
                 // One-sided error: how much the attack under-delivered
                 // (did worse, i.e. left a larger δ, than the NN promised).
-                samples.push(((actual - pred).max(0.0), outcome.accident));
+                samples.push(((actual - pred).max(0.0), run.accident));
             }
         }
     }
@@ -706,20 +713,13 @@ fn intensities() -> Vec<Intensity> {
     ]
 }
 
-fn divergences(outcomes: &[RunOutcome]) -> Vec<f64> {
-    outcomes
-        .iter()
-        .filter_map(|o| o.replica_divergence)
-        .collect()
-}
-
 /// The resilience study: does the ADS degrade gracefully under sensor
 /// faults, and does RoboTack's mirrored replica (§III-D) survive them?
 ///
 /// The RoboTack arms run with the same trained NN oracle the other
 /// experiments use (cache-aware, honoring `--cache-dir`/`--no-cache`),
 /// falling back to the kinematic oracle only when training data is scarce.
-pub fn resilience(args: &Args, cache: &OracleCache) -> String {
+pub fn resilience(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let runs = if args.quick {
         args.runs.min(8)
     } else {
@@ -775,13 +775,16 @@ pub fn resilience(args: &Args, cache: &OracleCache) -> String {
                 args.seed,
             )
             .with_faults(intensity.plan.clone());
-            let result = run_campaign_dispatch(&campaign, default_threads(), args.dispatch)
-                .expect("default_threads() is nonzero");
+            let result = fold(memo, args, &campaign);
 
             let launched = result.n_launched();
             let (_, eb_pct) = result.eb();
             let (_, acc_pct) = result.crashes();
-            let divs = divergences(&result.outcomes);
+            let divs: Vec<f64> = result
+                .runs
+                .iter()
+                .filter_map(|r| r.replica_divergence)
+                .collect();
             let (mean_div, max_div) = if divs.is_empty() {
                 ("-".to_string(), "-".to_string())
             } else {
@@ -790,15 +793,8 @@ pub fn resilience(args: &Args, cache: &OracleCache) -> String {
                     format!("{:.2}", divs.iter().copied().fold(f64::MIN, f64::max)),
                 )
             };
-            let lost: u64 = result
-                .outcomes
-                .iter()
-                .map(|o| {
-                    u64::from(o.faults.camera_frames_dropped)
-                        + u64::from(o.faults.camera_frames_frozen)
-                })
-                .sum();
-            let stale: u64 = result.outcomes.iter().map(|o| o.stale_frames).sum();
+            let lost: u64 = result.runs.iter().map(|r| r.frames_lost).sum();
+            let stale: u64 = result.runs.iter().map(|r| r.stale_frames).sum();
 
             writeln!(
                 out,
@@ -861,18 +857,18 @@ fn oracle_deps(arms: &[(ScenarioId, AttackVector)]) -> Vec<String> {
 }
 
 /// Wraps one report function as a stdout-emitting suite job with its own
-/// cache view over the shared store.
+/// cache view over the shared store and the execution's campaign memo.
 fn report_job(
     id: &str,
     args: &Args,
     store: &Arc<ArtifactStore>,
-    render: impl Fn(&Args, &OracleCache) -> String + Send + Sync + 'static,
+    render: impl Fn(&Args, &OracleCache, &CampaignMemo) -> String + Send + Sync + 'static,
 ) -> Job {
     let args = args.clone();
     let store = store.clone();
-    Job::new(id, move || {
+    Job::new(id, move |scope| {
         let cache = OracleCache::over(store.clone());
-        let stdout = render(&args, &cache);
+        let stdout = render(&args, &cache, &scope.get::<CampaignMemo>());
         let (artifact_hits, artifact_misses) = cache.artifact_totals();
         JobOutcome {
             stdout,
@@ -897,7 +893,7 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
         let store_ = store.clone();
         let sweep_ = sweep.clone();
         jobs.push(
-            Job::new(id.clone(), move || {
+            Job::new(id.clone(), move |_| {
                 let cache = OracleCache::over(store_.clone());
                 let data = cache.dataset_for(scenario, vector, &sweep_);
                 let (artifact_hits, artifact_misses) = cache.artifact_totals();
@@ -919,7 +915,7 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
         let store_ = store.clone();
         let sweep_ = sweep.clone();
         jobs.push(
-            Job::new(id.clone(), move || {
+            Job::new(id.clone(), move |_| {
                 let cache = OracleCache::over(store_.clone());
                 let trained = cache.oracle_for(scenario, vector, &sweep_);
                 let (artifact_hits, artifact_misses) = cache.artifact_totals();
@@ -964,7 +960,7 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
     {
         let args_ = args.clone();
         jobs.push(
-            Job::new("fig5", move || JobOutcome {
+            Job::new("fig5", move |_| JobOutcome {
                 stdout: fig5(&args_),
                 ..JobOutcome::default()
             })
@@ -989,14 +985,18 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
             .output("report:fig8"),
     );
     jobs.push(
-        report_job("ablations", args, store, ablations)
-            .deps(oracle_deps(&ablations_arms))
-            .output("report:ablations"),
+        report_job("ablations", args, store, |args, cache, _| {
+            ablations(args, cache)
+        })
+        .deps(oracle_deps(&ablations_arms))
+        .output("report:ablations"),
     );
     jobs.push(
-        report_job("defense", args, store, defense)
-            .deps(oracle_deps(&all))
-            .output("report:defense"),
+        report_job("defense", args, store, |args, cache, _| {
+            defense(args, cache)
+        })
+        .deps(oracle_deps(&all))
+        .output("report:defense"),
     );
     jobs.push(
         report_job("resilience", args, store, resilience)
@@ -1018,7 +1018,7 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
         let args_ = args.clone();
         let store_ = store.clone();
         jobs.push(
-            Job::new(id.clone(), move || {
+            Job::new(id.clone(), move |_| {
                 let cache = OracleCache::over(store_.clone());
                 let config = crate::search::SearchConfig::for_args(vector, &args_);
                 let report = crate::search::run_search(&config, &args_.sweep(), &cache);

@@ -20,6 +20,10 @@
 //!   trained oracles *and* collected sweep datasets, so the suite binaries
 //!   collect and train each 〈scenario, vector〉 arm once instead of once
 //!   per figure.
+//! - [`memo`]: the per-execution campaign memo — each distinct campaign
+//!   (scenario, attacker with its oracle by content, fault plan, base seed)
+//!   simulated once per suite execution and shared, folded to
+//!   [`RunSummary`]s, by every report that views it.
 //! - [`jobs`]: every table/figure as a library function returning its
 //!   stdout report, plus the full evaluation as an `av-suite` job DAG over
 //!   one shared artifact store (the `suite` binary runs it; the per-figure
@@ -47,6 +51,7 @@ pub mod batch;
 pub mod campaign;
 pub mod characterize;
 pub mod jobs;
+pub mod memo;
 pub mod oracle_cache;
 pub mod prelude;
 pub mod report;
@@ -58,7 +63,8 @@ pub mod suite;
 pub mod train_sh;
 
 pub use batch::LanePool;
-pub use campaign::{Campaign, CampaignError, CampaignResult};
+pub use campaign::{Campaign, CampaignError, CampaignResult, CampaignSummary, RunSummary};
+pub use memo::CampaignMemo;
 pub use oracle_cache::{cache_key, OracleCache};
 pub use runner::{AttackerSpec, RunConfig, RunOutcome};
 pub use search::{run_search, SearchConfig, SearchReport};

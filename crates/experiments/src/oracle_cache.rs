@@ -371,19 +371,42 @@ impl OracleCache {
 
 /// Serializes a [`TrainedOracle`] (all integers/floats little-endian).
 fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
-    // Parameters stream straight out of the oracle's inference form: no
-    // row-major copy of the network is built just to be serialized.
-    let net = oracle.oracle.inference();
-    let norm = oracle.oracle.normalizer();
-    let sizes = net.layer_sizes();
-    let n_params = net.param_count();
-
-    let mut out = Vec::with_capacity(64 + 8 * (2 * norm.mean.len() + sizes.len() + n_params));
+    let mut out = Vec::with_capacity(32 + network_len(&oracle.oracle));
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&oracle.val_mse.to_bits().to_le_bytes());
     out.extend_from_slice(&(oracle.examples as u64).to_le_bytes());
+    encode_network(&mut out, &oracle.oracle);
+    out
+}
+
+/// Content digest of an oracle's network alone — the normalizer, dropout,
+/// shape and parameters [`oracle_digest`] hashes, without the training
+/// metrics. Two separately loaded copies of one oracle share it; it is
+/// what identifies an oracle's behaviour.
+pub fn network_digest(oracle: &NnOracle) -> u64 {
+    let mut out = Vec::with_capacity(network_len(oracle));
+    encode_network(&mut out, oracle);
+    fnv1a(&out)
+}
+
+/// The encoded size of [`encode_network`]'s bytes.
+fn network_len(oracle: &NnOracle) -> usize {
+    let net = oracle.inference();
+    8 * (4 + 2 * oracle.normalizer().mean.len() + net.layer_sizes().len() + net.param_count())
+}
+
+/// Appends the snapshot's network section: normalizer, dropout, layer
+/// sizes and parameters, by bit pattern.
+fn encode_network(out: &mut Vec<u8>, oracle: &NnOracle) {
+    // Parameters stream straight out of the oracle's inference form: no
+    // row-major copy of the network is built just to be serialized.
+    let net = oracle.inference();
+    let norm = oracle.normalizer();
+    let sizes = net.layer_sizes();
+    let n_params = net.param_count();
+
     out.extend_from_slice(&(norm.mean.len() as u64).to_le_bytes());
     for &m in &norm.mean {
         out.extend_from_slice(&m.to_bits().to_le_bytes());
@@ -391,7 +414,7 @@ fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
     for &s in &norm.std {
         out.extend_from_slice(&s.to_bits().to_le_bytes());
     }
-    out.extend_from_slice(&oracle.oracle.dropout().to_bits().to_le_bytes());
+    out.extend_from_slice(&oracle.dropout().to_bits().to_le_bytes());
     out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
     for &s in sizes {
         out.extend_from_slice(&(s as u64).to_le_bytes());
@@ -400,7 +423,6 @@ fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
     for p in net.params() {
         out.extend_from_slice(&p.to_bits().to_le_bytes());
     }
-    out
 }
 
 /// Checked little-endian reader over untrusted bytes.

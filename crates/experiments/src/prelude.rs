@@ -12,9 +12,11 @@
 //! point for executing a run.
 
 pub use crate::campaign::{
-    default_threads, run_campaign, run_campaign_dispatch, run_campaign_with_threads, run_sweep,
-    Campaign, CampaignError, CampaignResult, DispatchMode,
+    default_threads, run_campaign, run_campaign_dispatch, run_campaign_summary,
+    run_campaign_with_threads, run_sweep, Campaign, CampaignError, CampaignResult, CampaignSummary,
+    DispatchMode, RunSummary,
 };
+pub use crate::memo::CampaignMemo;
 pub use crate::runner::{AttackerSpec, OracleSpec, RunConfig, RunOutcome};
 pub use crate::session::{SessionWorker, SimSession, SimSessionBuilder};
 pub use crate::train_sh::{train_oracle, TrainedOracle};

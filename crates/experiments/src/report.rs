@@ -3,7 +3,7 @@
 //! Every renderer prints the *measured* values next to the paper's reference
 //! numbers so `EXPERIMENTS.md` can be regenerated by running the binaries.
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{CampaignResult, CampaignSummary};
 use crate::characterize::DetectorCharacterization;
 use crate::stats::{fit_exponential, fit_normal, histogram, BoxSummary};
 use robotack::scenario_matcher::ScenarioMatcher;
@@ -27,7 +27,11 @@ pub struct Table2Reference {
 }
 
 /// Renders one measured Table II row next to its paper reference.
-fn table2_row(result: &CampaignResult, reference: &Table2Reference, crashes_apply: bool) -> String {
+fn table2_row(
+    result: &CampaignSummary,
+    reference: &Table2Reference,
+    crashes_apply: bool,
+) -> String {
     let (eb_n, eb_pct) = result.eb();
     let crash_cell = if crashes_apply {
         let (n, pct) = result.crashes();
@@ -52,8 +56,8 @@ fn table2_row(result: &CampaignResult, reference: &Table2Reference, crashes_appl
 /// Renders the full Table II given the six RoboTack campaigns (in paper row
 /// order) and the DS-5 random baseline.
 pub fn render_table2(
-    robotack_rows: &[(CampaignResult, Table2Reference, bool)],
-    baseline: &CampaignResult,
+    robotack_rows: &[(CampaignSummary, Table2Reference, bool)],
+    baseline: &CampaignSummary,
 ) -> String {
     let mut out = String::from(
         "Table II: Smart malware attack summary vs random baseline\n\
@@ -77,24 +81,24 @@ pub fn render_table2(
     ));
 
     // The §I / §VI-C headline aggregates.
-    let all_r: Vec<&CampaignResult> = robotack_rows.iter().map(|(r, _, _)| r).collect();
+    let all_r: Vec<&CampaignSummary> = robotack_rows.iter().map(|(r, _, _)| r).collect();
     let total: usize = all_r.iter().map(|r| r.n_launched()).sum();
     let eb_total: usize = all_r.iter().map(|r| r.eb().0).sum();
-    let crash_rows: Vec<&&CampaignResult> = all_r
+    let crash_rows: Vec<&&CampaignSummary> = all_r
         .iter()
         .filter(|r| !r.name.contains("Move_In"))
         .collect();
     let crash_total: usize = crash_rows.iter().map(|r| r.crashes().0).sum();
     let crash_n_runs: usize = crash_rows.iter().map(|r| r.n_launched()).sum();
-    let ped: Vec<&&CampaignResult> = all_r
+    let ped: Vec<&&CampaignSummary> = all_r
         .iter()
         .filter(|r| r.name.contains("DS-2") || r.name.contains("DS-4"))
         .collect();
-    let veh: Vec<&&CampaignResult> = all_r
+    let veh: Vec<&&CampaignSummary> = all_r
         .iter()
         .filter(|r| r.name.contains("DS-1") || r.name.contains("DS-3"))
         .collect();
-    let success = |rs: &[&&CampaignResult]| -> f64 {
+    let success = |rs: &[&&CampaignSummary]| -> f64 {
         let n: usize = rs.iter().map(|r| r.n_launched()).sum();
         let s: usize = rs
             .iter()
@@ -180,8 +184,8 @@ pub fn render_fig5(c: &DetectorCharacterization) -> String {
 /// Renders one Fig. 6 panel: min safety potential, R w/o SH vs R.
 pub fn render_fig6_panel(
     label: &str,
-    without_sh: &CampaignResult,
-    with_sh: &CampaignResult,
+    without_sh: &CampaignSummary,
+    with_sh: &CampaignSummary,
     paper_medians: (f64, f64),
 ) -> String {
     let a = BoxSummary::of(&without_sh.min_deltas());
@@ -252,13 +256,17 @@ pub fn render_stage_latency(result: &CampaignResult) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, CampaignResult};
+    use crate::campaign::Campaign;
     use crate::runner::AttackerSpec;
     use av_simkit::scenario::ScenarioId;
 
     fn empty_result(name: &str) -> CampaignResult {
         let campaign = Campaign::new(name, ScenarioId::Ds1, AttackerSpec::None, 0, 0);
         crate::campaign::run_campaign_with_threads(&campaign, 1).expect("one thread is valid")
+    }
+
+    fn empty_summary(name: &str) -> CampaignSummary {
+        empty_result(name).summary()
     }
 
     #[test]
@@ -282,7 +290,7 @@ mod tests {
     #[test]
     fn table2_renders_with_empty_campaigns() {
         let row = (
-            empty_result("DS-1-Move_Out-R"),
+            empty_summary("DS-1-Move_Out-R"),
             Table2Reference {
                 k: "65",
                 eb_pct: "37.3%",
@@ -290,7 +298,7 @@ mod tests {
             },
             true,
         );
-        let baseline = empty_result("DS-5-Baseline-Random");
+        let baseline = empty_summary("DS-5-Baseline-Random");
         let t = render_table2(&[row], &baseline);
         assert!(t.contains("DS-1-Move_Out-R"));
         assert!(t.contains("paper 75.2%"));
@@ -300,8 +308,8 @@ mod tests {
     fn fig_renderers_handle_empty_data() {
         let c = DetectorCharacterization::default();
         assert!(render_fig5(&c).contains("insufficient data"));
-        let a = empty_result("a");
-        let b = empty_result("b");
+        let a = empty_summary("a");
+        let b = empty_summary("b");
         let panel = render_fig6_panel("DS-1-Disappear", &a, &b, (19.0, 9.0));
         assert!(panel.contains("R w/o SH"));
         let f7 = render_fig7_panel("on Vehicle", &[("Move_Out", vec![], 6.0)]);

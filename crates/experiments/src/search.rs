@@ -48,9 +48,9 @@
 //! discovered a generated scenario that beats every fixed scenario's EB
 //! rate or crash rate.
 
-use crate::campaign::{run_sweep, Campaign, DispatchMode};
+use crate::campaign::{run_sweep, Campaign, DispatchMode, RunSummary};
 use crate::oracle_cache::{oracle_digest, OracleCache};
-use crate::runner::{AttackerSpec, OracleSpec, RunOutcome};
+use crate::runner::{AttackerSpec, OracleSpec};
 use crate::stats;
 use crate::suite::{Args, ARMS};
 use crate::train_sh::SweepConfig;
@@ -494,29 +494,9 @@ struct Proposal {
     spec: Option<Arc<ScenarioSpec>>,
 }
 
-/// What an evaluation keeps of one run. Folded inside the sweep worker, so
-/// full outcomes (with their time series) never accumulate.
-#[derive(Debug, Clone, Copy)]
-struct RunSummary {
-    launched: bool,
-    eb: bool,
-    accident: bool,
-    k: u32,
-}
-
-impl RunSummary {
-    fn of(outcome: RunOutcome) -> RunSummary {
-        RunSummary {
-            launched: outcome.attack.launched_at.is_some(),
-            eb: outcome.eb_after_attack,
-            accident: outcome.accident,
-            k: outcome.attack.k,
-        }
-    }
-}
-
-/// The campaign statistics of one candidate's seed-ordered runs, counted
-/// over valid (attack-launched) runs exactly like [`crate::campaign::CampaignResult`].
+/// The campaign statistics of one candidate's seed-ordered runs (folded
+/// inside the sweep workers, so full outcomes never accumulate), counted
+/// over valid (attack-launched) runs exactly like [`crate::campaign::CampaignSummary`].
 fn summarize(label: &str, root: ScenarioId, runs: &[RunSummary]) -> Eval {
     let launched: Vec<&RunSummary> = runs.iter().filter(|r| r.launched).collect();
     let ks: Vec<f64> = launched.iter().map(|r| f64::from(r.k)).collect();
@@ -608,7 +588,7 @@ impl Evaluator<'_> {
             cfg.batch,
             &|_| Telemetry::disabled(),
             |i, tele| campaigns[i / runs].session((i % runs) as u64, tele),
-            RunSummary::of,
+            |outcome| RunSummary::of(&outcome),
         )
         .expect("search evaluation threads >= 1");
 

@@ -1,9 +1,7 @@
 //! The standard experiment suite: the paper's campaign matrix and shared
 //! CLI handling for the experiment binaries.
 
-use crate::campaign::{
-    default_threads, run_campaign_dispatch, Campaign, CampaignResult, DispatchMode,
-};
+use crate::campaign::{Campaign, DispatchMode};
 use crate::oracle_cache::{OracleCache, DATASET_CODE_VERSION};
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::train_sh::SweepConfig;
@@ -451,72 +449,55 @@ pub fn report_cache(cache: &OracleCache) {
     }
 }
 
-/// Builds and runs one full-RoboTack campaign.
-pub fn run_r_campaign(
+/// The full-RoboTack campaign of one arm.
+pub fn r_campaign(
     name: &str,
     scenario: ScenarioId,
     vector: AttackVector,
     oracle: OracleSpec,
     runs: u64,
     seed: u64,
-    dispatch: DispatchMode,
-) -> CampaignResult {
-    run_campaign_dispatch(
-        &Campaign::new(
-            name,
-            scenario,
-            AttackerSpec::RoboTack {
-                vector: Some(vector),
-                oracle,
-            },
-            runs,
-            seed,
-        ),
-        default_threads(),
-        dispatch,
+) -> Campaign {
+    Campaign::new(
+        name,
+        scenario,
+        AttackerSpec::RoboTack {
+            vector: Some(vector),
+            oracle,
+        },
+        runs,
+        seed,
     )
-    .expect("default_threads() is nonzero")
 }
 
-/// Builds and runs one "R w/o SH" campaign.
-pub fn run_nosh_campaign(
+/// The "R w/o SH" campaign of one arm.
+pub fn nosh_campaign(
     name: &str,
     scenario: ScenarioId,
     vector: AttackVector,
     runs: u64,
     seed: u64,
-    dispatch: DispatchMode,
-) -> CampaignResult {
-    run_campaign_dispatch(
-        &Campaign::new(
-            name,
-            scenario,
-            AttackerSpec::RoboTackNoSh {
-                vector: Some(vector),
-            },
-            runs,
-            seed,
-        ),
-        default_threads(),
-        dispatch,
+) -> Campaign {
+    Campaign::new(
+        name,
+        scenario,
+        AttackerSpec::RoboTackNoSh {
+            vector: Some(vector),
+        },
+        runs,
+        seed,
     )
-    .expect("default_threads() is nonzero")
 }
 
-/// Builds and runs the DS-5 random baseline campaign.
-pub fn run_baseline_campaign(runs: u64, seed: u64, dispatch: DispatchMode) -> CampaignResult {
-    run_campaign_dispatch(
-        &Campaign::new(
-            "DS-5-Baseline-Random",
-            ScenarioId::Ds5,
-            AttackerSpec::Random,
-            runs,
-            seed,
-        ),
-        default_threads(),
-        dispatch,
+/// The DS-5 random baseline campaign.
+pub fn baseline_campaign(runs: u64, seed: u64) -> Campaign {
+    Campaign::new(
+        "DS-5-Baseline-Random",
+        ScenarioId::Ds5,
+        AttackerSpec::Random,
+        runs,
+        seed,
     )
-    .expect("default_threads() is nonzero")
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! bin ≡ job stdout equivalence (the contract CI's suite smoke relies on).
 
 use av_experiments::jobs::{self, paper_dag};
+use av_experiments::memo::CampaignMemo;
 use av_experiments::oracle_cache::OracleCache;
 use av_experiments::suite::Args;
 use av_suite::{execute, ArtifactStore, ExecOptions, RunReport};
@@ -183,7 +184,7 @@ fn table2_bin_stdout_equals_job_output_via_shared_store() {
     // reads the same store, so both produce the same oracles — and must
     // produce the same bytes.
     let cache = OracleCache::over(Arc::new(args.artifact_store()));
-    let expected = jobs::table2(&args, &cache);
+    let expected = jobs::table2(&args, &cache, &CampaignMemo::new());
 
     let out = Command::new(env!("CARGO_BIN_EXE_table2"))
         .args(["--quick", "--runs", "2", "--seed", "2020", "--cache-dir"])

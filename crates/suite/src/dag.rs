@@ -6,6 +6,7 @@
 //! dependencies and cycles at construction, so the executor can assume a
 //! well-formed schedule.
 
+use crate::scope::ExecScope;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,7 +29,9 @@ pub struct JobOutcome {
 ///
 /// Cloning a job is cheap: the `run` closure is shared behind an [`Arc`],
 /// which is what lets one canonical [`Dag`] serve every daemon request via
-/// [`Dag::subgraph`] without rebuilding closures.
+/// [`Dag::subgraph`] without rebuilding closures. The closure receives the
+/// [`ExecScope`] of the execution running it, so state it shares with
+/// other jobs lives exactly as long as that execution.
 #[derive(Clone)]
 pub struct Job {
     id: String,
@@ -36,7 +39,7 @@ pub struct Job {
     inputs: Vec<String>,
     outputs: Vec<String>,
     emits_stdout: bool,
-    run: Arc<dyn Fn() -> JobOutcome + Send + Sync>,
+    run: Arc<dyn Fn(&ExecScope) -> JobOutcome + Send + Sync>,
 }
 
 impl std::fmt::Debug for Job {
@@ -51,7 +54,10 @@ impl std::fmt::Debug for Job {
 
 impl Job {
     /// A job named `id` running `run`, initially with no edges.
-    pub fn new(id: impl Into<String>, run: impl Fn() -> JobOutcome + Send + Sync + 'static) -> Job {
+    pub fn new(
+        id: impl Into<String>,
+        run: impl Fn(&ExecScope) -> JobOutcome + Send + Sync + 'static,
+    ) -> Job {
         Job {
             id: id.into(),
             deps: Vec::new(),
@@ -123,9 +129,9 @@ impl Job {
         self.emits_stdout
     }
 
-    /// Executes the job's closure.
-    pub fn execute(&self) -> JobOutcome {
-        (self.run)()
+    /// Executes the job's closure within `scope`.
+    pub fn execute(&self, scope: &ExecScope) -> JobOutcome {
+        (self.run)(scope)
     }
 }
 
@@ -293,7 +299,7 @@ mod tests {
     use super::*;
 
     fn noop(id: &str) -> Job {
-        Job::new(id, JobOutcome::default)
+        Job::new(id, |_| JobOutcome::default())
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //! [`crate::manifest`]); on a resumed run, jobs with a recovered entry are
 //! skipped outright and their recorded stdout replayed. Job panics abort
 //! the run with [`ExecError::JobPanicked`] after in-flight jobs finish.
+//!
+//! Each call creates one fresh [`ExecScope`] and hands it to every job it
+//! runs: jobs of one execution share in-memory work through it, and
+//! nothing in it carries over to the next execution of the same DAG.
 
 use crate::dag::Dag;
 use crate::manifest::{self, ManifestEntry};
+use crate::scope::ExecScope;
 use av_telemetry::{Telemetry, TraceEvent};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -400,12 +405,13 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     let workers = opts.workers.min(outstanding.max(1));
     let pool = Mutex::new(state);
     let work_available = Condvar::new();
+    let exec_scope = ExecScope::new();
 
     if outstanding > 0 {
         crossbeam::thread::scope(|scope| {
             for _ in 0..workers {
-                let (pool, work_available, dag, dependents, opts) =
-                    (&pool, &work_available, dag, &dependents, opts);
+                let (pool, work_available, dag, dependents, opts, exec_scope) =
+                    (&pool, &work_available, dag, &dependents, opts, &exec_scope);
                 scope.spawn(move |_| {
                     loop {
                         let i = {
@@ -428,7 +434,7 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                         let job_started = Instant::now();
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                job.execute()
+                                job.execute(exec_scope)
                             }));
                         let wall = job_started.elapsed();
                         opts.telemetry.emit(0.0, || TraceEvent::JobFinished {
@@ -522,7 +528,7 @@ mod tests {
         let mk = |id: &str, body: &str| {
             let counter = counter.clone();
             let body = body.to_string();
-            Job::new(id, move || {
+            Job::new(id, move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 JobOutcome {
                     stdout: body.clone(),
@@ -573,6 +579,33 @@ mod tests {
         }
         // 4 executions of 5 jobs each, nothing skipped.
         assert_eq!(counter.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn every_execution_gets_one_fresh_scope() {
+        // Two producers add to the scope's counter; the reader after them
+        // sees exactly their two additions, on every execution.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let add = |id: &str| {
+            Job::new(id, |scope: &ExecScope| {
+                scope.get::<AtomicU64>().fetch_add(1, Ordering::Relaxed);
+                JobOutcome::default()
+            })
+        };
+        let reader = {
+            let seen = seen.clone();
+            Job::new("read", move |scope: &ExecScope| {
+                let n = scope.get::<AtomicU64>().load(Ordering::Relaxed);
+                seen.lock().expect("seen").push(n);
+                JobOutcome::default()
+            })
+            .deps(["a", "b"])
+        };
+        let dag = Dag::new(vec![add("a"), add("b"), reader]).expect("valid dag");
+        for workers in [1, 2] {
+            execute(&dag, &ExecOptions::new().workers(workers)).expect("run");
+        }
+        assert_eq!(*seen.lock().expect("seen"), [2, 2]);
     }
 
     #[test]
@@ -653,7 +686,7 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         let mk = |id: &str| {
             let counter = counter.clone();
-            Job::new(id, move || {
+            Job::new(id, move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 JobOutcome::default()
             })
@@ -684,9 +717,9 @@ mod tests {
     #[test]
     fn panicking_job_fails_the_run() {
         let dag = Dag::new(vec![
-            Job::new("ok", JobOutcome::default),
-            Job::new("boom", || panic!("job exploded")),
-            Job::new("downstream", JobOutcome::default).dep("boom"),
+            Job::new("ok", |_| JobOutcome::default()),
+            Job::new("boom", |_| panic!("job exploded")),
+            Job::new("downstream", |_| JobOutcome::default()).dep("boom"),
         ])
         .expect("valid dag");
         let prev = std::panic::take_hook();

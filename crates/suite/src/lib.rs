@@ -21,6 +21,8 @@
 //!   jobs are skipped on rerun and their recorded stdout replayed), and a
 //!   per-job scorecard ([`JobReport`] / [`RunReport`]) for the end-of-run
 //!   summary table.
+//! - [`scope`]: [`ExecScope`], the per-execution state every job of one
+//!   [`execute`] call shares (and nothing outside it sees).
 //! - [`manifest`]: the hand-rolled JSONL manifest codec (the vendored
 //!   `serde` is a no-op stub); truncated trailing lines — a killed run —
 //!   parse as "not completed", which is what makes resume safe.
@@ -51,6 +53,7 @@ pub mod dedup;
 pub mod exec;
 pub mod fnv;
 pub mod manifest;
+pub mod scope;
 pub mod serve;
 pub mod store;
 
@@ -60,5 +63,6 @@ pub use dedup::{Claim, ClaimToken, InFlight};
 pub use exec::{execute, ExecError, ExecEvent, ExecObserver, ExecOptions, JobReport, RunReport};
 pub use fnv::Fnv1a;
 pub use manifest::ManifestEntry;
+pub use scope::ExecScope;
 pub use serve::{EvalService, ServeOptions, ServeReport};
 pub use store::{ArtifactStore, StoreError};

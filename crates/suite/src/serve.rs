@@ -587,7 +587,7 @@ mod tests {
             };
             let jobs = (0..count)
                 .map(|i| {
-                    let job = Job::new(format!("step-{i}"), move || {
+                    let job = Job::new(format!("step-{i}"), move |_| {
                         std::thread::sleep(Duration::from_millis(15));
                         JobOutcome {
                             stdout: format!("step-{i}\n"),

@@ -39,8 +39,8 @@ use crate::memo::CampaignMemo;
 use crate::oracle_cache::{dataset_digest, oracle_digest, OracleCache};
 use crate::prelude::*;
 use crate::report::{
-    render_fig5, render_fig6_panel, render_fig7_panel, render_fig8a, render_fig8b, render_table2,
-    Table2Reference,
+    render_fig5, render_fig6_panel, render_fig6_rates, render_fig7_panel, render_fig8a,
+    render_fig8b, render_table2, Table2Reference,
 };
 use crate::stats;
 use crate::stats::median;
@@ -200,19 +200,7 @@ pub fn fig6(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
             render_fig6_panel(label, &without_sh, &with_sh, paper)
         )
         .unwrap();
-        let (eb_n, eb_w) = (with_sh.eb().1, without_sh.eb().1);
-        let (cr_n, cr_w) = (with_sh.crashes().1, without_sh.crashes().1);
-        writeln!(
-            out,
-            "  EB: {:.1}% vs {:.1}% (×{:.1}) | crashes: {:.1}% vs {:.1}% (×{:.1})\n",
-            eb_n,
-            eb_w,
-            if eb_w > 0.0 { eb_n / eb_w } else { f64::NAN },
-            cr_n,
-            cr_w,
-            if cr_w > 0.0 { cr_n / cr_w } else { f64::NAN },
-        )
-        .unwrap();
+        writeln!(out, "{}\n", render_fig6_rates(&without_sh, &with_sh)).unwrap();
     }
     report_cache(cache);
     out

@@ -26,12 +26,18 @@ pub struct Table2Reference {
     pub crash_pct: &'static str,
 }
 
-/// Renders one measured Table II row next to its paper reference.
+/// Renders one measured Table II row next to its paper reference. The
+/// median K of a campaign with no launched run is `n/a`.
 fn table2_row(
     result: &CampaignSummary,
     reference: &Table2Reference,
     crashes_apply: bool,
 ) -> String {
+    let median_k = if result.n_launched() == 0 {
+        "n/a".to_string()
+    } else {
+        format!("{:.0}", result.median_k())
+    };
     let (eb_n, eb_pct) = result.eb();
     let crash_cell = if crashes_apply {
         let (n, pct) = result.crashes();
@@ -40,9 +46,9 @@ fn table2_row(
         "—".to_string()
     };
     format!(
-        "{:<22} | {:>5.0} | {:>5} | {:>4} ({:>5.1}%) | {:<12} || paper: K={} EB={} crash={}\n",
+        "{:<22} | {:>5} | {:>5} | {:>4} ({:>5.1}%) | {:<12} || paper: K={} EB={} crash={}\n",
         result.name,
-        result.median_k(),
+        median_k,
         result.n_launched(),
         eb_n,
         eb_pct,
@@ -190,9 +196,35 @@ pub fn render_fig6_panel(
 ) -> String {
     let a = BoxSummary::of(&without_sh.min_deltas());
     let b = BoxSummary::of(&with_sh.min_deltas());
+    let median = |s: &BoxSummary| {
+        if s.n == 0 {
+            "n/a".to_string()
+        } else {
+            format!("{:.0}", s.median)
+        }
+    };
     format!(
-        "{label}\n  R w/o SH: {a}\n  R       : {b}\n  medians {:.0} → {:.0}  [paper: {:.0} → {:.0}; accident line δ = 4 m]\n",
-        a.median, b.median, paper_medians.0, paper_medians.1
+        "{label}\n  R w/o SH: {a}\n  R       : {b}\n  medians {} → {}  [paper: {:.0} → {:.0}; accident line δ = 4 m]\n",
+        median(&a), median(&b), paper_medians.0, paper_medians.1
+    )
+}
+
+/// Renders one Fig. 6 panel's EB and crash rates, R vs R w/o SH, with
+/// their ratio — `n/a` when the w/o-SH rate is 0.
+pub fn render_fig6_rates(without_sh: &CampaignSummary, with_sh: &CampaignSummary) -> String {
+    let (eb_n, eb_w) = (with_sh.eb().1, without_sh.eb().1);
+    let (cr_n, cr_w) = (with_sh.crashes().1, without_sh.crashes().1);
+    let ratio = |n: f64, w: f64| {
+        if w > 0.0 {
+            format!("{:.1}", n / w)
+        } else {
+            "n/a".to_string()
+        }
+    };
+    format!(
+        "  EB: {eb_n:.1}% vs {eb_w:.1}% (×{}) | crashes: {cr_n:.1}% vs {cr_w:.1}% (×{})",
+        ratio(eb_n, eb_w),
+        ratio(cr_n, cr_w),
     )
 }
 
@@ -302,6 +334,59 @@ mod tests {
         let t = render_table2(&[row], &baseline);
         assert!(t.contains("DS-1-Move_Out-R"));
         assert!(t.contains("paper 75.2%"));
+    }
+
+    #[test]
+    fn empty_data_renders_n_a_not_nan() {
+        let reference = Table2Reference {
+            k: "24",
+            eb_pct: "78.5%",
+            crash_pct: "—",
+        };
+        let row = table2_row(&empty_summary("DS-4-Move_In-R"), &reference, false);
+        assert!(
+            row.starts_with("DS-4-Move_In-R         |   n/a |     0 |"),
+            "{row}"
+        );
+        let a = empty_summary("a");
+        let b = empty_summary("b");
+        let panel = render_fig6_panel("(a)", &a, &b, (19.0, 9.0));
+        assert!(panel.contains("R w/o SH: min n/a | q1 n/a"), "{panel}");
+        assert!(panel.contains("medians n/a → n/a"), "{panel}");
+        assert_eq!(
+            render_fig6_rates(&a, &b),
+            "  EB: 0.0% vs 0.0% (×n/a) | crashes: 0.0% vs 0.0% (×n/a)"
+        );
+        let f7 = render_fig7_panel("(b)", &[("Move_In", vec![], 3.0)]);
+        assert!(f7.contains("max n/a (n=0)"), "{f7}");
+        for text in [row, panel, f7] {
+            assert!(!text.contains("NaN"), "{text}");
+        }
+    }
+
+    #[test]
+    fn fig6_rates_divide_by_the_without_sh_rate() {
+        let mut with_sh = empty_summary("R");
+        let mut without_sh = empty_summary("R w/o SH");
+        let run = |eb, accident| crate::campaign::RunSummary {
+            launched: true,
+            k: 30,
+            predicted_delta: None,
+            eb,
+            accident,
+            min_delta_post_attack: None,
+            min_delta_attack_window: None,
+            k_prime_ads: None,
+            replica_divergence: None,
+            frames_lost: 0,
+            stale_frames: 0,
+        };
+        with_sh.runs = vec![run(true, true), run(true, false)];
+        without_sh.runs = vec![run(true, false), run(false, false)];
+        assert_eq!(
+            render_fig6_rates(&without_sh, &with_sh),
+            "  EB: 100.0% vs 50.0% (×2.0) | crashes: 50.0% vs 0.0% (×n/a)"
+        );
     }
 
     #[test]

@@ -72,11 +72,25 @@ impl BoxSummary {
 }
 
 impl std::fmt::Display for BoxSummary {
+    /// Renders each statistic to 0.1, or `n/a` for an empty sample (whose
+    /// statistics are undefined).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = |x: f64| {
+            if self.n == 0 {
+                "n/a".to_string()
+            } else {
+                format!("{x:.1}")
+            }
+        };
         write!(
             f,
-            "min {:.1} | q1 {:.1} | med {:.1} | q3 {:.1} | max {:.1} (n={})",
-            self.min, self.q1, self.median, self.q3, self.max, self.n
+            "min {} | q1 {} | med {} | q3 {} | max {} (n={})",
+            v(self.min),
+            v(self.q1),
+            v(self.median),
+            v(self.q3),
+            v(self.max),
+            self.n
         )
     }
 }
@@ -190,6 +204,18 @@ mod tests {
         assert_eq!((b.min, b.median, b.max), (1.0, 3.0, 5.0));
         assert!(b.q1 <= b.median && b.median <= b.q3);
         assert_eq!(b.n, 5);
+        assert_eq!(
+            b.to_string(),
+            "min 1.0 | q1 2.0 | med 3.0 | q3 4.0 | max 5.0 (n=5)"
+        );
+    }
+
+    #[test]
+    fn box_summary_of_nothing_renders_n_a() {
+        assert_eq!(
+            BoxSummary::of(&[]).to_string(),
+            "min n/a | q1 n/a | med n/a | q3 n/a | max n/a (n=0)"
+        );
     }
 
     #[test]

@@ -207,11 +207,15 @@ mod tests {
     use crate::campaign::run_campaign_dispatch;
     use av_faults::{FaultKind, FaultPlan, FaultSpec};
 
-    fn golden(runs: u64, base_seed: u64) -> Campaign {
+    /// An "R w/o SH" campaign: its attack timing and K are drawn per run
+    /// seed, so its runs differ from one seed to the next.
+    fn nosh(runs: u64, base_seed: u64) -> Campaign {
         Campaign::new(
-            "golden",
-            ScenarioId::Ds3,
-            AttackerSpec::None,
+            "nosh",
+            ScenarioId::Ds2,
+            AttackerSpec::RoboTackNoSh {
+                vector: Some(AttackVector::Disappear),
+            },
             runs,
             base_seed,
         )
@@ -219,27 +223,32 @@ mod tests {
 
     #[test]
     fn name_and_run_count_stay_out_of_the_key() {
-        let mut renamed = golden(9, 5);
+        let mut renamed = nosh(9, 5);
         renamed.name = "other".into();
-        assert_eq!(CampaignKey::of(&golden(3, 5)), CampaignKey::of(&renamed));
+        assert_eq!(CampaignKey::of(&nosh(3, 5)), CampaignKey::of(&renamed));
     }
 
     #[test]
     fn extension_simulates_only_the_missing_runs() {
         let memo = CampaignMemo::new();
         let short = memo
-            .run(&golden(2, 40), 2, DispatchMode::WorkStealing)
+            .run(&nosh(2, 40), 2, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(memo.simulated_runs(), 2);
         let long = memo
-            .run(&golden(3, 40), 1, DispatchMode::Batched { batch_size: 2 })
+            .run(&nosh(3, 40), 1, DispatchMode::Batched { batch_size: 2 })
             .unwrap();
         assert_eq!(memo.simulated_runs(), 3, "only run 2 was new");
         assert_eq!(long.runs[..2], short.runs[..]);
-        let direct = run_campaign_dispatch(&golden(3, 40), 1, DispatchMode::WorkStealing).unwrap();
+        let direct = run_campaign_dispatch(&nosh(3, 40), 1, DispatchMode::WorkStealing).unwrap();
         assert_eq!(long, direct.summary());
+        let runs = &direct.summary().runs;
+        assert!(
+            runs[0] != runs[1] && runs[1] != runs[2] && runs[0] != runs[2],
+            "seeds give distinct runs, so a misplaced extension shows: {runs:?}"
+        );
         let prefix = memo
-            .run(&golden(1, 40), 1, DispatchMode::WorkStealing)
+            .run(&nosh(1, 40), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(prefix.runs[..], long.runs[..1]);
         assert_eq!((memo.simulated_runs(), memo.campaigns()), (3, 1));
@@ -248,7 +257,7 @@ mod tests {
     #[test]
     fn metrics_campaigns_bypass_the_memo() {
         let memo = CampaignMemo::new();
-        memo.run(&golden(1, 0).with_metrics(), 1, DispatchMode::WorkStealing)
+        memo.run(&nosh(1, 0).with_metrics(), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!((memo.simulated_runs(), memo.campaigns()), (0, 0));
     }
@@ -256,10 +265,10 @@ mod tests {
     #[test]
     fn zero_threads_is_a_typed_error_even_on_a_hit() {
         let memo = CampaignMemo::new();
-        memo.run(&golden(1, 0), 1, DispatchMode::WorkStealing)
+        memo.run(&nosh(1, 0), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(
-            memo.run(&golden(1, 0), 0, DispatchMode::WorkStealing)
+            memo.run(&nosh(1, 0), 0, DispatchMode::WorkStealing)
                 .unwrap_err(),
             CampaignError::ZeroThreads
         );
@@ -268,8 +277,8 @@ mod tests {
     #[test]
     fn a_panicking_leader_leaves_its_followers_to_simulate() {
         let memo = Arc::new(CampaignMemo::new());
-        let campaign = golden(3, 7);
-        memo.run(&golden(1, 7), 1, DispatchMode::WorkStealing)
+        let campaign = nosh(3, 7);
+        memo.run(&nosh(1, 7), 1, DispatchMode::WorkStealing)
             .unwrap();
         let (started, leading) = std::sync::mpsc::channel();
         let leader = {
@@ -277,16 +286,19 @@ mod tests {
             let key = CampaignKey::of(&campaign);
             std::thread::spawn(move || {
                 memo.runs(key, 3, |start, count| {
-                    assert_eq!((start, count), (1, 2), "extends the stored prefix");
-                    started.send(()).expect("follower listening");
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    started.send((start, count)).expect("follower listening");
                     panic!("leader lost mid-simulation");
                 })
             })
         };
-        // The leader holds the slot: this follower waits on it, finds it
-        // poisoned with only run 0 stored, and simulates runs 1..3 itself.
-        leading.recv().expect("leader started");
+        // The leader took the slot before the follower asks: the follower
+        // waits for it (or finds it already released), finds it poisoned
+        // with only run 0 stored, and simulates runs 1..3 itself.
+        assert_eq!(
+            leading.recv().expect("leader started"),
+            (1, 2),
+            "the leader extends the stored prefix"
+        );
         let follower = memo.run(&campaign, 2, DispatchMode::WorkStealing).unwrap();
         assert!(leader.join().is_err(), "the leader panicked");
         let direct = run_campaign_dispatch(&campaign, 1, DispatchMode::WorkStealing).unwrap();
@@ -301,21 +313,18 @@ mod tests {
 
     #[test]
     fn fault_plan_seed_and_attacker_parameters_enter_the_key() {
-        let base = CampaignKey::of(&golden(1, 0));
-        assert_ne!(base, CampaignKey::of(&golden(1, 1)));
+        let base = CampaignKey::of(&nosh(1, 0));
+        assert_ne!(base, CampaignKey::of(&nosh(1, 1)));
         let drop = |p: f64| {
             FaultPlan::single(FaultSpec::always(FaultKind::CameraFrameDrop {
                 probability: p,
             }))
         };
-        let faulted = CampaignKey::of(&golden(1, 0).with_faults(drop(0.1)));
+        let faulted = CampaignKey::of(&nosh(1, 0).with_faults(drop(0.1)));
         assert_ne!(base, faulted);
-        assert_ne!(
-            faulted,
-            CampaignKey::of(&golden(1, 0).with_faults(drop(0.2)))
-        );
+        assert_ne!(faulted, CampaignKey::of(&nosh(1, 0).with_faults(drop(0.2))));
         let at_delta = |delta_inject: f64, k: u32| {
-            let mut c = golden(1, 0);
+            let mut c = nosh(1, 0);
             c.attacker = AttackerSpec::AtDelta {
                 vector: Some(AttackVector::MoveIn),
                 delta_inject,

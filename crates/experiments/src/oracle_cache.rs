@@ -371,13 +371,19 @@ impl OracleCache {
 
 /// Serializes a [`TrainedOracle`] (all integers/floats little-endian).
 fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + network_len(&oracle.oracle));
+    let net = oracle.oracle.inference();
+    let mut out = Vec::with_capacity(
+        64 + 8
+            * (2 * oracle.oracle.normalizer().mean.len()
+                + net.layer_sizes().len()
+                + net.param_count()),
+    );
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&oracle.val_mse.to_bits().to_le_bytes());
     out.extend_from_slice(&(oracle.examples as u64).to_le_bytes());
-    encode_network(&mut out, &oracle.oracle);
+    write_network(&oracle.oracle, |bytes| out.extend_from_slice(bytes));
     out
 }
 
@@ -386,42 +392,35 @@ fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
 /// metrics. Two separately loaded copies of one oracle share it; it is
 /// what identifies an oracle's behaviour.
 pub fn network_digest(oracle: &NnOracle) -> u64 {
-    let mut out = Vec::with_capacity(network_len(oracle));
-    encode_network(&mut out, oracle);
-    fnv1a(&out)
+    let mut h = Fnv1a::new();
+    write_network(oracle, |bytes| h.write(bytes));
+    h.finish()
 }
 
-/// The encoded size of [`encode_network`]'s bytes.
-fn network_len(oracle: &NnOracle) -> usize {
-    let net = oracle.inference();
-    8 * (4 + 2 * oracle.normalizer().mean.len() + net.layer_sizes().len() + net.param_count())
-}
-
-/// Appends the snapshot's network section: normalizer, dropout, layer
-/// sizes and parameters, by bit pattern.
-fn encode_network(out: &mut Vec<u8>, oracle: &NnOracle) {
+/// Emits the snapshot's network section — normalizer, dropout, layer
+/// sizes and parameters, by bit pattern — as little-endian words.
+fn write_network(oracle: &NnOracle, mut emit: impl FnMut(&[u8])) {
     // Parameters stream straight out of the oracle's inference form: no
     // row-major copy of the network is built just to be serialized.
     let net = oracle.inference();
     let norm = oracle.normalizer();
     let sizes = net.layer_sizes();
-    let n_params = net.param_count();
 
-    out.extend_from_slice(&(norm.mean.len() as u64).to_le_bytes());
+    emit(&(norm.mean.len() as u64).to_le_bytes());
     for &m in &norm.mean {
-        out.extend_from_slice(&m.to_bits().to_le_bytes());
+        emit(&m.to_bits().to_le_bytes());
     }
     for &s in &norm.std {
-        out.extend_from_slice(&s.to_bits().to_le_bytes());
+        emit(&s.to_bits().to_le_bytes());
     }
-    out.extend_from_slice(&oracle.dropout().to_bits().to_le_bytes());
-    out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
+    emit(&oracle.dropout().to_bits().to_le_bytes());
+    emit(&(sizes.len() as u64).to_le_bytes());
     for &s in sizes {
-        out.extend_from_slice(&(s as u64).to_le_bytes());
+        emit(&(s as u64).to_le_bytes());
     }
-    out.extend_from_slice(&(n_params as u64).to_le_bytes());
+    emit(&(net.param_count() as u64).to_le_bytes());
     for p in net.params() {
-        out.extend_from_slice(&p.to_bits().to_le_bytes());
+        emit(&p.to_bits().to_le_bytes());
     }
 }
 

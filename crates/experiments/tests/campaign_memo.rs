@@ -179,31 +179,39 @@ fn different_oracle_fault_plan_or_seed_does_not_share() {
     assert_eq!((memo.campaigns(), memo.simulated_runs()), (6, 12));
 }
 
-/// What the probe job saw of its execution's memo: distinct campaigns and
-/// simulated runs.
+/// What the probe jobs saw of their execution's memo, in order: distinct
+/// campaigns and simulated runs.
 type Seen = Arc<Mutex<Vec<(usize, u64)>>>;
 
-/// The quick paper DAG plus a probe job that runs after every report and
-/// records what its execution's memo holds.
-fn probed_paper_dag(store: &Arc<ArtifactStore>, seen: &Seen) -> Dag {
-    let paper = paper_dag(&quick_args(), store).expect("valid DAG");
-    let reports: Vec<String> = paper
-        .jobs()
-        .iter()
-        .filter(|j| j.is_stdout_job())
-        .map(|j| j.id().to_string())
-        .collect();
+/// A job recording what its execution's memo holds.
+fn probe(id: &str, seen: &Seen) -> Job {
     let seen = seen.clone();
-    let probe = Job::new("probe", move |scope| {
+    Job::new(id, move |scope| {
         let memo = scope.get::<CampaignMemo>();
         seen.lock()
             .unwrap()
             .push((memo.campaigns(), memo.simulated_runs()));
         JobOutcome::default()
     })
-    .deps(reports);
-    let mut jobs = paper.jobs().to_vec();
-    jobs.push(probe);
+}
+
+/// The quick paper DAG between two probes: `start` runs before every
+/// job, `end` after every report.
+fn probed_paper_dag(store: &Arc<ArtifactStore>, seen: &Seen) -> Dag {
+    let paper = paper_dag(&quick_args(), store).expect("valid DAG");
+    let mut jobs = vec![probe("start", seen)];
+    let mut reports = Vec::new();
+    for job in paper.jobs() {
+        if job.is_stdout_job() {
+            reports.push(job.id().to_string());
+        }
+        jobs.push(if job.dep_ids().is_empty() {
+            job.clone().dep("start")
+        } else {
+            job.clone()
+        });
+    }
+    jobs.push(probe("end", seen).deps(reports));
     Dag::new(jobs).expect("valid DAG")
 }
 
@@ -247,8 +255,9 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     let per_execution = (6 + 1 + 4 + 4 + 9, 6 * 2 + 24 + 4 * 2 + 4 * 2 + 9 * 2);
     assert_eq!(
         *seen.lock().unwrap(),
-        [per_execution, per_execution],
-        "each execution simulates every distinct campaign once, from scratch"
+        [(0, 0), per_execution, (0, 0), per_execution],
+        "each execution starts with an empty memo and simulates every \
+         distinct campaign once"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -31,47 +31,6 @@ fn bench_campaign_dispatch(c: &mut Criterion) {
             default_threads(),
             DispatchMode::WorkStealing,
         ),
-        (
-            "batched_4_1_thread",
-            1,
-            DispatchMode::Batched { batch_size: 4 },
-        ),
-        (
-            "batched_8_default_threads",
-            default_threads(),
-            DispatchMode::Batched { batch_size: 8 },
-        ),
-    ];
-    for (name, threads, mode) in cases {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &threads, |b, &t| {
-            b.iter(|| black_box(run_campaign_dispatch(black_box(&campaign), t, mode).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-/// The NN-oracle RoboTack campaign — the paper's primary workload, and the
-/// one the lockstep batch engine accelerates: pre-launch trigger monitoring
-/// runs a k-search against the safety-hijacker MLP on every camera frame,
-/// which the batch engine resolves as cross-session GEMM rounds.
-fn bench_campaign_dispatch_nn(c: &mut Criterion) {
-    let oracle = train_oracle_on(&synthetic_dataset(128)).expect("synthetic dataset trains");
-    let campaign = Campaign::new(
-        "bench-dispatch-nn",
-        ScenarioId::Ds1,
-        AttackerSpec::RoboTack {
-            vector: Some(AttackVector::Disappear),
-            oracle: OracleSpec::Nn(oracle.oracle),
-        },
-        32,
-        900,
-    );
-    let mut group = c.benchmark_group("campaign_dispatch_nn");
-    group.sample_size(10);
-    let cases = [
-        ("sequential_1_thread", 1, DispatchMode::WorkStealing),
-        ("batched_16", 1, DispatchMode::Batched { batch_size: 16 }),
-        ("batched_32", 1, DispatchMode::Batched { batch_size: 32 }),
     ];
     for (name, threads, mode) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &threads, |b, &t| {
@@ -254,7 +213,6 @@ fn bench_orchestrator(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_campaign_dispatch,
-    bench_campaign_dispatch_nn,
     bench_mlp_epoch,
     bench_training_pipeline,
     bench_oracle_cache,

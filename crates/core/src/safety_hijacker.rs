@@ -215,11 +215,10 @@ pub struct AttackDecision {
 /// [`SafetyHijacker::decide_capped`] runs, expressed as a state machine whose
 /// oracle evaluations are performed by the *caller*.
 ///
-/// This inversion lets a batch engine gather the pending query from many
-/// concurrent sessions, answer them all in one round, and feed the
-/// predictions back — while
-/// producing exactly the same sequence of (features, k) queries, and
-/// therefore exactly the same decision, as the inline search.
+/// This inversion lets a caller wrap each query — RoboTack times every one
+/// as a `Stage::OracleQuery` sample — while producing exactly the same
+/// sequence of k queries, and therefore exactly the same decision, as the
+/// inline search.
 #[derive(Debug, Clone)]
 pub struct KSearch {
     cfg: SafetyHijackerConfig,
@@ -318,46 +317,6 @@ impl KSearch {
     }
 }
 
-/// A safety-hijacker launch decision whose oracle evaluations have been
-/// handed to the caller: the features to evaluate plus the in-flight
-/// [`KSearch`].
-///
-/// Returned by `Attacker::begin_frame` when the attacker needs oracle
-/// predictions it does not want to compute inline (so a batch engine can
-/// coalesce them across sessions); resolved by feeding predictions until
-/// [`DeferredDecision::pending`] returns `None`, then passing
-/// [`DeferredDecision::into_decision`] to `Attacker::finish_frame`.
-#[derive(Debug, Clone)]
-pub struct DeferredDecision {
-    features: AttackFeatures,
-    search: KSearch,
-}
-
-impl DeferredDecision {
-    /// Starts a deferred decision for `features` under `config` / `k_max`.
-    pub fn new(features: AttackFeatures, config: SafetyHijackerConfig, k_max: u32) -> Self {
-        DeferredDecision {
-            features,
-            search: KSearch::new(config, k_max),
-        }
-    }
-
-    /// The next oracle query as (features, k), or `None` once resolved.
-    pub fn pending(&self) -> Option<(AttackFeatures, u32)> {
-        self.search.pending_k().map(|k| (self.features, k))
-    }
-
-    /// Feeds the oracle's prediction for the pending query.
-    pub fn feed(&mut self, predicted_delta: f64) {
-        self.search.feed(predicted_delta);
-    }
-
-    /// The resolved decision. Panics if queries are still pending.
-    pub fn into_decision(self) -> Option<AttackDecision> {
-        self.search.into_decision()
-    }
-}
-
 /// Safety hijacker: oracle + Eq. 2 search + launch policy.
 #[derive(Debug, Clone)]
 pub struct SafetyHijacker<O> {
@@ -395,8 +354,8 @@ impl<O: SafetyOracle> SafetyHijacker<O> {
         // Gate at k_max, binary search for the minimal k with predicted
         // δ ≤ γ (valid since f_α is non-increasing in k here), then one
         // final evaluation at the chosen k. The query sequence lives in
-        // [`KSearch`] so the batch engine's deferred path is this exact
-        // search by construction.
+        // [`KSearch`], so RoboTack's timed search is this exact search by
+        // construction.
         let mut search = KSearch::new(self.config, k_max);
         while let Some(k) = search.pending_k() {
             search.feed(self.oracle.predict_delta(features, k));
@@ -530,20 +489,6 @@ mod tests {
                 );
                 assert_eq!(search.into_decision(), inline);
             }
-        }
-    }
-
-    #[test]
-    fn deferred_decision_matches_inline() {
-        let cfg = SafetyHijackerConfig::default();
-        let sh = SafetyHijacker::new(LinearOracle, cfg);
-        for delta in [8.0, 20.0, 47.0, 49.0] {
-            let f = features(delta);
-            let mut d = DeferredDecision::new(f, cfg, cfg.k_max);
-            while let Some((qf, k)) = d.pending() {
-                d.feed(LinearOracle.predict_delta(&qf, k));
-            }
-            assert_eq!(d.into_decision(), sh.decide(&f));
         }
     }
 

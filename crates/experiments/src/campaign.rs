@@ -17,6 +17,9 @@ pub enum CampaignError {
     /// this to sequential execution; the caller now has to pick a real
     /// worker count (1 = sequential).
     ZeroThreads,
+    /// A block size of 0 runs was requested. Historical behavior silently
+    /// clamped it to 1; the caller now has to pick a real block size.
+    ZeroBatch,
 }
 
 impl fmt::Display for CampaignError {
@@ -24,6 +27,9 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::ZeroThreads => {
                 write!(f, "campaign requires at least one worker thread (got 0)")
+            }
+            CampaignError::ZeroBatch => {
+                write!(f, "campaign requires at least one run per block (got 0)")
             }
         }
     }
@@ -284,21 +290,19 @@ impl CampaignSummary {
     }
 }
 
-/// How run indices are handed to campaign workers.
+/// How run indices are handed to campaign workers. Either way a worker
+/// claims the next block of run indices off a shared counter and runs each
+/// through [`SimSession::run_with`]; outcomes are bit-identical for every
+/// mode, block size and thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Atomic-counter work stealing: every worker claims the next unclaimed
-    /// run index, so a straggling run delays only its own worker while the
-    /// rest drain the queue. The default.
+    /// Workers claim one run index at a time, so a straggling run delays
+    /// only its own worker while the rest drain the queue. The default.
     #[default]
     WorkStealing,
-    /// Lockstep batched execution (`crate::batch`): workers claim contiguous
-    /// blocks of `batch_size` runs and advance each block's sessions in
-    /// lockstep off one shared scheduler, a structure-of-arrays world, and
-    /// batched oracle inference. Outcomes are bit-identical to the other
-    /// modes at any batch size (the differential-equivalence suite pins it).
+    /// Workers claim contiguous blocks of `batch_size` run indices.
     Batched {
-        /// Sessions advanced per lockstep block (clamped to at least 1).
+        /// Run indices claimed per block (0 is [`CampaignError::ZeroBatch`]).
         batch_size: usize,
     },
 }
@@ -337,7 +341,8 @@ pub fn run_campaign_with_threads(
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::ZeroThreads`] for `threads == 0`.
+/// Returns [`CampaignError::ZeroThreads`] for `threads == 0` and
+/// [`CampaignError::ZeroBatch`] for `Batched { batch_size: 0 }`.
 pub fn run_campaign_dispatch(
     campaign: &Campaign,
     threads: usize,
@@ -353,12 +358,13 @@ pub fn run_campaign_dispatch(
 }
 
 /// [`run_campaign_dispatch`] folded to [`RunSummary`]s inside the workers,
-/// so no more than one block of full outcomes per worker is ever held.
+/// so no full outcome outlives its own reduction.
 /// The runs are bit-identical to `run_campaign_dispatch(..).summary()`.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::ZeroThreads`] for `threads == 0`.
+/// Returns [`CampaignError::ZeroThreads`] for `threads == 0` and
+/// [`CampaignError::ZeroBatch`] for `Batched { batch_size: 0 }`.
 pub fn run_campaign_summary(
     campaign: &Campaign,
     threads: usize,
@@ -381,15 +387,12 @@ fn dispatch<T: Send>(
     mode: DispatchMode,
     reduce: impl Fn(RunOutcome) -> T + Sync,
 ) -> Result<(Vec<T>, Option<MetricsSnapshot>), CampaignError> {
-    if threads == 0 {
-        return Err(CampaignError::ZeroThreads);
-    }
     let runs = usize::try_from(campaign.runs).expect("run count fits usize");
     // One registry per worker: workers record lock-free into their own and
     // the merge at the end is associative + commutative, so the merged
     // deterministic counters are identical for any thread count.
     let registries: Vec<Arc<MetricsRegistry>> = if campaign.collect_metrics {
-        (0..threads.max(1))
+        (0..threads)
             .map(|_| Arc::new(MetricsRegistry::new()))
             .collect()
     } else {
@@ -400,87 +403,18 @@ fn dispatch<T: Send>(
             .get(worker)
             .map_or_else(Telemetry::disabled, |r| Telemetry::with_registry(r.clone()))
     };
-
-    // Batched dispatch replaces the per-run execution engine itself, so it
-    // engages even on the single-worker path (unlike work stealing, which
-    // degenerates to a plain sequential loop there).
-    if let DispatchMode::Batched { batch_size } = mode {
-        let outcomes = run_sweep(
-            runs,
-            threads,
-            batch_size,
-            &worker_telemetry,
-            |i, tele| campaign.session(i as u64, tele),
-            reduce,
-        )?;
-        return Ok((outcomes, merged_metrics(&registries)));
-    }
-
-    // Each worker keeps one long-lived SessionWorker (ADS + frame + scheduler
-    // buffers) and resets it between runs instead of rebuilding — the warmed
-    // scratch allocations survive every run the worker claims.
-    let mut outcomes: Vec<Option<T>> = Vec::new();
-    outcomes.resize_with(runs, || None);
-    // Spawning more workers than runs would only create idle threads; cap
-    // the worker count at the queue length.
-    let workers = threads.min(runs);
-    if workers <= 1 {
-        let tele = worker_telemetry(0);
-        let mut session_worker = SessionWorker::new();
-        for (i, slot) in outcomes.iter_mut().enumerate() {
-            tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                index: i as u64,
-            });
-            *slot = Some(reduce(run_one(
-                campaign,
-                i as u64,
-                &tele,
-                &mut session_worker,
-            )));
-        }
-    } else {
-        let next = AtomicU64::new(0);
-        let reduce = &reduce;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let tele = worker_telemetry(worker);
-                    let next = &next;
-                    scope.spawn(move |_| {
-                        let mut session_worker = SessionWorker::new();
-                        let mut claimed: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Ok(i) = usize::try_from(i) else { break };
-                            if i >= runs {
-                                break;
-                            }
-                            tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                                index: i as u64,
-                            });
-                            let outcome = run_one(campaign, i as u64, &tele, &mut session_worker);
-                            claimed.push((i, reduce(outcome)));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            // Scatter each worker's claims back into seed order; the
-            // claim set is a partition of 0..runs, so every slot
-            // fills exactly once.
-            for handle in handles {
-                for (i, outcome) in handle.join().expect("campaign worker panicked") {
-                    outcomes[i] = Some(outcome);
-                }
-            }
-        })
-        .expect("campaign scope panicked");
-    }
-
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("all runs filled"))
-        .collect();
+    let block = match mode {
+        DispatchMode::WorkStealing => 1,
+        DispatchMode::Batched { batch_size } => batch_size,
+    };
+    let outcomes = run_sweep(
+        runs,
+        threads,
+        block,
+        &worker_telemetry,
+        |i, tele| campaign.session(i as u64, tele),
+        reduce,
+    )?;
     Ok((outcomes, merged_metrics(&registries)))
 }
 
@@ -495,24 +429,26 @@ fn merged_metrics(registries: &[Arc<MetricsRegistry>]) -> Option<MetricsSnapshot
     })
 }
 
-/// Executes `sessions` runs as one sweep through the lockstep batch engine
-/// and returns `reduce(outcome)` for each, in index order.
+/// Executes `sessions` runs as one sweep and returns `reduce(outcome)` for
+/// each, in index order.
 ///
 /// Session `i` is `make(i, telemetry)`. The index range is cut into
-/// contiguous blocks of `batch_size` (clamped to at least 1) and up to
-/// `threads` workers claim blocks off a shared atomic counter
-/// (block-granular work stealing); each block runs as one lockstep batch.
+/// contiguous blocks of `batch_size` and up to `threads` workers (never
+/// more than there are blocks) claim blocks off a shared atomic counter.
+/// Each worker runs every session of its block through
+/// [`SimSession::run_with`] on its one long-lived [`SessionWorker`].
 /// Sessions in a block need not share a scenario, spec, attacker, or
 /// duration, so callers can pack many small campaigns into one sweep.
-/// `reduce` runs inside the worker as each block finishes, so a caller that
-/// needs only a summary never holds more than one block of full outcomes
-/// per worker. Worker `w` runs under `worker_telemetry(w)`, which also
-/// receives a [`TraceEvent::CampaignRunDispatched`] per session. Results
-/// are bit-identical for every ⟨threads, batch size⟩.
+/// `reduce` runs inside the worker as each run finishes, so a caller that
+/// needs only a summary never holds a full outcome past its reduction.
+/// Worker `w` runs under `worker_telemetry(w)`, which also receives a
+/// [`TraceEvent::CampaignRunDispatched`] per session. Results are
+/// bit-identical for every ⟨threads, batch size⟩.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::ZeroThreads`] for `threads == 0`.
+/// Returns [`CampaignError::ZeroThreads`] for `threads == 0` and
+/// [`CampaignError::ZeroBatch`] for `batch_size == 0`.
 pub fn run_sweep<T: Send>(
     sessions: usize,
     threads: usize,
@@ -524,14 +460,17 @@ pub fn run_sweep<T: Send>(
     if threads == 0 {
         return Err(CampaignError::ZeroThreads);
     }
-    let batch_size = batch_size.max(1);
+    if batch_size == 0 {
+        return Err(CampaignError::ZeroBatch);
+    }
     let blocks = sessions.div_ceil(batch_size);
     let workers = threads.min(blocks).max(1);
     let next = AtomicU64::new(0);
-    // One worker's life: a long-lived lane pool (warm ADS + frame buffers
-    // per lane), claiming blocks until the counter runs past the end.
+    // One worker's life: a long-lived SessionWorker (warm ADS + frame
+    // buffers, reset between runs), claiming blocks until the counter runs
+    // past the end.
     let work = |tele: Telemetry| {
-        let mut pool = crate::batch::LanePool::new();
+        let mut session_worker = SessionWorker::new();
         let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
         loop {
             let block = next.fetch_add(1, Ordering::Relaxed);
@@ -543,16 +482,15 @@ pub fn run_sweep<T: Send>(
             }
             let start = block * batch_size;
             let end = (start + batch_size).min(sessions);
-            let batch: Vec<SimSession> = (start..end)
+            let reduced = (start..end)
                 .map(|i| {
                     tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
                         index: i as u64,
                     });
-                    make(i, &tele)
+                    reduce(make(i, &tele).run_with(&mut session_worker))
                 })
                 .collect();
-            let reduced = pool.run_batch(&batch, &tele).into_iter().map(&reduce);
-            claimed.push((start, reduced.collect()));
+            claimed.push((start, reduced));
         }
         claimed
     };
@@ -578,15 +516,6 @@ pub fn run_sweep<T: Send>(
     // restores index order.
     claimed.sort_unstable_by_key(|&(start, _)| start);
     Ok(claimed.into_iter().flat_map(|(_, block)| block).collect())
-}
-
-fn run_one(
-    campaign: &Campaign,
-    index: u64,
-    telemetry: &Telemetry,
-    worker: &mut SessionWorker,
-) -> RunOutcome {
-    campaign.session(index, telemetry).run_with(worker)
 }
 
 #[cfg(test)]
@@ -624,7 +553,7 @@ mod tests {
     fn batched_dispatch_matches_sequential() {
         let campaign = Campaign::new("test-batched", ScenarioId::Ds3, AttackerSpec::None, 5, 100);
         let seq = run_campaign_with_threads(&campaign, 1).unwrap();
-        // Batch sizes below, at, and above the run count; single- and
+        // Block sizes below, at, and above the run count; single- and
         // multi-worker block claiming.
         for batch_size in [1, 2, 5, 8] {
             for threads in [1, 3] {
@@ -677,6 +606,19 @@ mod tests {
         assert_eq!(
             run_campaign_with_threads(&campaign, 0).unwrap_err(),
             CampaignError::ZeroThreads
+        );
+    }
+
+    #[test]
+    fn zero_batch_is_a_typed_error() {
+        let never = |_: usize, _: &Telemetry| -> SimSession { unreachable!("no run starts") };
+        let err = run_sweep(4, 1, 0, &|_| Telemetry::disabled(), never, |o| o).unwrap_err();
+        assert_eq!(err, CampaignError::ZeroBatch);
+        let campaign = Campaign::new("bad", ScenarioId::Ds1, AttackerSpec::None, 1, 0);
+        let zero = DispatchMode::Batched { batch_size: 0 };
+        assert_eq!(
+            run_campaign_dispatch(&campaign, 1, zero).unwrap_err(),
+            CampaignError::ZeroBatch
         );
     }
 

@@ -31,7 +31,7 @@
 //! - [`search`]: coverage-guided boundary search over generated scenarios
 //!   (`av-scenarios` specs): a seeded MAP-elites loop that mutates spec
 //!   parameters toward the attack-success / safety-violation boundary,
-//!   evaluating candidates as batched campaigns with store-cached
+//!   evaluating each round's candidates as one packed sweep with store-cached
 //!   evaluation summaries. Surfaced as the suite's `search:*` jobs and the
 //!   `search` binary.
 //! - [`stats`]: distribution fitting (exponential / normal, as in Fig. 5),
@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod campaign;
 pub mod characterize;
 pub mod jobs;
@@ -62,7 +61,6 @@ pub mod stats;
 pub mod suite;
 pub mod train_sh;
 
-pub use batch::LanePool;
 pub use campaign::{Campaign, CampaignError, CampaignResult, CampaignSummary, RunSummary};
 pub use memo::CampaignMemo;
 pub use oracle_cache::{cache_key, OracleCache};

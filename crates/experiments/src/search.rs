@@ -25,18 +25,17 @@
 //!   with bounded deterministic retries. The whole schedule is a pure
 //!   function of the seed: reruns and different worker counts produce the
 //!   identical frontier.
-//! - **Batched evaluation.** Each round (the baselines, then each
+//! - **Packed evaluation.** Each round (the baselines, then each
 //!   generation) is proposed in full, then every candidate missing from
 //!   the store is evaluated in one packed [`run_sweep`]: all their seeded
-//!   runs, cut into `batch`-lane lockstep blocks that `threads` workers
-//!   steal, so blocks span candidates. Workers fold each run down to
+//!   runs, cut into blocks of `batch` run indices that `threads` workers
+//!   claim, so blocks span candidates. Workers fold each run down to
 //!   ⟨launched, EB, crash, K⟩ on the spot (full outcomes with their time
 //!   series never accumulate), and summaries are stored and admitted in
 //!   proposal order. Each root's oracle is resolved once per search, so
-//!   lanes of one root share one copy of its weights. The lockstep engine's
-//!   bit-identity contract is what
-//!   makes cached and fresh evaluations, and any ⟨batch, threads⟩,
-//!   interchangeable.
+//!   runs of one root share one copy of its weights. Every run is a pure
+//!   function of its session, which is what makes cached and fresh
+//!   evaluations, and any ⟨batch, threads⟩, interchangeable.
 //! - **Evaluation cache.** Each ⟨spec, vector, run shape, oracle⟩
 //!   evaluation summary is content-addressed in the shared
 //!   [`ArtifactStore`](av_suite::ArtifactStore) under [`NS_SEARCH_EVAL`], keyed by the spec's
@@ -95,10 +94,11 @@ pub struct SearchConfig {
     pub runs: u64,
     /// Base seed: campaign seeds and the mutation schedule derive from it.
     pub base_seed: u64,
-    /// Lanes per lockstep block of each round's evaluation sweep (the
-    /// [`DispatchMode::Batched`] batch size).
+    /// Run indices per claimed block of each round's evaluation sweep
+    /// (the [`DispatchMode::Batched`] batch size; at least 1).
     pub batch: usize,
-    /// Sweep worker threads (outcomes are thread-count invariant).
+    /// Sweep worker threads (at least 1; outcomes are thread-count
+    /// invariant).
     pub threads: usize,
     /// Elite parents drawn from the archive per generation.
     pub elites: usize,
@@ -109,11 +109,11 @@ pub struct SearchConfig {
 impl SearchConfig {
     /// The standard search the suite's `search:*` jobs run for `vector`
     /// under the shared experiment options: a CI-sized smoke under
-    /// `--quick`, a deeper sweep otherwise. Minibatch size follows
+    /// `--quick`, a deeper sweep otherwise. The block size follows
     /// `--batch` when given.
     pub fn for_args(vector: AttackVector, args: &Args) -> SearchConfig {
         let batch = match args.dispatch {
-            DispatchMode::Batched { batch_size } => batch_size.max(1),
+            DispatchMode::Batched { batch_size } => batch_size,
             _ => 8,
         };
         let (generations, population, runs) = if args.quick {
@@ -517,7 +517,7 @@ struct Evaluator<'a> {
     cfg: &'a SearchConfig,
     cache: &'a OracleCache,
     /// Each root's oracle policy and its cache-key digest, resolved once
-    /// per search: every lane of a root shares one oracle `Arc`.
+    /// per search: every run of a root shares one oracle `Arc`.
     oracles: Vec<(ScenarioId, OracleSpec, u64)>,
     hits: u64,
     misses: u64,
@@ -535,7 +535,7 @@ impl Evaluator<'_> {
 
     /// Evaluates one round and returns its evaluations in proposal order:
     /// cached summaries where the store already holds them, the rest from
-    /// one lockstep sweep over every missed candidate's runs (then stored
+    /// one sweep over every missed candidate's runs (then stored
     /// in proposal order).
     fn evaluate(&mut self, round: &[Proposal]) -> Vec<Eval> {
         let cfg = self.cfg;
@@ -584,13 +584,13 @@ impl Evaluator<'_> {
         let runs = usize::try_from(cfg.runs).expect("run count fits usize");
         let summaries = run_sweep(
             campaigns.len() * runs,
-            cfg.threads.max(1),
+            cfg.threads,
             cfg.batch,
             &|_| Telemetry::disabled(),
             |i, tele| campaigns[i / runs].session((i % runs) as u64, tele),
             |outcome| RunSummary::of(&outcome),
         )
-        .expect("search evaluation threads >= 1");
+        .expect("search evaluation needs threads >= 1 and batch >= 1");
 
         for (n, &i) in missed.iter().enumerate() {
             let p = &round[i];

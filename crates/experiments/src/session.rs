@@ -45,7 +45,6 @@ use av_simkit::World;
 use av_telemetry::{SensorChannel, Stage, StageTimer, Telemetry, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use robotack::malware::Attacker;
-use robotack::safety_hijacker::{AttackDecision, AttackFeatures, DeferredDecision};
 use robotack::vector::AttackVector;
 
 /// Builder for a [`SimSession`].
@@ -174,20 +173,17 @@ impl SessionWorker {
     }
 }
 
-/// The four periodic session tasks, registered in the fixed order every
-/// engine must use (the batch engine shares one scheduler across lanes, so
-/// [`Task`] handles are only portable because registration order is fixed —
-/// see `Scheduler::advance_into`'s buffer-reuse contract).
-pub(crate) struct SessionTasks {
-    pub(crate) gps: Task,
-    pub(crate) camera: Task,
-    pub(crate) lidar: Task,
-    pub(crate) planner: Task,
+/// The four periodic session tasks on the run's scheduler.
+struct SessionTasks {
+    gps: Task,
+    camera: Task,
+    lidar: Task,
+    planner: Task,
 }
 
 impl SessionTasks {
     /// Registers the paper's sensor/software rates (§V-B) on `scheduler`.
-    pub(crate) fn register(scheduler: &mut Scheduler) -> SessionTasks {
+    fn register(scheduler: &mut Scheduler) -> SessionTasks {
         SessionTasks {
             gps: scheduler.add_task_hz("gps", GPS_HZ),
             camera: scheduler.add_task_hz("camera", CAMERA_HZ),
@@ -198,22 +194,11 @@ impl SessionTasks {
 }
 
 /// All per-run state of one executing session, with the simulation loop
-/// decomposed into per-task methods.
-///
-/// [`SimSession::run_with`] drives a `RunState` tick by tick; the batch
-/// engine (`crate::batch`) drives N of them in lockstep off one shared
-/// scheduler. Both call the *same* methods in the same order, which is what
-/// makes the bit-identical-digest contract between the two engines hold by
-/// construction rather than by parallel maintenance of two loops.
-///
-/// The camera task is split-phase to let the batch engine aggregate oracle
-/// inference across lanes: [`RunState::camera_task`] runs capture, the
-/// fault tap, and the attacker's `begin_frame`; when that returns a
-/// [`DeferredDecision`] the engine answers its oracle queries (inline and
-/// one at a time in the sequential engine, a round per oracle across lanes
-/// in the batch engine) and then calls [`RunState::camera_resume`].
-pub(crate) struct RunState {
+/// decomposed into per-task methods that [`RunState::tick`] dispatches.
+struct RunState {
     config: RunConfig,
+    scheduler: Scheduler,
+    tasks: SessionTasks,
     scenario: Scenario,
     tele: Telemetry,
     rng: StdRng,
@@ -253,10 +238,14 @@ impl RunState {
     ///
     /// Everything that draws from the run RNG stream happens here in the
     /// exact order the historical loop used, so seeds replay identically.
-    pub(crate) fn new(session: &SimSession, worker: &mut SessionWorker) -> RunState {
+    fn new(session: &SimSession, worker: &mut SessionWorker) -> RunState {
         let run_timer = session.telemetry.time(Stage::Run);
         let config = session.config.clone();
         let tele = session.telemetry.clone();
+        // Registration emits nothing, so RunStarted stays the first event.
+        let mut scheduler = Scheduler::new();
+        scheduler.set_telemetry(tele.clone());
+        let tasks = SessionTasks::register(&mut scheduler);
 
         let scenario = config.build_scenario();
         let mut rng = run_rng(config.seed, 0xA77ACC);
@@ -295,6 +284,8 @@ impl RunState {
         RunState {
             frame: std::mem::take(&mut worker.frame),
             config,
+            scheduler,
+            tasks,
             scenario,
             tele,
             rng,
@@ -322,41 +313,37 @@ impl RunState {
         }
     }
 
-    /// The world this run simulates, cloned from the scenario.
-    pub(crate) fn spawn_world(&self) -> World {
-        self.scenario.world.clone()
-    }
-
     /// Number of 30 Hz physics ticks in the scenario.
-    pub(crate) fn total_steps(&self) -> u64 {
+    fn total_steps(&self) -> u64 {
         (self.scenario.duration / SIM_DT).ceil() as u64
     }
 
-    /// This run's telemetry handle.
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.tele
-    }
-
-    /// Mirrors the scheduler telemetry a sequential run gets from its
-    /// private scheduler's `advance_into`: one [`Stage::SchedulerAdvance`]
-    /// timing sample plus one [`TraceEvent::SchedulerTask`] per dispatched
-    /// task. The batch engine advances ONE telemetry-disabled scheduler for
-    /// all lanes and echoes the dispatch into each lane's stream so
-    /// per-session event counts stay identical to the sequential engine.
-    pub(crate) fn echo_scheduler(&self, scheduler: &Scheduler, fired: &[Task], now_us: u64) {
-        let _timer = self.tele.time(Stage::SchedulerAdvance);
-        if self.tele.is_enabled() {
-            let t = now_us as f64 / 1e6;
-            for &task in fired {
-                let name = scheduler.name(task);
-                self.tele
-                    .emit(t, || TraceEvent::SchedulerTask { task: name });
+    /// One 30 Hz tick: dispatch the due tasks, run the control tick, step
+    /// the world, and check for contact. Returns whether the run collided
+    /// and must stop.
+    fn tick(&mut self, world: &mut World, fired: &mut Vec<Task>) -> bool {
+        self.scheduler.advance_into(world.time_us(), fired);
+        for &task in fired.iter() {
+            if task == self.tasks.gps {
+                self.gps_task(world);
+            } else if task == self.tasks.camera {
+                self.camera_task(world);
+            } else if task == self.tasks.lidar {
+                self.lidar_task(world);
+            } else if task == self.tasks.planner {
+                self.planner_task(world);
             }
         }
+        let accel = self.ads.control_tick(SIM_DT);
+        {
+            let _t = self.tele.time(Stage::WorldStep);
+            world.step(SIM_DT, accel);
+        }
+        self.after_step(world)
     }
 
     /// The GPS/IMU task: sample, fault tap, deliver to the ADS.
-    pub(crate) fn gps_task(&mut self, world: &World) {
+    fn gps_task(&mut self, world: &World) {
         let mut fix = {
             let _t = self.tele.time(Stage::GpsSample);
             self.gps.fix(world, &mut self.rng)
@@ -371,14 +358,10 @@ impl RunState {
         self.ads.on_gps(fix);
     }
 
-    /// The camera task up to (and including) the attacker's `begin_frame`.
-    ///
-    /// Returns `Some` when the attacker needs oracle queries answered before
-    /// it can decide; the caller resolves them and calls
-    /// [`RunState::camera_resume`] with the decision. Returns `None` when
-    /// the frame is fully handled — either dropped by a fault, or processed
-    /// to completion (the non-deferring path resumes internally).
-    pub(crate) fn camera_task(&mut self, world: &World) -> Option<DeferredDecision> {
+    /// The camera task: capture, fault tap, the attacker's MITM hook, then
+    /// the ADS and IDS consume the (possibly perturbed) frame, and the
+    /// attack bookkeeping runs at camera rate.
+    fn camera_task(&mut self, world: &World) {
         {
             let _t = self.tele.time(Stage::CameraCapture);
             capture_into(&self.camera, world, self.seq, false, &mut self.frame);
@@ -395,31 +378,10 @@ impl RunState {
             self.tap.inner(),
         );
         if verdict == CameraTapVerdict::Drop {
-            return None;
+            return;
         }
-        if let Some(deferred) =
-            self.attacker
-                .begin_frame(&mut self.frame, world.ego().speed, &mut self.rng)
-        {
-            return Some(deferred);
-        }
-        self.camera_resume(world, None);
-        None
-    }
-
-    /// Answers one oracle query on behalf of a [`DeferredDecision`] — the
-    /// sequential engine's scalar resolution path, timed as one
-    /// [`Stage::OracleQuery`] sample.
-    pub(crate) fn oracle_eval(&self, features: &AttackFeatures, k: u32) -> f64 {
-        let _t = self.tele.time(Stage::OracleQuery);
-        self.attacker.oracle_eval(features, k)
-    }
-
-    /// The rest of the camera task: the attacker commits (or declines) its
-    /// launch, the ADS and IDS consume the (possibly perturbed) frame, and
-    /// the attack bookkeeping runs at camera rate.
-    pub(crate) fn camera_resume(&mut self, world: &World, decision: Option<AttackDecision>) {
-        self.attacker.finish_frame(decision, &mut self.frame);
+        self.attacker
+            .process_frame(&mut self.frame, world.ego().speed, &mut self.rng);
         self.ads.on_camera_frame(&self.frame, &mut self.rng);
         self.ids
             .on_camera(world.time(), self.ads.perception().last_detections());
@@ -455,7 +417,7 @@ impl RunState {
     }
 
     /// The LiDAR task: scan, fault tap, deliver to the ADS and IDS.
-    pub(crate) fn lidar_task(&mut self, world: &World) {
+    fn lidar_task(&mut self, world: &World) {
         let mut scan = {
             let _t = self.tele.time(Stage::LidarScan);
             self.lidar.scan(world, &mut self.rng)
@@ -476,7 +438,7 @@ impl RunState {
 
     /// The planner task: plan tick, replica-divergence probe, and the
     /// ground-truth safety sample.
-    pub(crate) fn planner_task(&mut self, world: &World) {
+    fn planner_task(&mut self, world: &World) {
         let entered_eb = self.ads.plan_tick_at(world.time());
         // Mirrored-replica divergence: both models estimate the scripted
         // target ego-relative; track the worst disagreement.
@@ -536,21 +498,10 @@ impl RunState {
         });
     }
 
-    /// The 30 Hz control tick: the ADS's longitudinal acceleration command.
-    pub(crate) fn control_tick(&mut self) -> f64 {
-        self.ads.control_tick(SIM_DT)
-    }
-
-    /// Advances the sequential engine's world under the `WorldStep` timer.
-    fn step_world(&self, world: &mut World, accel: f64) {
-        let _t = self.tele.time(Stage::WorldStep);
-        world.step(SIM_DT, accel);
-    }
-
     /// Post-step contact check (the LGSVL behavior): bumper-to-bumper
     /// contact with an in-path obstacle halts the run. Returns whether the
     /// run just collided and must stop.
-    pub(crate) fn after_step(&mut self, world: &World) -> bool {
+    fn after_step(&mut self, world: &World) -> bool {
         if let Some(o) = world.in_path_obstacle(0.0) {
             if o.gap <= 0.05 && o.closing_speed > -0.1 {
                 self.record.push_event(world.time(), Event::Collision);
@@ -564,7 +515,7 @@ impl RunState {
     /// Closes the run: final labels, outcome assembly, the
     /// [`TraceEvent::RunFinished`] emit/flush, and handing the warmed ADS
     /// and frame buffer back to `worker` for the next run.
-    pub(crate) fn finish(mut self, world: &World, worker: &mut SessionWorker) -> RunOutcome {
+    fn finish(mut self, world: &World, worker: &mut SessionWorker) -> RunOutcome {
         // If the attack window never closed (run ended first), take the
         // label at the end of the run.
         let stats = *self.attacker.stats();
@@ -664,47 +615,14 @@ impl SimSession {
     /// Bit-identical to [`SimSession::run`] for any worker state — a reused
     /// ADS is `reset()` (or rebuilt on configuration change) before the run.
     pub fn run_with(&self, worker: &mut SessionWorker) -> RunOutcome {
-        // The scheduler lives outside RunState so the batch engine can share
-        // one across lanes; registration emits nothing, so creating it first
-        // keeps RunStarted the first event in the stream.
-        let mut scheduler = Scheduler::new();
-        scheduler.set_telemetry(self.telemetry.clone());
-        let tasks = SessionTasks::register(&mut scheduler);
-
         let mut state = RunState::new(self, worker);
-        let mut world = state.spawn_world();
+        let mut world = state.scenario.world.clone();
         let mut fired = std::mem::take(&mut worker.fired);
-
         for _ in 0..state.total_steps() {
-            scheduler.advance_into(world.time_us(), &mut fired);
-            for &task in fired.iter() {
-                if task == tasks.gps {
-                    state.gps_task(&world);
-                } else if task == tasks.camera {
-                    if let Some(mut deferred) = state.camera_task(&world) {
-                        // Scalar inline resolution — the batch engine
-                        // answers the same queries a round at a time across
-                        // lanes instead.
-                        while let Some((features, k)) = deferred.pending() {
-                            let delta = state.oracle_eval(&features, k);
-                            deferred.feed(delta);
-                        }
-                        state.camera_resume(&world, deferred.into_decision());
-                    }
-                } else if task == tasks.lidar {
-                    state.lidar_task(&world);
-                } else if task == tasks.planner {
-                    state.planner_task(&world);
-                }
-            }
-
-            let accel = state.control_tick();
-            state.step_world(&mut world, accel);
-            if state.after_step(&world) {
+            if state.tick(&mut world, &mut fired) {
                 break;
             }
         }
-
         worker.fired = fired;
         state.finish(&world, worker)
     }

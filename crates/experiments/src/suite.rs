@@ -38,8 +38,9 @@ pub struct Args {
     pub cache_dir: Option<PathBuf>,
     /// Disable the oracle cache entirely (`--no-cache`).
     pub no_cache: bool,
-    /// Campaign dispatch mode (`--batch N` selects the lockstep batch
-    /// engine with N-session blocks; default is work stealing).
+    /// Campaign dispatch mode: `--batch N` makes workers claim blocks of N
+    /// run indices (the boundary search's sweep block size too); the
+    /// default claims one at a time. Outputs are identical either way.
     pub dispatch: DispatchMode,
 }
 
@@ -188,7 +189,7 @@ impl Args {
                 "--no-cache" => args.no_cache = true,
                 "--batch" => {
                     args.dispatch = DispatchMode::Batched {
-                        batch_size: parsed(&mut iter, "--batch", COUNT)?,
+                        batch_size: positive(&mut iter, "--batch")?,
                     };
                 }
                 other => unknown.push(other.to_string()),
@@ -223,10 +224,10 @@ impl Args {
     /// invocations with the same config key may resume each other's
     /// manifests; anything else starts fresh.
     ///
-    /// [`Args::dispatch`] is deliberately **excluded**: the batch engine's
-    /// determinism contract makes every job output bit-identical across
-    /// dispatch modes, so sequential and batched invocations share
-    /// manifests and caches (and CI byte-diffs their stdout).
+    /// [`Args::dispatch`] is deliberately **excluded**: every run is a pure
+    /// function of its session, so job outputs are bit-identical at any
+    /// block size and invocations with and without `--batch` share
+    /// manifests and caches (CI byte-diffs their stdout).
     pub fn config_key(&self) -> u64 {
         let sweep = self.sweep();
         let mut h = Fnv1a::new();
@@ -574,14 +575,18 @@ mod tests {
 
     #[test]
     fn bad_or_missing_shared_values_name_their_flag() {
-        for flag in ["--runs", "--seed", "--batch"] {
+        for (flag, expected) in [
+            ("--runs", "a non-negative integer"),
+            ("--seed", "a non-negative integer"),
+            ("--batch", "a positive integer"),
+        ] {
             let err = Args::parse_known(&argv(&[flag, "2O"])).expect_err("unparseable value");
             assert_eq!(
                 err,
                 ArgError::BadValue {
                     flag,
                     value: "2O".into(),
-                    expected: "a non-negative integer",
+                    expected,
                 }
             );
             assert!(err.to_string().contains(flag), "{err}");
@@ -594,6 +599,15 @@ mod tests {
                 "{flag} -1"
             );
         }
+        // A zero block size is rejected, not clamped to 1.
+        assert_eq!(
+            Args::parse_known(&argv(&["--batch", "0"])).expect_err("zero batch"),
+            ArgError::BadValue {
+                flag: "--batch",
+                value: "0".into(),
+                expected: "a positive integer",
+            }
+        );
         let err = Args::parse_known(&argv(&["--cache-dir"])).expect_err("missing dir");
         assert_eq!(
             err,

@@ -1,20 +1,21 @@
-//! Differential-equivalence suite for the lockstep batch engine.
+//! Block-size × thread-count invariance of campaign dispatch.
 //!
-//! The batch engine (`av_experiments::batch`) promises that
-//! `RunRecord::digest()` is **bit-identical** to the sequential engine for
-//! every scenario, seed, fault plan, attacker, and batch size. This suite
-//! pins that contract end to end:
+//! Campaign workers claim blocks of run indices (`--batch N` sets the block
+//! size) and run each session of a block through `SimSession::run_with` on
+//! one long-lived `SessionWorker`. `RunRecord::digest()` must be
+//! **bit-identical** to a plain sequential loop for every scenario, seed,
+//! fault plan, attacker, block size and worker count. This suite pins that
+//! contract end to end:
 //!
 //! - the DS-1..DS-5 golden digests (the same committed fixtures the
-//!   sequential golden-trace suite pins) reproduced at batch sizes 1, 7,
-//!   and 64;
+//!   golden-trace suite pins) reproduced at block sizes 1, 7, and 64 on one
+//!   and two workers;
 //! - fault-injected runs (sensor-side drops rewriting the RNG-visible
 //!   world) and malware runs (kinematic, NN-oracle, random-timing, and
-//!   baseline attackers) batch-equivalent at every batch size;
-//! - ragged batches: lanes with different scenario durations retire at
-//!   different ticks without perturbing the survivors' RNG streams.
+//!   baseline attackers) at every block size and worker count;
+//! - mixed blocks: sessions of different scenarios and durations reusing
+//!   one worker's warm ADS back to back without perturbing each other.
 
-use av_experiments::batch::LanePool;
 use av_experiments::prelude::*;
 use av_experiments::train_sh::train_oracle_on;
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
@@ -25,7 +26,7 @@ use robotack::safety_hijacker::NnOracle;
 use std::sync::Arc;
 
 /// The committed golden fixtures (kept in sync with `golden_traces.rs`): if
-/// the batch engine reproduces these, it reproduces the exact sequential
+/// block dispatch reproduces these, it reproduces the exact sequential
 /// trajectories down to the last ULP.
 const GOLDEN: [(ScenarioId, u64, &str); 5] = [
     (ScenarioId::Ds1, 7, "88fd3971a1e3db6f"),
@@ -36,6 +37,7 @@ const GOLDEN: [(ScenarioId, u64, &str); 5] = [
 ];
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 64];
+const THREADS: [usize; 2] = [1, 2];
 
 fn session(
     scenario: ScenarioId,
@@ -50,25 +52,41 @@ fn session(
         .build()
 }
 
-/// Runs every session through the sequential engine.
+/// Runs every session back to back on one worker.
 fn sequential(sessions: &[SimSession]) -> Vec<RunOutcome> {
     let mut worker = SessionWorker::new();
     sessions.iter().map(|s| s.run_with(&mut worker)).collect()
 }
 
-/// Runs the sessions through the batch engine in blocks of `batch_size`,
-/// reusing one lane pool across blocks exactly like a campaign worker.
-fn batched(sessions: &[SimSession], batch_size: usize) -> Vec<RunOutcome> {
-    let mut pool = LanePool::new();
-    let tele = Telemetry::disabled();
-    sessions
-        .chunks(batch_size)
-        .flat_map(|chunk| pool.run_batch(chunk, &tele))
-        .collect()
+/// Runs the sessions as one [`run_sweep`] whose `threads` workers claim
+/// blocks of `batch_size`, each reusing one `SessionWorker` across its runs
+/// exactly like a campaign worker.
+fn batched(sessions: &[SimSession], batch_size: usize, threads: usize) -> Vec<RunOutcome> {
+    run_sweep(
+        sessions.len(),
+        threads,
+        batch_size,
+        &|_| Telemetry::disabled(),
+        |i, _| sessions[i].clone(),
+        |outcome| outcome,
+    )
+    .expect("threads and block size are at least 1")
 }
 
-/// Field-by-field equivalence of a batch outcome against its sequential
-/// twin. The digest covers the full time series bit-exactly; the remaining
+/// Checks `sessions` against their sequential outcomes at every block size
+/// on every worker count.
+fn assert_dispatch_invariant(sessions: &[SimSession], seq: &[RunOutcome], label: &str) {
+    for batch_size in BATCH_SIZES {
+        for threads in THREADS {
+            let bat = batched(sessions, batch_size, threads);
+            let label = format!("{label}, batch {batch_size}, {threads} workers");
+            assert_outcomes_equivalent(seq, &bat, &label);
+        }
+    }
+}
+
+/// Field-by-field equivalence of a block-dispatched outcome against its
+/// sequential twin. The digest covers the full time series bit-exactly; the remaining
 /// asserts catch divergence in the outcome summary itself.
 fn assert_outcomes_equivalent(seq: &[RunOutcome], bat: &[RunOutcome], label: &str) {
     assert_eq!(seq.len(), bat.len(), "{label}: run count");
@@ -126,8 +144,8 @@ fn synthetic_nn_oracle() -> OracleSpec {
 
 #[test]
 fn golden_digests_identical_at_every_batch_size() {
-    // Seed-major interleave: each size-7 block mixes scenarios, so every
-    // batch is ragged in actor count AND duration (DS-3 is 20 s, DS-1 45 s).
+    // Seed-major interleave: each size-7 block mixes scenarios, so a worker
+    // alternates actor counts AND durations (DS-3 is 20 s, DS-1 45 s).
     let mut sessions = Vec::new();
     for seed in [7, 8, 9] {
         for (scenario, _, _) in GOLDEN {
@@ -140,7 +158,7 @@ fn golden_digests_identical_at_every_batch_size() {
         }
     }
     let seq = sequential(&sessions);
-    // The sequential engine still matches the committed fixtures…
+    // The sequential loop still matches the committed fixtures…
     for (scenario, seed, expected) in GOLDEN {
         let out = seq
             .iter()
@@ -152,11 +170,8 @@ fn golden_digests_identical_at_every_batch_size() {
             "{scenario:?} seed {seed}: sequential trace drifted from fixture"
         );
     }
-    // …and the batch engine reproduces it bit-for-bit at every batch size.
-    for batch_size in BATCH_SIZES {
-        let bat = batched(&sessions, batch_size);
-        assert_outcomes_equivalent(&seq, &bat, &format!("golden, batch {batch_size}"));
-    }
+    // …and block dispatch reproduces it bit-for-bit at every block size.
+    assert_dispatch_invariant(&sessions, &seq, "golden");
 }
 
 #[test]
@@ -175,17 +190,14 @@ fn faulted_runs_are_batch_equivalent() {
         seq.iter().any(|o| o.faults.camera_frames_dropped > 0),
         "the fault plan must actually fire"
     );
-    for batch_size in BATCH_SIZES {
-        let bat = batched(&sessions, batch_size);
-        assert_outcomes_equivalent(&seq, &bat, &format!("faulted, batch {batch_size}"));
-    }
+    assert_dispatch_invariant(&sessions, &seq, "faulted");
 }
 
 #[test]
 fn malware_runs_are_batch_equivalent() {
     let nn = synthetic_nn_oracle();
     let mut sessions = Vec::new();
-    // Kinematic-oracle RoboTack (scalar oracle path in the barrier).
+    // Kinematic-oracle RoboTack.
     for seed in [11, 12, 13] {
         sessions.push(session(
             ScenarioId::Ds1,
@@ -197,8 +209,8 @@ fn malware_runs_are_batch_equivalent() {
             FaultPlan::none(),
         ));
     }
-    // NN-oracle RoboTack sharing ONE oracle (batched GEMM path); several
-    // lanes defer on the same camera tick, so k-search rounds batch rows.
+    // NN-oracle RoboTack, all sessions sharing ONE oracle as a campaign
+    // does.
     for seed in [11, 12, 13, 14] {
         sessions.push(session(
             ScenarioId::Ds1,
@@ -233,10 +245,7 @@ fn malware_runs_are_batch_equivalent() {
         seq.iter().any(|o| o.attack.launched_at.is_some()),
         "at least one attack must launch for the test to mean anything"
     );
-    for batch_size in BATCH_SIZES {
-        let bat = batched(&sessions, batch_size);
-        assert_outcomes_equivalent(&seq, &bat, &format!("malware, batch {batch_size}"));
-    }
+    assert_dispatch_invariant(&sessions, &seq, "malware");
 }
 
 #[test]
@@ -273,10 +282,7 @@ fn generated_scenarios_are_batch_equivalent() {
         seq.iter().any(|o| o.attack.launched_at.is_some()),
         "at least one attack must launch on a generated world"
     );
-    for batch_size in BATCH_SIZES {
-        let bat = batched(&sessions, batch_size);
-        assert_outcomes_equivalent(&seq, &bat, &format!("generated, batch {batch_size}"));
-    }
+    assert_dispatch_invariant(&sessions, &seq, "generated");
 }
 
 /// A second oracle, distinct in identity and in predictions, without a
@@ -390,9 +396,9 @@ fn packed_sweep_matches_per_candidate_campaigns() {
 
 #[test]
 fn ragged_batches_retire_lanes_without_perturbing_survivors() {
-    // One batch holding every scenario: DS-3 (20 s) retires first, then
-    // DS-4 (25 s), DS-2 (30 s), and finally DS-1/DS-5 (45 s) — the
-    // surviving lanes keep stepping after each retirement wave.
+    // One block holding every scenario: DS-3 (20 s), DS-4 (25 s), DS-2
+    // (30 s) and DS-1/DS-5 (45 s) run back to back on one worker, each
+    // reusing the ADS the previous, differently-sized run left behind.
     let sessions: Vec<SimSession> = GOLDEN
         .iter()
         .map(|&(scenario, _, _)| session(scenario, 21, AttackerSpec::None, FaultPlan::none()))
@@ -403,10 +409,10 @@ fn ragged_batches_retire_lanes_without_perturbing_survivors() {
     end_ticks.dedup();
     assert!(
         end_ticks.len() >= 3,
-        "the batch must actually be ragged (got {} distinct end times)",
+        "the block must actually be ragged (got {} distinct end times)",
         end_ticks.len()
     );
-    // All five lanes in one lockstep batch.
-    let bat = batched(&sessions, sessions.len());
-    assert_outcomes_equivalent(&seq, &bat, "ragged full batch");
+    // All five sessions in one claimed block.
+    let bat = batched(&sessions, sessions.len(), 1);
+    assert_outcomes_equivalent(&seq, &bat, "ragged full block");
 }

@@ -22,8 +22,8 @@ fn dispatch_campaign() -> Campaign {
     Campaign::new("prop-dispatch", ScenarioId::Ds1, AttackerSpec::None, 5, 40)
 }
 
-/// Both dispatch modes, parameterized by a drawn batch size (ignored by
-/// work stealing).
+/// Both dispatch modes, parameterized by a drawn block size (work stealing
+/// claims one run at a time).
 fn dispatch_mode(selector: u8, batch_size: usize) -> DispatchMode {
     match selector % 2 {
         0 => DispatchMode::WorkStealing,
@@ -31,19 +31,7 @@ fn dispatch_mode(selector: u8, batch_size: usize) -> DispatchMode {
     }
 }
 
-/// Deterministic telemetry counters with the engine-level `batch_*` events
-/// removed: their counts depend on the batch size by design (documented on
-/// the `TraceEvent::BatchStepped` / `BatchOracleInference` variants), while
-/// everything else must be invariant across threads and dispatch modes.
-fn invariant_counts(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
-    metrics
-        .deterministic_counts()
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("batch_"))
-        .collect()
-}
-
-/// (launched, EB, crashes, invariant telemetry counts) — the summary every
+/// (launched, EB, crashes, deterministic telemetry counts) — the summary every
 /// dispatch mode must reproduce.
 type MetricsBaseline = (usize, usize, usize, Vec<(&'static str, u64)>);
 
@@ -59,7 +47,7 @@ fn metrics_baseline() -> &'static MetricsBaseline {
             result.n_launched(),
             result.eb().0,
             result.crashes().0,
-            invariant_counts(metrics),
+            metrics.deterministic_counts(),
         )
     })
 }
@@ -182,7 +170,7 @@ proptest! {
         prop_assert_eq!(result.eb().0, *eb, "threads={} mode={:?}", threads, mode);
         prop_assert_eq!(result.crashes().0, *crashes, "threads={} mode={:?}", threads, mode);
         prop_assert_eq!(
-            &invariant_counts(metrics),
+            &metrics.deterministic_counts(),
             counts,
             "merged telemetry drifted: threads={} mode={:?}", threads, mode
         );

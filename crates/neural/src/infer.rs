@@ -1,13 +1,11 @@
 //! The inference form of an [`Mlp`]: immutable transposed weights and one
 //! register-blocked kernel that answers every dropout-free forward pass.
 //!
-//! The safety hijacker queries its oracle on every monitored camera frame:
-//! one row at a time under the sequential engine, and one k-search round of
-//! a few rows at a time under the batch engine (about 15 on average at
-//! batch 32). Both run [`InferenceMlp::forward_into`] once per row. Per
-//! layer, the kernel holds a block of 32/16/8/4/2/1 outputs in registers
-//! across the whole input loop and streams one contiguous row of `Wᵀ`
-//! (in × out) per input element, so the block's accumulators vectorize
+//! The safety hijacker queries its oracle on every monitored camera frame,
+//! one row at a time: each k-search step runs [`InferenceMlp::forward_into`]
+//! once. Per layer, the kernel holds a block of 32/16/8/4/2/1 outputs in
+//! registers across the whole input loop and streams one contiguous row of
+//! `Wᵀ` (in × out) per input element, so the block's accumulators vectorize
 //! without any gather.
 //!
 //! # Bit identity

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod batch_world;
 pub mod behavior;
 pub mod error;
 pub mod math;
@@ -46,7 +45,6 @@ pub mod units;
 pub mod world;
 
 pub use actor::{Actor, ActorId, ActorKind, Size};
-pub use batch_world::BatchWorld;
 pub use error::SimError;
 pub use math::Vec2;
 pub use recorder::RunRecord;

@@ -89,14 +89,12 @@ impl Scheduler {
     /// # Buffer reuse across sessions
     ///
     /// `fired` is cleared *unconditionally* at the top of every call — never
-    /// merged into — so one buffer may be shared across ticks, schedulers,
-    /// and batch members without a stale entry from a previous session
-    /// leaking into the next dispatch. The one contract a sharing caller
-    /// must uphold: [`Task`] handles are registration *indices*, private to
-    /// the scheduler that issued them. Reading this buffer against a
-    /// *different* scheduler is only meaningful when both registered the
-    /// same task list in the same order (the lockstep batch engine's
-    /// invariant; see `tests::shared_buffer_across_schedulers`).
+    /// merged into — so one buffer may be shared across ticks and across
+    /// the schedulers of successive sessions (a campaign worker reuses one
+    /// for every run it claims) without a stale entry from a previous
+    /// session leaking into the next dispatch. [`Task`] handles are
+    /// registration *indices*, private to the scheduler that issued them;
+    /// see `tests::shared_buffer_across_schedulers`.
     pub fn advance_into(&mut self, now_us: u64, fired: &mut Vec<Task>) {
         let _timer = self.telemetry.time(Stage::SchedulerAdvance);
         fired.clear();
@@ -181,14 +179,14 @@ mod tests {
 
     #[test]
     fn shared_buffer_across_schedulers() {
-        // A batch engine reuses ONE fired buffer across many sessions'
-        // schedulers. A stale entry surviving from session A's dispatch
-        // into session B's would silently corrupt session B, so pin the
-        // clearing contract in the sharing pattern itself.
+        // A campaign worker reuses ONE fired buffer across the schedulers
+        // of every session it runs. A stale entry surviving from session
+        // A's dispatch into session B's would silently corrupt session B,
+        // so pin the clearing contract in the sharing pattern itself.
         let mut a = Scheduler::new();
         let mut b = Scheduler::new();
-        // Identical registration order → identical Task handles (the
-        // invariant that makes a shared fired list readable by every lane).
+        // Identical registration order → identical Task handles, as for
+        // every session (each registers the same four tasks in order).
         let (a_fast, a_slow) = (a.add_task("fast", 10), a.add_task("slow", 30));
         let (b_fast, b_slow) = (b.add_task("fast", 10), b.add_task("slow", 30));
         assert_eq!((a_fast, a_slow), (b_fast, b_slow));

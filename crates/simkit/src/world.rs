@@ -109,27 +109,14 @@ impl World {
                 actor.accel = (v1 - v0) / dt;
                 actor.speed = v1;
             } else {
-                let mut behavior = actor.behavior.clone();
-                let (pose, speed) = behavior.step(actor.pose, actor.speed, dt);
+                // Stepped in place: the script sees exactly the state a
+                // clone would, without the per-tick allocation.
+                let (pose, speed) = actor.behavior.step(actor.pose, actor.speed, dt);
                 actor.accel = (speed - actor.speed) / dt;
                 actor.pose = pose;
                 actor.speed = speed;
-                actor.behavior = behavior;
             }
         }
-        self.time_us += (dt * 1e6).round() as u64;
-    }
-
-    /// All actors, mutably — for [`crate::batch_world::BatchWorld`]'s
-    /// scatter step only; everything else goes through [`World::step`].
-    pub(crate) fn actors_slice_mut(&mut self) -> &mut [Actor] {
-        &mut self.actors
-    }
-
-    /// Advances the clock exactly as [`World::step`] does, without moving
-    /// any actor — for [`crate::batch_world::BatchWorld`], which integrates
-    /// the kinematics itself.
-    pub(crate) fn advance_time(&mut self, dt: f64) {
         self.time_us += (dt * 1e6).round() as u64;
     }
 

@@ -13,6 +13,7 @@
 //! hostile input (depth-limited, bounds-checked, never panics) because the
 //! daemon feeds it bytes from arbitrary clients.
 
+pub use av_telemetry::json_escape;
 use std::fmt;
 
 /// Maximum nesting depth the request parser will follow. Requests are flat
@@ -295,24 +296,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in a JSON document (same dialect as the
-/// manifest writer).
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
@@ -365,8 +348,8 @@ pub struct EvalRequest {
     pub quick: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Lockstep batched dispatch with this batch size; `None` = sequential
-    /// work-stealing.
+    /// Campaign workers claim blocks of this many run indices (at least 1);
+    /// `None` = one at a time. Outputs are identical either way.
     pub batch: Option<usize>,
     /// DAG executor workers for this request (capped by the daemon).
     pub jobs: usize,

@@ -15,6 +15,7 @@
 //! completed" and the job reruns.
 
 use crate::fnv::fnv1a;
+use av_telemetry::json_escape;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -48,7 +49,7 @@ impl ManifestEntry {
         let _ = write!(
             s,
             "{{\"job\":\"{}\",\"wall_ms\":{},\"hits\":{},\"misses\":{},\"artifacts\":[",
-            escape(&self.job),
+            json_escape(&self.job),
             self.wall_ms,
             self.artifact_hits,
             self.artifact_misses,
@@ -58,14 +59,14 @@ impl ManifestEntry {
                 s,
                 "{}{{\"name\":\"{}\",\"digest\":\"{digest:016x}\"}}",
                 if i == 0 { "" } else { "," },
-                escape(name),
+                json_escape(name),
             );
         }
         let _ = write!(
             s,
             "],\"stdout_digest\":\"{:016x}\",\"stdout\":\"{}\"}}",
             fnv1a(self.stdout.as_bytes()),
-            escape(&self.stdout),
+            json_escape(&self.stdout),
         );
         s
     }
@@ -161,26 +162,6 @@ pub fn load(path: &Path, config: u64) -> Vec<ManifestEntry> {
         }
     }
     entries
-}
-
-/// JSON string escaping, kept bit-compatible with the telemetry JSONL
-/// writer (quotes, backslashes, control characters).
-fn escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Strict cursor over one manifest line.

@@ -174,24 +174,6 @@ pub enum TraceEvent {
         /// The content-address digest (hex in the JSONL schema).
         key: u64,
     },
-    /// The lockstep batch engine advanced all live sessions by one tick.
-    ///
-    /// Engine-level bookkeeping: its count depends on the batch size, so it
-    /// is excluded (by its `batch_` name prefix) from the cross-dispatch
-    /// telemetry-invariance contract that per-run events obey.
-    BatchStepped {
-        /// Sessions still live in the batch this tick.
-        lanes: u32,
-    },
-    /// The batch engine answered one round of oracle queries: the pending
-    /// k-search query of every lane still searching.
-    ///
-    /// Engine-level bookkeeping, excluded from cross-dispatch invariance
-    /// like [`TraceEvent::BatchStepped`].
-    BatchOracleInference {
-        /// Queries answered in this round.
-        queries: u32,
-    },
     /// The evaluation daemon admitted a request and began executing its
     /// subgraph.
     RequestAccepted {
@@ -229,15 +211,13 @@ pub enum EventKind {
     JobFinished,
     ArtifactHit,
     ArtifactMiss,
-    BatchStepped,
-    BatchOracleInference,
     RequestAccepted,
     RequestFinished,
 }
 
 impl EventKind {
     /// Every event kind, in taxonomy order.
-    pub const ALL: [EventKind; 24] = [
+    pub const ALL: [EventKind; 22] = [
         EventKind::RunStarted,
         EventKind::SchedulerTask,
         EventKind::SensorSample,
@@ -258,8 +238,6 @@ impl EventKind {
         EventKind::JobFinished,
         EventKind::ArtifactHit,
         EventKind::ArtifactMiss,
-        EventKind::BatchStepped,
-        EventKind::BatchOracleInference,
         EventKind::RequestAccepted,
         EventKind::RequestFinished,
     ];
@@ -295,8 +273,6 @@ impl EventKind {
             EventKind::JobFinished => "job_finished",
             EventKind::ArtifactHit => "artifact_hit",
             EventKind::ArtifactMiss => "artifact_miss",
-            EventKind::BatchStepped => "batch_stepped",
-            EventKind::BatchOracleInference => "batch_oracle_inference",
             EventKind::RequestAccepted => "request_accepted",
             EventKind::RequestFinished => "request_finished",
         }
@@ -327,8 +303,6 @@ impl TraceEvent {
             TraceEvent::JobFinished { .. } => EventKind::JobFinished,
             TraceEvent::ArtifactHit { .. } => EventKind::ArtifactHit,
             TraceEvent::ArtifactMiss { .. } => EventKind::ArtifactMiss,
-            TraceEvent::BatchStepped { .. } => EventKind::BatchStepped,
-            TraceEvent::BatchOracleInference { .. } => EventKind::BatchOracleInference,
             TraceEvent::RequestAccepted { .. } => EventKind::RequestAccepted,
             TraceEvent::RequestFinished { .. } => EventKind::RequestFinished,
         }
@@ -367,12 +341,12 @@ impl TraceRecord {
                 let _ = write!(
                     s,
                     ",\"scenario\":\"{}\",\"seed\":{}",
-                    escape(scenario),
+                    json_escape(scenario),
                     seed
                 );
             }
             TraceEvent::SchedulerTask { task } => {
-                let _ = write!(s, ",\"task\":\"{}\"", escape(task));
+                let _ = write!(s, ",\"task\":\"{}\"", json_escape(task));
             }
             TraceEvent::SensorSample {
                 channel,
@@ -394,7 +368,7 @@ impl TraceRecord {
                     s,
                     ",\"channel\":\"{}\",\"what\":\"{}\",\"count\":{count}",
                     channel.name(),
-                    escape(what)
+                    json_escape(what)
                 );
             }
             TraceEvent::DetectionsEmitted { frame_seq, count } => {
@@ -414,7 +388,7 @@ impl TraceRecord {
                 let _ = write!(
                     s,
                     ",\"vector\":\"{}\",\"k\":{k},\"predicted_delta\":{predicted_delta:?}",
-                    escape(vector)
+                    json_escape(vector)
                 );
             }
             TraceEvent::AttackPhaseChanged { phase } => {
@@ -424,8 +398,8 @@ impl TraceRecord {
                 let _ = write!(
                     s,
                     ",\"from\":\"{}\",\"to\":\"{}\"",
-                    escape(from),
-                    escape(to)
+                    json_escape(from),
+                    json_escape(to)
                 );
             }
             TraceEvent::AebEngaged | TraceEvent::Collision => {}
@@ -442,24 +416,18 @@ impl TraceRecord {
                 let _ = write!(s, ",\"key\":\"{key:016x}\"");
             }
             TraceEvent::JobStarted { job } | TraceEvent::JobFinished { job } => {
-                let _ = write!(s, ",\"job\":\"{}\"", escape(job));
+                let _ = write!(s, ",\"job\":\"{}\"", json_escape(job));
             }
             TraceEvent::ArtifactHit { namespace, key }
             | TraceEvent::ArtifactMiss { namespace, key } => {
                 let _ = write!(
                     s,
                     ",\"namespace\":\"{}\",\"key\":\"{key:016x}\"",
-                    escape(namespace)
+                    json_escape(namespace)
                 );
             }
-            TraceEvent::BatchStepped { lanes } => {
-                let _ = write!(s, ",\"lanes\":{lanes}");
-            }
-            TraceEvent::BatchOracleInference { queries } => {
-                let _ = write!(s, ",\"queries\":{queries}");
-            }
             TraceEvent::RequestAccepted { request } | TraceEvent::RequestFinished { request } => {
-                let _ = write!(s, ",\"request\":\"{}\"", escape(request));
+                let _ = write!(s, ",\"request\":\"{}\"", json_escape(request));
             }
         }
         s.push('}');
@@ -467,10 +435,11 @@ impl TraceRecord {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-/// All current payload strings are static snake_case names, but the schema
-/// must stay valid if one ever carries user input.
-fn escape(raw: &str) -> String {
+/// Escapes a string for embedding in a JSON document: quotes, backslashes
+/// and control characters (`\n`, `\r`, `\t` by name, the rest as `\u00XX`);
+/// everything else, non-ASCII included, passes through. The one escaper
+/// behind trace JSONL, run manifests and the daemon's wire replies.
+pub fn json_escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -574,8 +543,6 @@ mod tests {
                 namespace: "oracle",
                 key: 3,
             },
-            TraceEvent::BatchStepped { lanes: 16 },
-            TraceEvent::BatchOracleInference { queries: 9 },
             TraceEvent::RequestAccepted {
                 request: "req-0".to_string(),
             },
@@ -600,8 +567,10 @@ mod tests {
 
     #[test]
     fn escaping_keeps_lines_valid() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t"), "\\r\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("δ → ∞"), "δ → ∞", "non-ASCII passes through");
     }
 
     #[test]

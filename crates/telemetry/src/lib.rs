@@ -36,7 +36,7 @@ pub mod metrics;
 pub mod sink;
 pub mod stage;
 
-pub use event::{AttackPhase, EventKind, SensorChannel, TraceEvent, TraceRecord};
+pub use event::{json_escape, AttackPhase, EventKind, SensorChannel, TraceEvent, TraceRecord};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, StageSummary, StageTimer};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, SharedSink, TraceSink};
 pub use stage::Stage;

@@ -25,14 +25,18 @@
 //! per-job hit/miss scorecards in the run summary exact.
 //!
 //! Report jobs share simulated campaigns through the execution's
-//! [`CampaignMemo`] (a value of its [`av_suite::ExecScope`]): Table II's six
-//! RoboTack arms are simulated once per `execute` call, and fig6's R
-//! panels, fig7, fig8(a) and resilience's healthy cells read the same
-//! folded runs — whichever job asks first simulates, the others wait or
-//! take a prefix. The memo is not an artifact: it is not persisted, not
-//! counted in the hit/miss scorecards, and a later execution of the same
-//! DAG starts with an empty one. A standalone binary runs its report with
-//! a fresh memo, so its stdout stays byte-identical to the suite job's.
+//! [`CampaignMemo`] (a value of its [`av_suite::ExecScope`]) and the
+//! store's `campaign` namespace behind it: Table II's six RoboTack arms
+//! are simulated once per store, and fig6's R panels, fig7, fig8(a) and
+//! resilience's healthy cells read the same folded runs — whichever job
+//! asks first reads the stored entry or simulates, the others wait or take
+//! a prefix. A later execution over the same store reads every campaign
+//! an earlier one simulated; its store lookups count in each job's
+//! hit/miss scorecard. A standalone binary runs its report with a fresh
+//! memo over its own store view, so its stdout stays byte-identical to the
+//! suite job's. `defense` and `ablations` run no [`Campaign`]s (their runs
+//! vary the configuration per run); each of their sections is one
+//! [`run_sweep`] over the host's workers, never stored.
 
 use crate::characterize::characterize_detector;
 use crate::memo::CampaignMemo;
@@ -49,6 +53,7 @@ use crate::suite::{
 };
 use av_defense::ids::AlarmKind;
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
+use av_simkit::units::CAMERA_HZ;
 use av_suite::api::{ErrorCode, EvalRequest};
 use av_suite::serve::EvalService;
 use av_suite::{ArtifactStore, Dag, DagError, Job, JobOutcome};
@@ -59,10 +64,15 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// `campaign`'s folded runs through `memo`, on the host's default worker
-/// count under `args.dispatch`.
-fn fold(memo: &CampaignMemo, args: &Args, campaign: &Campaign) -> CampaignSummary {
-    memo.run(campaign, default_threads(), args.dispatch)
+/// `campaign`'s folded runs through `memo` and the store behind `cache`,
+/// on the host's default worker count under `args.dispatch`.
+fn fold(
+    memo: &CampaignMemo,
+    cache: &OracleCache,
+    args: &Args,
+    campaign: &Campaign,
+) -> CampaignSummary {
+    memo.run(campaign, cache, default_threads(), args.dispatch)
         .expect("default_threads() is nonzero")
 }
 
@@ -113,6 +123,7 @@ pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
         eprintln!("running campaign {name} ...");
         let result = fold(
             memo,
+            cache,
             args,
             &r_campaign(name, *scenario, *vector, oracle, args.runs, args.seed),
         );
@@ -124,6 +135,7 @@ pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     eprintln!("running DS-5-Baseline-Random ...");
     let baseline = fold(
         memo,
+        cache,
         args,
         &baseline_campaign(args.runs.max(24), args.seed + 5000),
     );
@@ -186,11 +198,13 @@ pub fn fig6(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
         eprintln!("  {desc}");
         let with_sh = fold(
             memo,
+            cache,
             args,
             &r_campaign("R", scenario, vector, oracle, args.runs, args.seed),
         );
         let without_sh = fold(
             memo,
+            cache,
             args,
             &nosh_campaign("R w/o SH", scenario, vector, args.runs, args.seed + 77),
         );
@@ -215,6 +229,7 @@ pub fn fig7(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
         let (oracle, _) = oracle_for(scenario, vector, &sweep, cache);
         fold(
             memo,
+            cache,
             args,
             &r_campaign(name, scenario, vector, oracle, args.runs, args.seed),
         )
@@ -297,6 +312,7 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     ] {
         let result = fold(
             memo,
+            cache,
             args,
             &r_campaign(
                 "fig8a",
@@ -364,6 +380,33 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     out
 }
 
+/// `sessions` runs as one sweep on the host's default worker count, each
+/// worker reusing one [`SessionWorker`]: `reduce` of session `make(i)`'s
+/// outcome for every index `i`, in index order.
+fn sweep<T: Send>(
+    sessions: u64,
+    make: impl Fn(u64) -> SimSession + Sync,
+    reduce: impl Fn(RunOutcome) -> T + Sync,
+) -> Vec<T> {
+    let sessions = usize::try_from(sessions).expect("session count fits usize");
+    run_sweep(
+        sessions,
+        default_threads(),
+        1,
+        &|_| Telemetry::disabled(),
+        |i, _| make(i as u64),
+        reduce,
+    )
+    .expect("default_threads() is nonzero")
+}
+
+/// A [`sweep`]'s output cut into consecutive cells of `per` results, one
+/// per swept parameter value (zip it with the values; `per` may be 0).
+fn cells<T>(folded: &[T], per: u64) -> impl Iterator<Item = &[T]> {
+    let per = usize::try_from(per).expect("cell size fits usize");
+    (0..).map(move |j| &folded[j * per..(j + 1) * per])
+}
+
 /// Ablation studies for the design choices DESIGN.md calls out: the
 /// trajectory-hijacker noise gate, the fusion LiDAR registration delay, the
 /// SH launch threshold γ, and binary-vs-linear K search.
@@ -382,13 +425,13 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     )
     .unwrap();
     writeln!(out, "σ fraction | K' median (frames) | EB rate").unwrap();
-    for sigma in [0.25, 0.5, 1.0, 1.5] {
-        let mut kprimes = Vec::new();
-        let mut eb = 0u64;
-        for seed in 0..runs {
-            let mut cfg = RunConfig::new(ScenarioId::Ds3, seed);
-            cfg.sigma_fraction = sigma;
-            let out = SimSession::builder(ScenarioId::Ds3)
+    let sigmas = [0.25, 0.5, 1.0, 1.5];
+    let folded = sweep(
+        sigmas.len() as u64 * runs,
+        |i| {
+            let mut cfg = RunConfig::new(ScenarioId::Ds3, i % runs);
+            cfg.sigma_fraction = sigmas[(i / runs) as usize];
+            SimSession::builder(ScenarioId::Ds3)
                 .config(cfg)
                 .attacker(AttackerSpec::AtDelta {
                     vector: Some(AttackVector::MoveIn),
@@ -396,12 +439,15 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
                     k: 40,
                 })
                 .build()
-                .run();
-            if let Some(kp) = out.k_prime_ads {
-                kprimes.push(f64::from(kp));
-            }
-            eb += u64::from(out.eb_after_attack);
-        }
+        },
+        |out| (out.k_prime_ads, out.eb_after_attack),
+    );
+    for (sigma, cell) in sigmas.iter().zip(cells(&folded, runs)) {
+        let kprimes: Vec<f64> = cell
+            .iter()
+            .filter_map(|(kp, _)| kp.map(f64::from))
+            .collect();
+        let eb = cell.iter().filter(|(_, eb)| *eb).count();
         writeln!(
             out,
             "  {sigma:>7.2}  | {:>18.0} | {:>5.1}%",
@@ -418,13 +464,13 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     )
     .unwrap();
     writeln!(out, "register (scans) | accident rate | min-δ median").unwrap();
-    for register in [5u32, 15, 40, 80] {
-        let mut accidents = 0u64;
-        let mut deltas = Vec::new();
-        for seed in 0..runs {
-            let mut cfg = RunConfig::new(ScenarioId::Ds1, seed);
-            cfg.fusion.lidar_register = register;
-            let out = SimSession::builder(ScenarioId::Ds1)
+    let registers = [5u32, 15, 40, 80];
+    let folded = sweep(
+        registers.len() as u64 * runs,
+        |i| {
+            let mut cfg = RunConfig::new(ScenarioId::Ds1, i % runs);
+            cfg.fusion.lidar_register = registers[(i / runs) as usize];
+            SimSession::builder(ScenarioId::Ds1)
                 .config(cfg)
                 .attacker(AttackerSpec::AtDelta {
                     vector: Some(AttackVector::MoveOut),
@@ -432,12 +478,12 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
                     k: 90,
                 })
                 .build()
-                .run();
-            accidents += u64::from(out.accident);
-            if let Some(d) = out.min_delta_post_attack {
-                deltas.push(d);
-            }
-        }
+        },
+        |out| (out.accident, out.min_delta_post_attack),
+    );
+    for (register, cell) in registers.iter().zip(cells(&folded, runs)) {
+        let accidents = cell.iter().filter(|(accident, _)| *accident).count();
+        let deltas: Vec<f64> = cell.iter().filter_map(|(_, d)| *d).collect();
         writeln!(
             out,
             "  {register:>14} | {:>12.1}% | {:>8.1} m",
@@ -457,25 +503,33 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     report_cache(cache);
     writeln!(out, "oracle: {desc}\n").unwrap();
     writeln!(out, "γ (m) | launched | EB rate | accident rate").unwrap();
-    for gamma in [2.0, 4.0, 8.0] {
-        let mut launched = 0u64;
-        let mut eb = 0u64;
-        let mut accidents = 0u64;
-        for seed in 0..runs {
-            let mut cfg = RunConfig::new(ScenarioId::Ds2, 4000 + seed);
-            cfg.sh.gamma = gamma;
-            let out = SimSession::builder(ScenarioId::Ds2)
+    let gammas = [2.0, 4.0, 8.0];
+    let folded = sweep(
+        gammas.len() as u64 * runs,
+        |i| {
+            let mut cfg = RunConfig::new(ScenarioId::Ds2, 4000 + i % runs);
+            cfg.sh.gamma = gammas[(i / runs) as usize];
+            SimSession::builder(ScenarioId::Ds2)
                 .config(cfg)
                 .attacker(AttackerSpec::RoboTack {
                     vector: Some(AttackVector::MoveOut),
                     oracle: oracle.clone(),
                 })
                 .build()
-                .run();
-            launched += u64::from(out.attack.launched_at.is_some());
-            eb += u64::from(out.eb_after_attack);
-            accidents += u64::from(out.accident);
-        }
+        },
+        |out| {
+            (
+                out.attack.launched_at.is_some(),
+                out.eb_after_attack,
+                out.accident,
+            )
+        },
+    );
+    for (gamma, cell) in gammas.iter().zip(cells(&folded, runs)) {
+        let count = |hit: fn(&(bool, bool, bool)) -> bool| cell.iter().filter(|r| hit(r)).count();
+        let launched = count(|r| r.0);
+        let eb = count(|r| r.1);
+        let accidents = count(|r| r.2);
         writeln!(
             out,
             "  {gamma:>3.0} | {launched:>8} | {:>6.1}% | {:>6.1}%",
@@ -518,7 +572,7 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
 /// attacker.
 pub fn defense(args: &Args, cache: &OracleCache) -> String {
     let runs = args.runs.min(60);
-    let sweep = args.sweep();
+    let sweep_config = args.sweep();
     let mut out = String::new();
 
     writeln!(
@@ -531,20 +585,33 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
         "scenario | runs w/ any alarm | innovation | streak | cross-sensor | kinematics"
     )
     .unwrap();
-    for scenario in ScenarioId::ALL {
-        let mut any = 0u64;
-        let mut by_kind = [0u64; 4];
-        for seed in 0..runs {
-            let run_out = SimSession::builder(scenario).seed(seed).build().run();
-            any += u64::from(!run_out.ids_alarms.is_empty());
+    let kind_index = |kind: AlarmKind| match kind {
+        AlarmKind::Innovation => 0,
+        AlarmKind::Streak => 1,
+        AlarmKind::CrossSensor => 2,
+        AlarmKind::Kinematics => 3,
+    };
+    let folded = sweep(
+        ScenarioId::ALL.len() as u64 * runs,
+        |i| {
+            SimSession::builder(ScenarioId::ALL[(i / runs) as usize])
+                .seed(i % runs)
+                .build()
+        },
+        |run_out| {
+            let mut by_kind = [0u64; 4];
             for a in &run_out.ids_alarms {
-                let idx = match a.kind {
-                    AlarmKind::Innovation => 0,
-                    AlarmKind::Streak => 1,
-                    AlarmKind::CrossSensor => 2,
-                    AlarmKind::Kinematics => 3,
-                };
-                by_kind[idx] += 1;
+                by_kind[kind_index(a.kind)] += 1;
+            }
+            (!run_out.ids_alarms.is_empty(), by_kind)
+        },
+    );
+    for (scenario, cell) in ScenarioId::ALL.iter().zip(cells(&folded, runs)) {
+        let any = cell.iter().filter(|(alarmed, _)| *alarmed).count();
+        let mut by_kind = [0u64; 4];
+        for (_, counts) in cell {
+            for (total, n) in by_kind.iter_mut().zip(counts) {
+                *total += n;
             }
         }
         writeln!(
@@ -566,34 +633,47 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
         "arm                  | launched | flagged during attack | by monitor"
     )
     .unwrap();
-    for (scenario, vector, name) in ARMS {
-        let (oracle, _) = oracle_for(scenario, vector, &sweep, cache);
-        let mut launched = 0u64;
-        let mut flagged = 0u64;
-        let mut kinds: std::collections::HashMap<AlarmKind, u64> = Default::default();
-        for seed in 0..runs {
-            let run_out = SimSession::builder(scenario)
-                .seed(7000 + seed)
-                .attacker(AttackerSpec::RoboTack {
-                    vector: Some(vector),
-                    oracle: oracle.clone(),
-                })
-                .build()
-                .run();
-            let Some(t0) = run_out.attack.launched_at else {
-                continue;
+    let arms: Vec<(ScenarioId, AttackerSpec)> = ARMS
+        .iter()
+        .map(|&(scenario, vector, _)| {
+            let (oracle, _) = oracle_for(scenario, vector, &sweep_config, cache);
+            let attacker = AttackerSpec::RoboTack {
+                vector: Some(vector),
+                oracle,
             };
-            launched += 1;
-            let t1 = t0 + f64::from(run_out.attack.k) / 15.0 + 1.0;
-            let during: Vec<_> = run_out
-                .ids_alarms
-                .iter()
-                .filter(|a| a.t >= t0 && a.t <= t1)
-                .collect();
-            flagged += u64::from(!during.is_empty());
-            for a in during {
-                *kinds.entry(a.kind).or_default() += 1;
-            }
+            (scenario, attacker)
+        })
+        .collect();
+    // Per launched run: the alarms raised within the attack window, plus
+    // one second of grace after it.
+    let folded = sweep(
+        arms.len() as u64 * runs,
+        |i| {
+            let (scenario, attacker) = &arms[(i / runs) as usize];
+            SimSession::builder(*scenario)
+                .seed(7000 + i % runs)
+                .attacker(attacker.clone())
+                .build()
+        },
+        |run_out| {
+            let t0 = run_out.attack.launched_at?;
+            let t1 = t0 + f64::from(run_out.attack.k) / CAMERA_HZ + 1.0;
+            Some(
+                run_out
+                    .ids_alarms
+                    .iter()
+                    .filter(|a| a.t >= t0 && a.t <= t1)
+                    .map(|a| a.kind)
+                    .collect::<Vec<AlarmKind>>(),
+            )
+        },
+    );
+    for ((_, _, name), cell) in ARMS.iter().zip(cells(&folded, runs)) {
+        let launched = cell.iter().flatten().count() as u64;
+        let flagged = cell.iter().flatten().filter(|d| !d.is_empty()).count() as u64;
+        let mut kinds: HashMap<AlarmKind, u64> = HashMap::new();
+        for kind in cell.iter().flatten().flatten() {
+            *kinds.entry(*kind).or_default() += 1;
         }
         let mut kind_list: Vec<String> = kinds.iter().map(|(k, n)| format!("{k:?}×{n}")).collect();
         kind_list.sort();
@@ -616,26 +696,27 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
              frames on a pedestrian, envelope 31):"
     )
     .unwrap();
-    let mut flagged = 0u64;
-    for seed in 0..runs {
-        let run_out = SimSession::builder(ScenarioId::Ds2)
-            .seed(seed)
-            .attacker(AttackerSpec::AtDelta {
-                vector: Some(AttackVector::Disappear),
-                delta_inject: 24.0,
-                k: 62,
-            })
-            .build()
-            .run();
-        if run_out.attack.launched_at.is_some() {
-            flagged += u64::from(
-                run_out
+    let folded = sweep(
+        runs,
+        |seed| {
+            SimSession::builder(ScenarioId::Ds2)
+                .seed(seed)
+                .attacker(AttackerSpec::AtDelta {
+                    vector: Some(AttackVector::Disappear),
+                    delta_inject: 24.0,
+                    k: 62,
+                })
+                .build()
+        },
+        |run_out| {
+            run_out.attack.launched_at.is_some()
+                && run_out
                     .ids_alarms
                     .iter()
-                    .any(|a| a.kind == AlarmKind::Streak),
-            );
-        }
-    }
+                    .any(|a| a.kind == AlarmKind::Streak)
+        },
+    );
+    let flagged = folded.iter().filter(|&&f| f).count();
     writeln!(out, "  streak-flagged in {flagged}/{runs} runs").unwrap();
     out
 }
@@ -763,7 +844,7 @@ pub fn resilience(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> Stri
                 args.seed,
             )
             .with_faults(intensity.plan.clone());
-            let result = fold(memo, args, &campaign);
+            let result = fold(memo, cache, args, &campaign);
 
             let launched = result.n_launched();
             let (_, eb_pct) = result.eb();

@@ -20,10 +20,11 @@
 //!   trained oracles *and* collected sweep datasets, so the suite binaries
 //!   collect and train each 〈scenario, vector〉 arm once instead of once
 //!   per figure.
-//! - [`memo`]: the per-execution campaign memo — each distinct campaign
-//!   (scenario, attacker with its oracle by content, fault plan, base seed)
-//!   simulated once per suite execution and shared, folded to
-//!   [`RunSummary`]s, by every report that views it.
+//! - [`memo`]: the campaign memo — each distinct campaign (scenario,
+//!   attacker with its oracle by content, fault plan, base seed) simulated
+//!   once per artifact store and shared, folded to [`RunSummary`]s, by
+//!   every report that views it: in memory within one suite execution, and
+//!   through the store's `campaign` namespace across executions.
 //! - [`jobs`]: every table/figure as a library function returning its
 //!   stdout report, plus the full evaluation as an `av-suite` job DAG over
 //!   one shared artifact store (the `suite` binary runs it; the per-figure

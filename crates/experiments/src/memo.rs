@@ -1,5 +1,5 @@
-//! The campaign memo: each distinct campaign simulated once per suite
-//! execution, every report reading the same folded outcomes.
+//! The campaign memo: each distinct campaign simulated once per artifact
+//! store, every report reading the same folded outcomes.
 //!
 //! Table II, Fig. 6, Fig. 7, Fig. 8(a) and the resilience study's healthy
 //! cells are different views of the same RoboTack campaigns (§VI-C). A
@@ -7,32 +7,78 @@
 //! content), fault plan and base seed — run `i` is seed `base_seed + i`
 //! ([`Campaign::session`]), and every dispatch mode and thread count gives
 //! bit-identical outcomes. The campaign name, run count, dispatch mode and
-//! thread count are therefore not part of a [`CampaignKey`]: a memo entry
+//! thread count are therefore not part of a [`CampaignKey`]: an entry
 //! holds runs `0..n` of its key, a request for `m ≤ n` runs takes the
 //! prefix, and a request for `m > n` simulates only runs `n..m` and
 //! extends the entry.
 //!
-//! One memo lives for exactly one `av_suite::execute` call (it is a value
-//! of the call's [`av_suite::ExecScope`]); a standalone experiment binary
-//! uses a fresh one. It never lives in a DAG or an artifact store, which
-//! outlive executions: a later execution of the same DAG simulates again.
+//! Two tiers hold entries:
+//!
+//! - **The memo.** One lives for exactly one `av_suite::execute` call (it
+//!   is a value of the call's [`av_suite::ExecScope`]); a standalone
+//!   experiment binary uses a fresh one. Reports of one execution share
+//!   its slots in memory.
+//! - **The store.** The shared [`av_suite::ArtifactStore`] keeps each
+//!   key's longest entry as `{address:016x}.campaign` (namespace
+//!   [`NS_CAMPAIGN`], address [`CampaignKey::address`]). When a slot holds
+//!   fewer runs than a request asks for, the memo first reads the stored
+//!   entry and adopts it if it is longer, then simulates only the missing
+//!   tail and writes the whole extended entry back while it still holds
+//!   the slot. A later execution — or a standalone binary over the same
+//!   store — reads the campaigns an earlier one simulated.
+//!
+//! Store lookups count in the caller's [`OracleCache`] view: a hit when
+//! the stored entry held every run asked for, a miss otherwise. That is
+//! what puts campaigns in the per-job scorecards and the suite's `totals`
+//! line. Campaigns never go through the store's in-flight claims. A
+//! disabled store (`--no-cache`) leaves the memo working alone, and
+//! campaigns that collect metrics bypass both tiers, since their timing is
+//! the point.
+//!
+//! An entry is magic, [`CAMPAIGN_CODE_VERSION`], the address echo and the
+//! run count, then one fixed-width record per [`RunSummary`] (floats by bit
+//! pattern: `min_delta_attack_window` may be `+∞`), then an FNV-1a digest
+//! of everything before it. The decoder treats the bytes as hostile: the
+//! run count is checked against the remaining bytes before anything is
+//! allocated, and any mismatch — magic, version, echo, length, digest,
+//! reserved flag bits, a value stored for an absent field — is a miss that
+//! is simulated again, never a panic.
 //!
 //! Concurrency: one slot per key. A job holds only the slot of the key it
-//! asks for while it simulates, so followers of that key wait for it and
-//! jobs on other keys do not. If a leader panics mid-simulation its slot
-//! keeps the runs it held before, and the next caller simulates the rest.
+//! asks for while it reads, simulates and writes, so followers of that key
+//! wait for it and jobs on other keys do not. If a leader panics
+//! mid-simulation its slot keeps the runs it held before (nothing is
+//! written), and the next caller simulates the rest.
 
 use crate::campaign::{
     run_campaign_summary, Campaign, CampaignError, CampaignSummary, DispatchMode, RunSummary,
 };
-use crate::oracle_cache::network_digest;
+use crate::oracle_cache::{network_digest, OracleCache, Reader};
 use crate::runner::{AttackerSpec, OracleSpec};
 use av_simkit::scenario::ScenarioId;
-use av_suite::fnv::Fnv1a;
+use av_suite::fnv::{fnv1a, Fnv1a};
 use robotack::vector::AttackVector;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// Version of the campaign semantics: everything between a [`Campaign`]
+/// and its folded [`RunSummary`]s (the simulator, sensing, fault
+/// injection, perception, planning, the attacker and its oracle queries,
+/// [`RunSummary::of`]) and the entry encoding. Bump it whenever a change
+/// can move a folded run or the entry bytes, so stale `.campaign` entries
+/// miss instead of resurrecting runs the current code would not produce.
+/// The same rule holds for [`crate::oracle_cache::DATASET_CODE_VERSION`]
+/// and [`crate::search::SEARCH_CODE_VERSION`]; a simulator change usually
+/// bumps all three. A unit test pins this version together with the entry
+/// of one small fixed campaign.
+pub const CAMPAIGN_CODE_VERSION: u32 = 1;
+
+/// Artifact-store namespace of folded campaign entries.
+pub const NS_CAMPAIGN: &str = "campaign";
+
+/// Campaign entry magic: "RoboTack CamPaign".
+const CAMPAIGN_MAGIC: [u8; 4] = *b"RTCP";
 
 /// What determines a campaign's runs, bit for bit, apart from how many of
 /// them are asked for.
@@ -57,6 +103,25 @@ impl CampaignKey {
             faults: format!("{:?}", campaign.faults),
             base_seed: campaign.base_seed,
         }
+    }
+
+    /// The key's artifact-store address: an FNV-1a digest of the entry
+    /// magic, [`CAMPAIGN_CODE_VERSION`] and every key field — the scenario
+    /// name (plus a generated scenario's content hash), the attacker
+    /// digest, the fault-plan rendering and the base seed.
+    pub fn address(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(&CAMPAIGN_MAGIC);
+        h.write_u64(u64::from(CAMPAIGN_CODE_VERSION));
+        h.write_str(self.scenario.name());
+        if let Some(gen_hash) = self.scenario.gen_hash() {
+            h.write_u64(gen_hash);
+        }
+        h.write_u64(self.attacker);
+        h.write_u64(self.faults.len() as u64);
+        h.write_str(&self.faults);
+        h.write_u64(self.base_seed);
+        h.finish()
     }
 }
 
@@ -120,9 +185,10 @@ impl CampaignMemo {
 
     /// The folded runs of `campaign` on `threads` workers under `mode`:
     /// bit-identical to [`run_campaign_summary`], simulating only the runs
-    /// no earlier request for the same [`CampaignKey`] simulated.
-    /// Campaigns that collect metrics are simulated directly, since their
-    /// timing is the point.
+    /// that neither an earlier request to this memo nor the store behind
+    /// `store` already holds. Store lookups count in `store`'s campaign
+    /// hit/miss counters. Campaigns that collect metrics are simulated
+    /// directly, since their timing is the point.
     ///
     /// # Errors
     ///
@@ -130,6 +196,7 @@ impl CampaignMemo {
     pub fn run(
         &self,
         campaign: &Campaign,
+        store: &OracleCache,
         threads: usize,
         mode: DispatchMode,
     ) -> Result<CampaignSummary, CampaignError> {
@@ -139,7 +206,8 @@ impl CampaignMemo {
         if campaign.collect_metrics {
             return run_campaign_summary(campaign, threads, mode);
         }
-        let runs = self.runs(CampaignKey::of(campaign), campaign.runs, |start, count| {
+        let key = CampaignKey::of(campaign);
+        let runs = self.runs(key, campaign.runs, store, |start, count| {
             let tail = Campaign {
                 base_seed: campaign.base_seed + start,
                 runs: count,
@@ -156,15 +224,18 @@ impl CampaignMemo {
         })
     }
 
-    /// The first `wanted` runs of `key`, calling `simulate(start, count)`
-    /// for runs `start..start + count` when the entry is shorter. Only
-    /// this key's slot is held while simulating.
+    /// The first `wanted` runs of `key`. When the slot is shorter, adopts
+    /// the stored entry if it is longer, then calls `simulate(start,
+    /// count)` for runs `start..start + count` still missing and stores
+    /// the extended entry. Only this key's slot is held meanwhile.
     fn runs(
         &self,
         key: CampaignKey,
         wanted: u64,
+        store: &OracleCache,
         simulate: impl FnOnce(u64, u64) -> Vec<RunSummary>,
     ) -> Vec<RunSummary> {
+        let address = key.address();
         let slot = self
             .slots
             .lock()
@@ -175,12 +246,22 @@ impl CampaignMemo {
         // A poisoned slot lost a leader mid-simulation; the runs it holds
         // were all stored before, so they stand and the rest is redone.
         let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if (held.len() as u64) < wanted && store.is_enabled() {
+            let stored = store.fetch(NS_CAMPAIGN, address, |bytes| decode(address, bytes));
+            store.count_campaign(stored.as_ref().is_some_and(|s| s.len() as u64 >= wanted));
+            if let Some(stored) = stored.filter(|s| s.len() > held.len()) {
+                *held = stored;
+            }
+        }
         let have = held.len() as u64;
         if have < wanted {
             let tail = simulate(have, wanted - have);
             assert_eq!(tail.len() as u64, wanted - have, "simulated run count");
             self.simulated.fetch_add(wanted - have, Ordering::Relaxed);
             held.extend(tail);
+            store
+                .artifact_store()
+                .put(NS_CAMPAIGN, address, &encode(address, &held));
         }
         let wanted = usize::try_from(wanted).expect("run count fits usize");
         held[..wanted].to_vec()
@@ -194,10 +275,133 @@ impl CampaignMemo {
             .len()
     }
 
-    /// Runs simulated so far — with no leader lost to a panic, the summed
-    /// length of every entry: no run is simulated twice.
+    /// Runs simulated so far. With no leader lost to a panic, no run is
+    /// simulated twice, and none that was adopted from the store.
     pub fn simulated_runs(&self) -> u64 {
         self.simulated.load(Ordering::Relaxed)
+    }
+}
+
+/// Bytes of the entry header: magic, version, address echo, run count.
+const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
+
+/// Bytes of one [`RunSummary`] record: flags, `k`, `k_prime_ads`, four
+/// floats, two counters.
+const RECORD_BYTES: usize = 3 * 4 + 4 * 8 + 2 * 8;
+
+/// Bytes of the trailing FNV-1a digest.
+const DIGEST_BYTES: usize = 8;
+
+/// Record flag bits; every other bit is reserved and must be clear.
+const LAUNCHED: u32 = 1 << 0;
+const EB: u32 = 1 << 1;
+const ACCIDENT: u32 = 1 << 2;
+const HAS_PREDICTED_DELTA: u32 = 1 << 3;
+const HAS_MIN_DELTA_POST_ATTACK: u32 = 1 << 4;
+const HAS_MIN_DELTA_ATTACK_WINDOW: u32 = 1 << 5;
+const HAS_K_PRIME_ADS: u32 = 1 << 6;
+const HAS_REPLICA_DIVERGENCE: u32 = 1 << 7;
+const KNOWN_FLAGS: u32 = (1 << 8) - 1;
+
+/// Serializes the runs of the campaign at `address` (little-endian; an
+/// absent optional field is a clear flag bit and a zero value).
+fn encode(address: u64, runs: &[RunSummary]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + RECORD_BYTES * runs.len() + DIGEST_BYTES);
+    out.extend_from_slice(&CAMPAIGN_MAGIC);
+    out.extend_from_slice(&CAMPAIGN_CODE_VERSION.to_le_bytes());
+    out.extend_from_slice(&address.to_le_bytes());
+    out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    for run in runs {
+        let flag = |set: bool, bit: u32| if set { bit } else { 0 };
+        let flags = flag(run.launched, LAUNCHED)
+            | flag(run.eb, EB)
+            | flag(run.accident, ACCIDENT)
+            | flag(run.predicted_delta.is_some(), HAS_PREDICTED_DELTA)
+            | flag(
+                run.min_delta_post_attack.is_some(),
+                HAS_MIN_DELTA_POST_ATTACK,
+            )
+            | flag(
+                run.min_delta_attack_window.is_some(),
+                HAS_MIN_DELTA_ATTACK_WINDOW,
+            )
+            | flag(run.k_prime_ads.is_some(), HAS_K_PRIME_ADS)
+            | flag(run.replica_divergence.is_some(), HAS_REPLICA_DIVERGENCE);
+        out.extend_from_slice(&flags.to_le_bytes());
+        out.extend_from_slice(&run.k.to_le_bytes());
+        out.extend_from_slice(&run.k_prime_ads.unwrap_or(0).to_le_bytes());
+        for value in [
+            run.predicted_delta,
+            run.min_delta_post_attack,
+            run.min_delta_attack_window,
+            run.replica_divergence,
+        ] {
+            out.extend_from_slice(&value.map_or(0, f64::to_bits).to_le_bytes());
+        }
+        out.extend_from_slice(&run.frames_lost.to_le_bytes());
+        out.extend_from_slice(&run.stale_frames.to_le_bytes());
+    }
+    let digest = fnv1a(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// Deserializes the entry stored at `address`; `None` on any mismatch.
+fn decode(address: u64, bytes: &[u8]) -> Option<Vec<RunSummary>> {
+    let (body, digest) = bytes.split_last_chunk::<DIGEST_BYTES>()?;
+    let mut r = Reader(body);
+    if r.bytes()? != CAMPAIGN_MAGIC || r.u32()? != CAMPAIGN_CODE_VERSION || r.u64()? != address {
+        return None;
+    }
+    let count = usize::try_from(r.u64()?).ok()?;
+    // The declared count must account for exactly the bytes that follow,
+    // checked before anything is allocated for it.
+    if count.checked_mul(RECORD_BYTES) != Some(r.remaining()) {
+        return None;
+    }
+    if fnv1a(body) != u64::from_le_bytes(*digest) {
+        return None;
+    }
+    let mut runs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let flags = r.u32()?;
+        if flags & !KNOWN_FLAGS != 0 {
+            return None;
+        }
+        let k = r.u32()?;
+        let k_prime_ads = optional(flags, HAS_K_PRIME_ADS, r.u32()?)?;
+        let mut float = |bit| optional(flags, bit, r.u64()?).map(|v| v.map(f64::from_bits));
+        let predicted_delta = float(HAS_PREDICTED_DELTA)?;
+        let min_delta_post_attack = float(HAS_MIN_DELTA_POST_ATTACK)?;
+        let min_delta_attack_window = float(HAS_MIN_DELTA_ATTACK_WINDOW)?;
+        let replica_divergence = float(HAS_REPLICA_DIVERGENCE)?;
+        runs.push(RunSummary {
+            launched: flags & LAUNCHED != 0,
+            k,
+            predicted_delta,
+            eb: flags & EB != 0,
+            accident: flags & ACCIDENT != 0,
+            min_delta_post_attack,
+            min_delta_attack_window,
+            k_prime_ads,
+            replica_divergence,
+            frames_lost: r.u64()?,
+            stale_frames: r.u64()?,
+        });
+    }
+    Some(runs)
+}
+
+/// The optional field behind flag `bit`: `Some(Some(value))` when `flags`
+/// sets the bit, `Some(None)` when it does not and the stored value is
+/// zero, and `None` (corruption) for a value stored under a clear bit.
+fn optional<T: PartialEq + Default>(flags: u32, bit: u32, value: T) -> Option<Option<T>> {
+    if flags & bit != 0 {
+        Some(Some(value))
+    } else if value == T::default() {
+        Some(None)
+    } else {
+        None
     }
 }
 
@@ -206,6 +410,21 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign_dispatch;
     use av_faults::{FaultKind, FaultPlan, FaultSpec};
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+    use std::time::{Duration, Instant};
+
+    impl CampaignMemo {
+        /// [`CampaignMemo::run`] over a disabled store: the memo alone.
+        fn run_alone(
+            &self,
+            campaign: &Campaign,
+            threads: usize,
+            mode: DispatchMode,
+        ) -> Result<CampaignSummary, CampaignError> {
+            self.run(campaign, &OracleCache::disabled(), threads, mode)
+        }
+    }
 
     /// An "R w/o SH" campaign: its attack timing and K are drawn per run
     /// seed, so its runs differ from one seed to the next.
@@ -221,6 +440,309 @@ mod tests {
         )
     }
 
+    /// The pinned campaign: DS-1 Move_Out under the kinematic oracle,
+    /// 3 runs from seed 7.
+    fn pinned_campaign() -> Campaign {
+        Campaign::new(
+            "pinned",
+            ScenarioId::Ds1,
+            AttackerSpec::RoboTack {
+                vector: Some(AttackVector::MoveOut),
+                oracle: OracleSpec::Kinematic,
+            },
+            3,
+            7,
+        )
+    }
+
+    /// The pinned campaign's address and encoded entry, simulated once.
+    fn real_entry() -> &'static (u64, Vec<u8>) {
+        static ENTRY: OnceLock<(u64, Vec<u8>)> = OnceLock::new();
+        ENTRY.get_or_init(|| {
+            let campaign = pinned_campaign();
+            let runs = run_campaign_summary(&campaign, 1, DispatchMode::WorkStealing)
+                .expect("one thread")
+                .runs;
+            let address = CampaignKey::of(&campaign).address();
+            (address, encode(address, &runs))
+        })
+    }
+
+    /// Recomputes the trailing digest, so a test edit reaches the checks
+    /// behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - DIGEST_BYTES;
+        let digest = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    /// A fresh store directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("campaign-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every field set, with the values a summary can legitimately hold
+    /// at its edges: `+∞`, `-0.0`, a NaN payload, counter extremes.
+    fn edge_runs() -> Vec<RunSummary> {
+        let full = RunSummary {
+            launched: true,
+            k: u32::MAX,
+            predicted_delta: Some(-0.0),
+            eb: true,
+            accident: true,
+            min_delta_post_attack: Some(f64::from_bits(0x7ff8_0000_0000_0123)),
+            min_delta_attack_window: Some(f64::INFINITY),
+            k_prime_ads: Some(0),
+            replica_divergence: Some(f64::MIN_POSITIVE),
+            frames_lost: u64::MAX,
+            stale_frames: 1,
+        };
+        let empty = RunSummary {
+            launched: false,
+            k: 0,
+            predicted_delta: None,
+            eb: false,
+            accident: false,
+            min_delta_post_attack: None,
+            min_delta_attack_window: None,
+            k_prime_ads: None,
+            replica_divergence: None,
+            frames_lost: 0,
+            stale_frames: 0,
+        };
+        vec![full, empty, full]
+    }
+
+    /// Encoded bytes, compared by bit pattern (`RunSummary`'s `==` is
+    /// false on NaN).
+    fn bits(runs: &[RunSummary]) -> Vec<u8> {
+        encode(0, runs)
+    }
+
+    #[test]
+    fn codec_round_trips_every_field_by_bit_pattern() {
+        let runs = edge_runs();
+        let bytes = encode(42, &runs);
+        assert_eq!(bytes.len(), HEADER_BYTES + 3 * RECORD_BYTES + DIGEST_BYTES);
+        let back = decode(42, &bytes).expect("round trip");
+        assert_eq!(bits(&back), bits(&runs));
+        assert_eq!(back[0].min_delta_attack_window, Some(f64::INFINITY));
+        assert!(back[0].predicted_delta.unwrap().is_sign_negative());
+        assert_eq!(decode(42, &encode(42, &[])), Some(Vec::new()));
+    }
+
+    #[test]
+    fn entries_cut_at_any_length_miss() {
+        let (address, bytes) = real_entry();
+        assert!(decode(*address, bytes).is_some());
+        for cut in 0..bytes.len() {
+            assert!(decode(*address, &bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decode(*address, &padded).is_none(), "trailing byte");
+    }
+
+    #[test]
+    fn wrong_magic_version_echo_or_digest_miss() {
+        let (address, bytes) = real_entry();
+        assert!(decode(address ^ 1, bytes).is_none(), "address echo");
+        for (at, what) in [(0, "magic"), (4, "version"), (8, "address echo")] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            reseal(&mut bad);
+            assert!(decode(*address, &bad).is_none(), "{what}");
+        }
+        let mut bad = bytes.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x80;
+        assert!(decode(*address, &bad).is_none(), "digest");
+        let mut flipped = bytes.clone();
+        flipped[HEADER_BYTES + 20] ^= 0x01;
+        assert!(
+            decode(*address, &flipped).is_none(),
+            "a flipped float bit fails the digest instead of decoding to another run"
+        );
+    }
+
+    #[test]
+    fn declared_run_counts_beyond_the_bytes_miss_before_allocating() {
+        let (address, bytes) = real_entry();
+        let count = |n: u64| {
+            let mut bad = bytes.clone();
+            bad[16..24].copy_from_slice(&n.to_le_bytes());
+            reseal(&mut bad);
+            decode(*address, &bad)
+        };
+        assert!(count(3).is_some(), "the real count");
+        for n in [4, 2, 0, u64::MAX / RECORD_BYTES as u64 + 1, u64::MAX] {
+            // Allocating `u64::MAX` records would abort the process: a
+            // miss here is a miss decided before any allocation.
+            assert!(count(n).is_none(), "declared {n} runs");
+        }
+    }
+
+    #[test]
+    fn reserved_flag_bits_and_values_under_clear_flags_miss() {
+        let (address, bytes) = real_entry();
+        let record = |i: usize, at: usize| HEADER_BYTES + i * RECORD_BYTES + at;
+        for bit in 8..32 {
+            let mut bad = bytes.clone();
+            bad[record(1, bit / 8)] |= 1 << (bit % 8);
+            reseal(&mut bad);
+            assert!(decode(*address, &bad).is_none(), "reserved bit {bit}");
+        }
+        // A value stored for an absent field: clear every presence bit of
+        // a record that has some, leaving their values in place.
+        let runs = decode(*address, bytes).expect("real entry");
+        let i = runs
+            .iter()
+            .position(|r| r.min_delta_post_attack.is_some())
+            .expect("some run has a post-attack δ");
+        let mut bad = bytes.clone();
+        bad[record(i, 0)] &= !(HAS_MIN_DELTA_POST_ATTACK as u8);
+        reseal(&mut bad);
+        assert!(decode(*address, &bad).is_none(), "value under a clear flag");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mutated_entries_never_panic_or_decode_to_other_runs(
+            edits in proptest::prelude::prop::collection::vec(
+                (0..4u8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
+                1..12,
+            ),
+            resealed in proptest::prelude::any::<bool>(),
+        ) {
+            let (address, original) = real_entry();
+            let mut bytes = original.clone();
+            for (op, at, byte) in edits {
+                let at = usize::try_from(at % (bytes.len() as u64 + 1)).expect("small");
+                match op {
+                    0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            // Resealing lets a mutation past the digest to the structural
+            // checks behind it.
+            if resealed && bytes.len() >= DIGEST_BYTES {
+                reseal(&mut bytes);
+            }
+            let started = Instant::now();
+            let decoded = decode(*address, &bytes);
+            proptest::prop_assert!(started.elapsed() < Duration::from_secs(1));
+            if let Some(runs) = decoded {
+                // Whatever decodes is canonical: it re-encodes to exactly
+                // the bytes read, and unsealed, only the original passes.
+                proptest::prop_assert_eq!(encode(*address, &runs), bytes.clone());
+                proptest::prop_assert!(resealed || bytes == *original);
+            }
+        }
+    }
+
+    /// The version guard: a change that moves this small campaign's folded
+    /// runs (or the entry bytes) without bumping [`CAMPAIGN_CODE_VERSION`]
+    /// would let warm stores serve stale campaigns.
+    #[test]
+    fn campaign_entry_is_pinned_with_its_code_version() {
+        let (address, bytes) = real_entry();
+        let runs = decode(*address, bytes).expect("real entry");
+        assert!(
+            runs.iter().any(|r| r.launched) && runs.iter().any(|r| r.k_prime_ads.is_some()),
+            "the pinned campaign attacks, so its entry covers the attack fields: {runs:?}"
+        );
+        assert_eq!(
+            (CAMPAIGN_CODE_VERSION, fnv1a(bytes)),
+            PINNED_ENTRY,
+            "the DS-1 Move_Out (kinematic, 3 runs, seed 7) campaign entry \
+             changed: bump CAMPAIGN_CODE_VERSION, then re-pin PINNED_ENTRY"
+        );
+    }
+
+    const PINNED_ENTRY: (u32, u64) = (1, 0xdba1_2532_0be0_8b1b);
+
+    #[test]
+    fn a_later_memo_reads_the_store_and_simulates_only_the_tail() {
+        let dir = scratch("tiers");
+        let store = Arc::new(av_suite::ArtifactStore::at(&dir));
+        let direct = run_campaign_dispatch(&nosh(4, 40), 1, DispatchMode::WorkStealing)
+            .unwrap()
+            .summary();
+
+        let cold = OracleCache::over(store.clone());
+        let first = CampaignMemo::new();
+        first
+            .run(&nosh(2, 40), &cold, 2, DispatchMode::WorkStealing)
+            .unwrap();
+        first
+            .run(&nosh(3, 40), &cold, 1, DispatchMode::WorkStealing)
+            .unwrap();
+        first
+            .run(&nosh(1, 40), &cold, 1, DispatchMode::WorkStealing)
+            .unwrap();
+        assert_eq!(first.simulated_runs(), 3);
+        assert_eq!(
+            (cold.campaign_hits(), cold.campaign_misses()),
+            (0, 2),
+            "each extension read the store first; the prefix did not"
+        );
+
+        let warm = OracleCache::over(store.clone());
+        let second = CampaignMemo::new();
+        let prefix = second
+            .run(
+                &nosh(3, 40),
+                &warm,
+                1,
+                DispatchMode::Batched { batch_size: 2 },
+            )
+            .unwrap();
+        assert_eq!(prefix.runs[..], direct.runs[..3]);
+        assert_eq!(second.simulated_runs(), 0, "read, not simulated");
+        assert_eq!(warm.artifact_totals(), (1, 0));
+
+        let longer = OracleCache::over(store);
+        let third = CampaignMemo::new();
+        let extended = third
+            .run(&nosh(4, 40), &longer, 2, DispatchMode::WorkStealing)
+            .unwrap();
+        assert_eq!(extended, direct);
+        assert_eq!(
+            third.simulated_runs(),
+            1,
+            "runs 0..3 adopted, run 3 simulated"
+        );
+        assert_eq!(longer.artifact_totals(), (0, 1));
+        let stored = std::fs::read(dir.join(format!(
+            "{:016x}.{NS_CAMPAIGN}",
+            CampaignKey::of(&nosh(4, 40)).address()
+        )))
+        .expect("entry written");
+        assert_eq!(
+            decode(CampaignKey::of(&nosh(1, 40)).address(), &stored),
+            Some(direct.runs)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_disabled_store_leaves_the_memo_alone() {
+        let view = OracleCache::disabled();
+        let memo = CampaignMemo::new();
+        memo.run(&nosh(1, 3), &view, 1, DispatchMode::WorkStealing)
+            .unwrap();
+        memo.run(&nosh(1, 3), &view, 1, DispatchMode::WorkStealing)
+            .unwrap();
+        assert_eq!(memo.simulated_runs(), 1);
+        assert_eq!(view.artifact_totals(), (0, 0), "no store lookups to count");
+    }
+
     #[test]
     fn name_and_run_count_stay_out_of_the_key() {
         let mut renamed = nosh(9, 5);
@@ -232,11 +754,11 @@ mod tests {
     fn extension_simulates_only_the_missing_runs() {
         let memo = CampaignMemo::new();
         let short = memo
-            .run(&nosh(2, 40), 2, DispatchMode::WorkStealing)
+            .run_alone(&nosh(2, 40), 2, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(memo.simulated_runs(), 2);
         let long = memo
-            .run(&nosh(3, 40), 1, DispatchMode::Batched { batch_size: 2 })
+            .run_alone(&nosh(3, 40), 1, DispatchMode::Batched { batch_size: 2 })
             .unwrap();
         assert_eq!(memo.simulated_runs(), 3, "only run 2 was new");
         assert_eq!(long.runs[..2], short.runs[..]);
@@ -248,7 +770,7 @@ mod tests {
             "seeds give distinct runs, so a misplaced extension shows: {runs:?}"
         );
         let prefix = memo
-            .run(&nosh(1, 40), 1, DispatchMode::WorkStealing)
+            .run_alone(&nosh(1, 40), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(prefix.runs[..], long.runs[..1]);
         assert_eq!((memo.simulated_runs(), memo.campaigns()), (3, 1));
@@ -257,7 +779,7 @@ mod tests {
     #[test]
     fn metrics_campaigns_bypass_the_memo() {
         let memo = CampaignMemo::new();
-        memo.run(&nosh(1, 0).with_metrics(), 1, DispatchMode::WorkStealing)
+        memo.run_alone(&nosh(1, 0).with_metrics(), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!((memo.simulated_runs(), memo.campaigns()), (0, 0));
     }
@@ -265,10 +787,10 @@ mod tests {
     #[test]
     fn zero_threads_is_a_typed_error_even_on_a_hit() {
         let memo = CampaignMemo::new();
-        memo.run(&nosh(1, 0), 1, DispatchMode::WorkStealing)
+        memo.run_alone(&nosh(1, 0), 1, DispatchMode::WorkStealing)
             .unwrap();
         assert_eq!(
-            memo.run(&nosh(1, 0), 0, DispatchMode::WorkStealing)
+            memo.run_alone(&nosh(1, 0), 0, DispatchMode::WorkStealing)
                 .unwrap_err(),
             CampaignError::ZeroThreads
         );
@@ -278,14 +800,14 @@ mod tests {
     fn a_panicking_leader_leaves_its_followers_to_simulate() {
         let memo = Arc::new(CampaignMemo::new());
         let campaign = nosh(3, 7);
-        memo.run(&nosh(1, 7), 1, DispatchMode::WorkStealing)
+        memo.run_alone(&nosh(1, 7), 1, DispatchMode::WorkStealing)
             .unwrap();
         let (started, leading) = std::sync::mpsc::channel();
         let leader = {
             let memo = memo.clone();
             let key = CampaignKey::of(&campaign);
             std::thread::spawn(move || {
-                memo.runs(key, 3, |start, count| {
+                memo.runs(key, 3, &OracleCache::disabled(), |start, count| {
                     started.send((start, count)).expect("follower listening");
                     panic!("leader lost mid-simulation");
                 })
@@ -299,13 +821,15 @@ mod tests {
             (1, 2),
             "the leader extends the stored prefix"
         );
-        let follower = memo.run(&campaign, 2, DispatchMode::WorkStealing).unwrap();
+        let follower = memo
+            .run_alone(&campaign, 2, DispatchMode::WorkStealing)
+            .unwrap();
         assert!(leader.join().is_err(), "the leader panicked");
         let direct = run_campaign_dispatch(&campaign, 1, DispatchMode::WorkStealing).unwrap();
         assert_eq!(follower, direct.summary());
         assert_eq!(memo.simulated_runs(), 3);
         let again = memo
-            .run(&campaign, 1, DispatchMode::Batched { batch_size: 7 })
+            .run_alone(&campaign, 1, DispatchMode::Batched { batch_size: 7 })
             .unwrap();
         assert_eq!(again, follower, "the recovered slot serves later callers");
         assert_eq!(memo.simulated_runs(), 3);

@@ -18,6 +18,10 @@
 //!   skips its ~715 simulations when another consumer already collected
 //!   the identical sweep.
 //!
+//! Two more namespaces read through the same views: `search-eval`
+//! (candidate evaluation summaries, [`crate::search`]) and `campaign`
+//! (folded report campaigns, [`crate::memo`]).
+//!
 //! An [`OracleCache`] is a cheap *view* over the store with its own
 //! hit/miss counters: the suite orchestrator gives every job a private
 //! view over one shared store, which is how the per-job scorecards in the
@@ -43,7 +47,9 @@ use std::sync::Arc;
 /// Version of the dataset-collection + training code path. Bump this when
 /// [`crate::train_sh`] changes semantics (sweep seeding, labeling, split,
 /// architecture, optimizer), so stale snapshots miss instead of resurrecting
-/// an oracle the current code would no longer produce.
+/// an oracle the current code would no longer produce. A simulator change
+/// that moves collected runs usually moves report campaigns too: bump
+/// [`crate::memo::CAMPAIGN_CODE_VERSION`] with it.
 pub const DATASET_CODE_VERSION: u32 = 1;
 
 /// On-disk snapshot format version (shared by both codecs).
@@ -118,6 +124,8 @@ pub struct OracleCache {
     misses: AtomicU64,
     dataset_hits: AtomicU64,
     dataset_misses: AtomicU64,
+    campaign_hits: AtomicU64,
+    campaign_misses: AtomicU64,
     read_errors: AtomicU64,
 }
 
@@ -148,6 +156,8 @@ impl OracleCache {
             misses: AtomicU64::new(0),
             dataset_hits: AtomicU64::new(0),
             dataset_misses: AtomicU64::new(0),
+            campaign_hits: AtomicU64::new(0),
+            campaign_misses: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
         }
     }
@@ -200,12 +210,35 @@ impl OracleCache {
         self.dataset_misses.load(Ordering::Relaxed)
     }
 
-    /// All artifact lookups this view made, as ⟨hits, misses⟩ across both
-    /// namespaces — what the suite's per-job scorecard reports.
+    /// Campaign-entry hits so far (this view): store reads that held every
+    /// run the request asked for.
+    pub fn campaign_hits(&self) -> u64 {
+        self.campaign_hits.load(Ordering::Relaxed)
+    }
+
+    /// Campaign-entry misses so far (this view): store reads after which
+    /// runs still had to be simulated.
+    pub fn campaign_misses(&self) -> u64 {
+        self.campaign_misses.load(Ordering::Relaxed)
+    }
+
+    /// Counts one campaign-entry lookup of this view ([`crate::memo`]).
+    pub(crate) fn count_campaign(&self, hit: bool) {
+        let counter = if hit {
+            &self.campaign_hits
+        } else {
+            &self.campaign_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// All artifact lookups this view made, as ⟨hits, misses⟩ across the
+    /// oracle, dataset and campaign namespaces — what the suite's per-job
+    /// scorecard reports.
     pub fn artifact_totals(&self) -> (u64, u64) {
         (
-            self.hits() + self.dataset_hits(),
-            self.misses() + self.dataset_misses(),
+            self.hits() + self.dataset_hits() + self.campaign_hits(),
+            self.misses() + self.dataset_misses() + self.campaign_misses(),
         )
     }
 
@@ -424,29 +457,30 @@ fn write_network(oracle: &NnOracle, mut emit: impl FnMut(&[u8])) {
     }
 }
 
-/// Checked little-endian reader over untrusted bytes.
-struct Reader<'a>(&'a [u8]);
+/// Checked little-endian reader over untrusted bytes — the oracle,
+/// dataset and campaign codecs decode through it.
+pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
 
 impl Reader<'_> {
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.0.len()
     }
 
-    fn bytes<const N: usize>(&mut self) -> Option<[u8; N]> {
+    pub(crate) fn bytes<const N: usize>(&mut self) -> Option<[u8; N]> {
         let (head, rest) = self.0.split_at_checked(N)?;
         self.0 = rest;
         head.try_into().ok()
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.bytes().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         self.bytes().map(u64::from_le_bytes)
     }
 
-    fn f64(&mut self) -> Option<f64> {
+    pub(crate) fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
 

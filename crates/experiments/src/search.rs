@@ -66,6 +66,8 @@ use std::sync::Arc;
 /// Version of the search evaluation semantics. Bump whenever candidate
 /// evaluation or its summary encoding changes, so stale cached evaluations
 /// miss instead of resurrecting results the current code would not produce.
+/// A simulator change that moves runs moves report campaigns too: bump
+/// [`crate::memo::CAMPAIGN_CODE_VERSION`] with it.
 pub const SEARCH_CODE_VERSION: u32 = 1;
 
 /// Artifact-store namespace of cached candidate-evaluation summaries.

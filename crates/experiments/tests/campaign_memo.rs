@@ -1,10 +1,11 @@
 //! The campaign memo's contracts: the report campaigns it shares really are
 //! the same runs, a memoized result — fresh, a prefix, or an extension —
-//! is bit-equal to direct dispatch, different campaigns never share, and
-//! one memo lives for exactly one suite execution.
+//! is bit-equal to direct dispatch, different campaigns never share, one
+//! memo lives for exactly one suite execution, and the store keeps
+//! campaigns across executions (a corrupt entry is one miss, resimulated).
 
 use av_experiments::campaign::{run_campaign_dispatch, Campaign, CampaignResult, DispatchMode};
-use av_experiments::jobs::paper_dag;
+use av_experiments::jobs::{fig8, paper_dag};
 use av_experiments::memo::{CampaignKey, CampaignMemo};
 use av_experiments::oracle_cache::{network_digest, OracleCache};
 use av_experiments::prelude::{AttackVector, AttackerSpec, OracleSpec, ScenarioId};
@@ -123,11 +124,12 @@ fn memoized_results_equal_direct_dispatch() {
             .unwrap()
             .summary();
         let memo = CampaignMemo::new();
-        let fresh = memo.run(&campaign(60), 2, mode).unwrap();
+        let alone = OracleCache::disabled();
+        let fresh = memo.run(&campaign(60), &alone, 2, mode).unwrap();
         assert_eq!(fresh.runs[..], direct.runs[..60], "{mode:?}: fresh");
-        let extended = memo.run(&campaign(120), 2, mode).unwrap();
+        let extended = memo.run(&campaign(120), &alone, 2, mode).unwrap();
         assert_eq!(extended, direct, "{mode:?}: 60 → 120 extension");
-        let prefix = memo.run(&campaign(45), 1, mode).unwrap();
+        let prefix = memo.run(&campaign(45), &alone, 1, mode).unwrap();
         assert_eq!(prefix.runs[..], direct.runs[..45], "{mode:?}: prefix");
         assert_eq!(
             (memo.campaigns(), memo.simulated_runs()),
@@ -172,7 +174,9 @@ fn different_oracle_fault_plan_or_seed_does_not_share() {
 
     let memo = CampaignMemo::new();
     for c in variants {
-        let memoized = memo.run(c, 2, DispatchMode::WorkStealing).unwrap();
+        let memoized = memo
+            .run(c, &OracleCache::disabled(), 2, DispatchMode::WorkStealing)
+            .unwrap();
         let direct = run_campaign_dispatch(c, 1, DispatchMode::WorkStealing).unwrap();
         assert_eq!(memoized, direct.summary(), "{:?}", CampaignKey::of(c));
     }
@@ -195,10 +199,15 @@ fn probe(id: &str, seen: &Seen) -> Job {
     })
 }
 
-/// The quick paper DAG between two probes: `start` runs before every
-/// job, `end` after every report.
-fn probed_paper_dag(store: &Arc<ArtifactStore>, seen: &Seen) -> Dag {
-    let paper = paper_dag(&quick_args(), store).expect("valid DAG");
+/// The quick paper DAG — or its subgraph for the `only` reports, when
+/// given — between two probes: `start` runs before every job, `end` after
+/// every report.
+fn probed_paper_dag(store: &Arc<ArtifactStore>, seen: &Seen, only: &[&str]) -> Dag {
+    let mut paper = paper_dag(&quick_args(), store).expect("valid DAG");
+    if !only.is_empty() {
+        let only: Vec<String> = only.iter().map(|id| id.to_string()).collect();
+        paper = paper.subgraph(&only).expect("known reports");
+    }
     let mut jobs = vec![probe("start", seen)];
     let mut reports = Vec::new();
     for job in paper.jobs() {
@@ -221,15 +230,15 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ArtifactStore::at(&dir));
     let seen = Seen::default();
-    let dag = probed_paper_dag(&store, &seen);
+    let dag = probed_paper_dag(&store, &seen, &[]);
     let opts = ExecOptions::new().workers(2);
-    let stdout = |dag: &Dag| -> String {
+    let stdout = |dag: &Dag| -> Vec<(String, String)> {
         execute(dag, &opts)
             .expect("suite run")
             .jobs
             .iter()
             .filter(|j| j.emits_stdout)
-            .map(|j| j.stdout.clone())
+            .map(|j| (j.id.clone(), j.stdout.clone()))
             .collect()
     };
 
@@ -237,7 +246,7 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     assert_eq!(
         store.dedup_counters(),
         (12, 0),
-        "6 datasets + 6 oracles led once; memo lookups are not store claims"
+        "6 datasets + 6 oracles led once; campaigns are not store claims"
     );
     let warm = stdout(&dag);
     assert_eq!(cold, warm);
@@ -247,6 +256,22 @@ fn each_execution_simulates_its_shared_campaigns_once() {
         "a warm store claims nothing"
     );
 
+    // The reports that fold campaigns, over a disabled store: every job
+    // retrains its oracles, and the memo works alone.
+    let alone_seen = Seen::default();
+    let disabled = probed_paper_dag(
+        &Arc::new(ArtifactStore::disabled()),
+        &alone_seen,
+        &["table2", "fig6", "fig7", "fig8", "resilience"],
+    );
+    for report in stdout(&disabled) {
+        assert!(
+            cold.contains(&report),
+            "{}: a disabled store prints the same",
+            report.0
+        );
+    }
+
     // Quick mode, 2 runs per campaign. Distinct keys: the six Table II arms
     // (shared by fig6's R panels, fig7, fig8 and resilience's healthy
     // RoboTack cells), the 24-run DS-5 baseline, fig6's four w/o-SH arms,
@@ -255,10 +280,71 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     let per_execution = (6 + 1 + 4 + 4 + 9, 6 * 2 + 24 + 4 * 2 + 4 * 2 + 9 * 2);
     assert_eq!(
         *seen.lock().unwrap(),
-        [(0, 0), per_execution, (0, 0), per_execution],
-        "each execution starts with an empty memo and simulates every \
-         distinct campaign once"
+        [(0, 0), per_execution, (0, 0), (per_execution.0, 0)],
+        "each execution starts with an empty memo; the cold one simulates \
+         every distinct campaign once, the warm one reads all of them from \
+         the store"
     );
+    assert_eq!(
+        *alone_seen.lock().unwrap(),
+        [(0, 0), per_execution],
+        "without a store the memo still simulates each campaign once"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_corrupt_campaign_entry_prints_the_same_report_after_one_miss() {
+    // A private copy of the oracle store: this test writes campaigns.
+    let dir = std::env::temp_dir().join(format!("campaign-memo-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(oracle_store()).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    let args = Args {
+        cache_dir: Some(dir.clone()),
+        ..quick_args()
+    };
+    let cold = OracleCache::at(&dir);
+    let expected = fig8(&args, &cold, &CampaignMemo::new());
+    assert_eq!(
+        (cold.campaign_hits(), cold.campaign_misses()),
+        (0, 2),
+        "fig8(a) folds the DS-1 and DS-2 Move_Out campaigns"
+    );
+    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "campaign"))
+        .collect();
+    assert_eq!(entries.len(), 2);
+
+    let mut bytes = std::fs::read(&entries[0]).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x10;
+    std::fs::write(&entries[0], &bytes).unwrap();
+    let warm = OracleCache::at(&dir);
+    let memo = CampaignMemo::new();
+    assert_eq!(fig8(&args, &warm, &memo), expected, "byte-identical stdout");
+    assert_eq!(
+        (warm.campaign_hits(), warm.campaign_misses()),
+        (1, 1),
+        "the corrupt entry is one counted miss"
+    );
+    assert_eq!(
+        warm.artifact_totals(),
+        (3, 1),
+        "two oracles and a campaign hit"
+    );
+    assert_eq!(
+        warm.read_errors(),
+        0,
+        "corruption is a miss, not an I/O error"
+    );
+    assert_eq!(memo.simulated_runs(), 2, "only the corrupt campaign reran");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,9 @@
 //! `oracle` namespace is therefore file-compatible with caches written
 //! before the store existed). The store moves bytes only — encoding,
 //! decoding and validation belong to the callers, which treat every file
-//! as hostile.
+//! as hostile. The paper suite's namespaces are `dataset` and `oracle`
+//! (collected sweeps and trained oracles), `search-eval` (boundary-search
+//! evaluation summaries) and `campaign` (folded report campaigns).
 //!
 //! Reads distinguish "not there" from "there but unreadable": [`get`]
 //! returns `Ok(None)` on a plain miss and a typed [`StoreError`] on real

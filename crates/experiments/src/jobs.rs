@@ -34,9 +34,11 @@
 //! an earlier one simulated; its store lookups count in each job's
 //! hit/miss scorecard. A standalone binary runs its report with a fresh
 //! memo over its own store view, so its stdout stays byte-identical to the
-//! suite job's. `defense` and `ablations` run no [`Campaign`]s (their runs
-//! vary the configuration per run); each of their sections is one
-//! [`run_sweep`] over the host's workers, never stored.
+//! suite job's. `defense` and `ablations` go through neither tier; each of
+//! their sections is one [`run_sweep`] over the host's workers. `ablations`
+//! varies its configuration from run to run. Each `defense` section is a
+//! set of fixed-configuration seeded campaigns, but it reads the IDS
+//! alarms of every run, which a [`RunSummary`] does not fold.
 
 use crate::characterize::characterize_detector;
 use crate::memo::CampaignMemo;

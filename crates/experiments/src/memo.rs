@@ -48,7 +48,12 @@
 //! asks for while it reads, simulates and writes, so followers of that key
 //! wait for it and jobs on other keys do not. If a leader panics
 //! mid-simulation its slot keeps the runs it held before (nothing is
-//! written), and the next caller simulates the rest.
+//! written), and the next caller simulates the rest. Separate memos over
+//! one store (overlapping daemon requests, concurrent processes) do not
+//! wait for each other: both may simulate a key, and each writes its entry
+//! back only if the store does not already hold one at least as long. The
+//! store's writes are whole-file renames, so a reader sees one writer's
+//! entry or the other's, never a mix.
 
 use crate::campaign::{
     run_campaign_summary, Campaign, CampaignError, CampaignSummary, DispatchMode, RunSummary,
@@ -70,8 +75,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// miss instead of resurrecting runs the current code would not produce.
 /// The same rule holds for [`crate::oracle_cache::DATASET_CODE_VERSION`]
 /// and [`crate::search::SEARCH_CODE_VERSION`]; a simulator change usually
-/// bumps all three. A unit test pins this version together with the entry
-/// of one small fixed campaign.
+/// bumps all three. A unit test pins this version together with the
+/// entries of five small fixed campaigns, one per campaign shape the
+/// reports run (kinematic and NN-oracle RoboTack, "R w/o SH", the random
+/// baseline, a fault plan).
 pub const CAMPAIGN_CODE_VERSION: u32 = 1;
 
 /// Artifact-store namespace of folded campaign entries.
@@ -259,9 +266,18 @@ impl CampaignMemo {
             assert_eq!(tail.len() as u64, wanted - have, "simulated run count");
             self.simulated.fetch_add(wanted - have, Ordering::Relaxed);
             held.extend(tail);
-            store
-                .artifact_store()
-                .put(NS_CAMPAIGN, address, &encode(address, &held));
+            // Another memo over the same store (an overlapping daemon
+            // request, another process) may have stored a longer entry
+            // meanwhile; a shorter one never replaces it.
+            if store.is_enabled()
+                && store
+                    .fetch(NS_CAMPAIGN, address, |bytes| decode(address, bytes))
+                    .is_none_or(|stored| stored.len() < held.len())
+            {
+                store
+                    .artifact_store()
+                    .put(NS_CAMPAIGN, address, &encode(address, &held));
+            }
         }
         let wanted = usize::try_from(wanted).expect("run count fits usize");
         held[..wanted].to_vec()
@@ -410,6 +426,9 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign_dispatch;
     use av_faults::{FaultKind, FaultPlan, FaultSpec};
+    use av_neural::mlp::Mlp;
+    use av_neural::train::Normalizer;
+    use robotack::safety_hijacker::NnOracle;
     use std::path::PathBuf;
     use std::sync::OnceLock;
     use std::time::{Duration, Instant};
@@ -440,32 +459,95 @@ mod tests {
         )
     }
 
-    /// The pinned campaign: DS-1 Move_Out under the kinematic oracle,
-    /// 3 runs from seed 7.
-    fn pinned_campaign() -> Campaign {
-        Campaign::new(
-            "pinned",
-            ScenarioId::Ds1,
-            AttackerSpec::RoboTack {
-                vector: Some(AttackVector::MoveOut),
-                oracle: OracleSpec::Kinematic,
+    /// The pinned campaigns, one per shape the reports run, each 3 runs
+    /// from seed 7: RoboTack under the kinematic oracle (DS-1 Move_Out,
+    /// the entry the codec tests mutate), RoboTack under a fixed NN oracle,
+    /// "R w/o SH", the DS-5 random baseline, and RoboTack under a fault
+    /// plan of every fault kind the resilience study injects.
+    fn pinned_campaigns() -> [Campaign; 5] {
+        let robotack = |vector, oracle| AttackerSpec::RoboTack {
+            vector: Some(vector),
+            oracle,
+        };
+        // δ' = δ + 3·v_lon − 0.35·k: NN queries without a trained net.
+        let linear = Mlp::from_flat(&[5, 1], 0.0, &[1.0, 3.0, 0.0, 0.0, -0.35, 0.0]);
+        let nn = OracleSpec::Nn(Arc::new(NnOracle::new(
+            linear.expect("well-formed"),
+            Normalizer {
+                mean: vec![0.0; 5],
+                std: vec![1.0; 5],
             },
-            3,
-            7,
-        )
+        )));
+        let faults = FaultPlan::none()
+            .with(FaultSpec::always(FaultKind::CameraFrameDrop {
+                probability: 0.3,
+            }))
+            .with(FaultSpec::always(FaultKind::CameraFreeze {
+                probability: 0.02,
+                mean_frames: 6.0,
+            }))
+            .with(FaultSpec::always(FaultKind::CameraNoise { sigma_px: 4.0 }))
+            .with(FaultSpec::always(FaultKind::LidarDropout {
+                probability: 0.4,
+            }))
+            .with(FaultSpec::always(FaultKind::GpsBias {
+                bias: 1.5,
+                drift_per_s: 0.05,
+            }))
+            .with(FaultSpec::always(FaultKind::DetectorBlackout {
+                probability: 0.01,
+                mean_frames: 4.0,
+            }));
+        let disappear = robotack(AttackVector::Disappear, OracleSpec::Kinematic);
+        [
+            Campaign::new(
+                "kinematic",
+                ScenarioId::Ds1,
+                robotack(AttackVector::MoveOut, OracleSpec::Kinematic),
+                3,
+                7,
+            ),
+            Campaign::new(
+                "nn",
+                ScenarioId::Ds1,
+                robotack(AttackVector::Disappear, nn),
+                3,
+                7,
+            ),
+            Campaign::new(
+                "nosh",
+                ScenarioId::Ds1,
+                AttackerSpec::RoboTackNoSh {
+                    vector: Some(AttackVector::Disappear),
+                },
+                3,
+                7,
+            ),
+            Campaign::new("random", ScenarioId::Ds5, AttackerSpec::Random, 3, 7),
+            Campaign::new("faults", ScenarioId::Ds1, disappear, 3, 7).with_faults(faults),
+        ]
     }
 
-    /// The pinned campaign's address and encoded entry, simulated once.
-    fn real_entry() -> &'static (u64, Vec<u8>) {
-        static ENTRY: OnceLock<(u64, Vec<u8>)> = OnceLock::new();
-        ENTRY.get_or_init(|| {
-            let campaign = pinned_campaign();
-            let runs = run_campaign_summary(&campaign, 1, DispatchMode::WorkStealing)
-                .expect("one thread")
-                .runs;
-            let address = CampaignKey::of(&campaign).address();
-            (address, encode(address, &runs))
+    /// Each pinned campaign's address and encoded entry, simulated once.
+    fn pinned_entries() -> &'static [(u64, Vec<u8>)] {
+        static ENTRIES: OnceLock<Vec<(u64, Vec<u8>)>> = OnceLock::new();
+        ENTRIES.get_or_init(|| {
+            pinned_campaigns()
+                .iter()
+                .map(|campaign| {
+                    let runs = run_campaign_summary(campaign, 1, DispatchMode::WorkStealing)
+                        .expect("one thread")
+                        .runs;
+                    let address = CampaignKey::of(campaign).address();
+                    (address, encode(address, &runs))
+                })
+                .collect()
         })
+    }
+
+    /// The kinematic pinned campaign's address and encoded entry.
+    fn real_entry() -> &'static (u64, Vec<u8>) {
+        &pinned_entries()[0]
     }
 
     /// Recomputes the trailing digest, so a test edit reaches the checks
@@ -646,26 +728,59 @@ mod tests {
         }
     }
 
-    /// The version guard: a change that moves this small campaign's folded
-    /// runs (or the entry bytes) without bumping [`CAMPAIGN_CODE_VERSION`]
-    /// would let warm stores serve stale campaigns.
+    /// The version guard: a change that moves one of these small
+    /// campaigns' folded runs (or the entry bytes) without bumping
+    /// [`CAMPAIGN_CODE_VERSION`] would let warm stores serve stale
+    /// campaigns.
     #[test]
-    fn campaign_entry_is_pinned_with_its_code_version() {
-        let (address, bytes) = real_entry();
-        let runs = decode(*address, bytes).expect("real entry");
+    fn campaign_entries_are_pinned_with_their_code_version() {
+        let campaigns = pinned_campaigns();
+        let runs: Vec<Vec<RunSummary>> = pinned_entries()
+            .iter()
+            .map(|(address, bytes)| decode(*address, bytes).expect("real entry"))
+            .collect();
+        let launched = |runs: &[RunSummary]| runs.iter().any(|r| r.launched);
         assert!(
-            runs.iter().any(|r| r.launched) && runs.iter().any(|r| r.k_prime_ads.is_some()),
-            "the pinned campaign attacks, so its entry covers the attack fields: {runs:?}"
+            runs[..4].iter().all(|r| launched(r)),
+            "every attacker launches, so the entries cover the attack fields: {runs:?}"
         );
+        assert!(runs[0].iter().any(|r| r.k_prime_ads.is_some()));
+        assert!(
+            runs[4].iter().any(|r| r.frames_lost > 0),
+            "the fault plan drops frames: {:?}",
+            runs[4]
+        );
+        let digests: Vec<u64> = pinned_entries()
+            .iter()
+            .map(|(_, bytes)| fnv1a(bytes))
+            .collect();
+        let changed: Vec<&str> = campaigns
+            .iter()
+            .zip(&digests)
+            .zip(PINNED_ENTRIES.1)
+            .filter(|((_, digest), pinned)| **digest != *pinned)
+            .map(|((campaign, _), _)| campaign.name.as_str())
+            .collect();
         assert_eq!(
-            (CAMPAIGN_CODE_VERSION, fnv1a(bytes)),
-            PINNED_ENTRY,
-            "the DS-1 Move_Out (kinematic, 3 runs, seed 7) campaign entry \
-             changed: bump CAMPAIGN_CODE_VERSION, then re-pin PINNED_ENTRY"
+            (CAMPAIGN_CODE_VERSION, digests.as_slice()),
+            (PINNED_ENTRIES.0, &PINNED_ENTRIES.1[..]),
+            "pinned campaign entries changed ({changed:?}, now {digests:#018x?}): \
+             bump CAMPAIGN_CODE_VERSION, then re-pin PINNED_ENTRIES"
         );
     }
 
-    const PINNED_ENTRY: (u32, u64) = (1, 0xdba1_2532_0be0_8b1b);
+    /// ⟨[`CAMPAIGN_CODE_VERSION`], FNV-1a of each pinned entry⟩, in
+    /// [`pinned_campaigns`] order.
+    const PINNED_ENTRIES: (u32, [u64; 5]) = (
+        1,
+        [
+            0xdba1_2532_0be0_8b1b,
+            0x0a65_98c4_71f3_6781,
+            0x186d_b38a_9ee7_4058,
+            0x4c1e_53b9_93c0_d923,
+            0x97c2_c98c_429d_087e,
+        ],
+    );
 
     #[test]
     fn a_later_memo_reads_the_store_and_simulates_only_the_tail() {
@@ -728,6 +843,68 @@ mod tests {
             decode(CampaignKey::of(&nosh(1, 40)).address(), &stored),
             Some(direct.runs)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shorter_entry_never_replaces_a_longer_one() {
+        let dir = scratch("overlap");
+        let store = Arc::new(av_suite::ArtifactStore::at(&dir));
+        let direct = run_campaign_summary(&nosh(4, 50), 1, DispatchMode::WorkStealing)
+            .unwrap()
+            .runs;
+        let (short, long) = (CampaignMemo::new(), CampaignMemo::new());
+        let (short_view, long_view) = (
+            OracleCache::over(store.clone()),
+            OracleCache::over(store.clone()),
+        );
+        let key = CampaignKey::of(&nosh(2, 50));
+        let address = key.address();
+        // The short request misses and starts simulating; meanwhile another
+        // memo over the store (an overlapping daemon request) stores 4 runs.
+        let runs = short.runs(key, 2, &short_view, |start, count| {
+            long.run(&nosh(4, 50), &long_view, 1, DispatchMode::WorkStealing)
+                .unwrap();
+            direct[start as usize..(start + count) as usize].to_vec()
+        });
+        assert_eq!(runs, direct[..2]);
+        let stored = short_view.fetch(NS_CAMPAIGN, address, |b| decode(address, b));
+        assert_eq!(stored, Some(direct), "the longer entry stands");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_memos_over_one_store_leave_a_whole_entry() {
+        let dir = scratch("concurrent");
+        let store = Arc::new(av_suite::ArtifactStore::at(&dir));
+        let direct = run_campaign_summary(&nosh(3, 60), 1, DispatchMode::WorkStealing)
+            .unwrap()
+            .runs;
+        let address = CampaignKey::of(&nosh(1, 60)).address();
+        for _ in 0..3 {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::thread::scope(|s| {
+                for runs in [2, 3] {
+                    let (store, direct) = (store.clone(), &direct);
+                    s.spawn(move || {
+                        let folded = CampaignMemo::new()
+                            .run(
+                                &nosh(runs, 60),
+                                &OracleCache::over(store),
+                                1,
+                                DispatchMode::WorkStealing,
+                            )
+                            .unwrap();
+                        assert_eq!(folded.runs, direct[..runs as usize]);
+                    });
+                }
+            });
+            let view = OracleCache::over(store.clone());
+            let stored = view
+                .fetch(NS_CAMPAIGN, address, |b| decode(address, b))
+                .expect("a whole entry, never a mix of both writers");
+            assert_eq!(stored, direct[..stored.len()]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

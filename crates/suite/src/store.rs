@@ -26,6 +26,7 @@
 use crate::dedup::{Claim, InFlight};
 use av_telemetry::{Telemetry, TraceEvent};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A store read that failed for a reason other than the blob being absent.
 #[derive(Debug)]
@@ -139,15 +140,22 @@ impl ArtifactStore {
     }
 
     /// Persists `bytes` under ⟨`namespace`, `key`⟩ (atomic tmp + rename;
-    /// best-effort — failures are silently skipped).
+    /// best-effort — failures are silently skipped). Every write has its
+    /// own tmp file, so concurrent writers of one key each rename a whole
+    /// blob and the last rename wins.
     pub fn put(&self, namespace: &'static str, key: u64, bytes: &[u8]) {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let Some(dir) = self.dir.as_deref() else {
             return;
         };
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let tmp = dir.join(format!("{key:016x}.{namespace}.tmp.{}", std::process::id()));
+        let tmp = dir.join(format!(
+            "{key:016x}.{namespace}.tmp.{}.{}",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
         if std::fs::write(&tmp, bytes).is_ok()
             && std::fs::rename(&tmp, Self::path_for(dir, namespace, key)).is_err()
         {
@@ -267,6 +275,32 @@ mod tests {
         store.put("oracle", 5, b"trained");
         drop(token);
         assert_eq!(store.dedup_counters(), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_never_mix_their_bytes() {
+        let dir = scratch("writers");
+        let store = ArtifactStore::at(&dir);
+        let blobs: Vec<Vec<u8>> = (1..=4u8).map(|i| vec![i; 4096 * usize::from(i)]).collect();
+        for _ in 0..8 {
+            std::thread::scope(|s| {
+                for blob in &blobs {
+                    s.spawn(|| store.put("campaign", 9, blob));
+                }
+            });
+            let read = store
+                .get("campaign", 9)
+                .expect("readable")
+                .expect("written");
+            assert!(
+                blobs.contains(&read),
+                "one writer's whole blob, not a mix of {} bytes",
+                read.len()
+            );
+        }
+        let leftovers = std::fs::read_dir(&dir).expect("store dir").count();
+        assert_eq!(leftovers, 1, "every tmp file was renamed away");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -610,6 +610,42 @@ mod tests {
         }))
     }
 
+    /// A hand-built oracle: fixed shape, parameters, normalizer and
+    /// metrics, so its snapshot bytes depend on the codec alone.
+    fn fixed_oracle() -> TrainedOracle {
+        let params: Vec<f64> = (0..22).map(|i| f64::from(i) * 0.125 - 1.0).collect();
+        let net = InferenceMlp::from_flat(&[5, 3, 1], &params).expect("well-formed");
+        let normalizer = Normalizer {
+            mean: vec![1.0, -2.0, 0.5, 0.0, 40.0],
+            std: vec![2.0, 1.5, 0.25, 1.0, 20.0],
+        };
+        TrainedOracle {
+            oracle: Arc::new(NnOracle::from_inference(net, 0.1, normalizer)),
+            val_mse: 0.375,
+            examples: 715,
+        }
+    }
+
+    /// The `RTOC` and `RTDS` bytes of a fixed oracle and dataset: a codec
+    /// change that moves them strands every stored oracle and dataset.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let key = 0x0123_4567_89ab_cdef;
+        let oracle = encode(key, &fixed_oracle());
+        let dataset = encode_dataset(key, &sample_dataset());
+        assert_eq!(
+            (oracle.len(), fnv1a(&oracle), dataset.len(), fnv1a(&dataset)),
+            PINNED_SNAPSHOTS,
+            "snapshot bytes changed: every stored oracle and dataset would miss"
+        );
+        assert!(decode(key, &oracle).is_some_and(|o| bitwise_eq(&o, &fixed_oracle())));
+    }
+
+    /// ⟨length, FNV-1a⟩ of the fixed oracle's snapshot, then of the
+    /// sample dataset's.
+    const PINNED_SNAPSHOTS: (usize, u64, usize, u64) =
+        (344, 0x0183_f84c_3736_f674, 1560, 0xa6d7_28ec_8669_dd77);
+
     fn bitwise_eq(a: &TrainedOracle, b: &TrainedOracle) -> bool {
         let (na, nb) = (a.oracle.inference(), b.oracle.inference());
         let (ma, mb) = (a.oracle.normalizer(), b.oracle.normalizer());

@@ -856,6 +856,38 @@ mod tests {
         assert!(back.launched == 0 && back.median_k.is_nan());
     }
 
+    /// The `RTSE` bytes of a fixed evaluation and of a no-launch one (its
+    /// median K is NaN): a codec change that moves them strands every
+    /// stored search evaluation.
+    #[test]
+    fn eval_bytes_are_pinned() {
+        let launched = Eval {
+            label: "GEN-0000000000000001".into(),
+            root: ScenarioId::Ds2,
+            launched: 5,
+            runs: 6,
+            eb: 4,
+            crashes: 3,
+            median_k: 32.5,
+        };
+        let none_launched = Eval {
+            launched: 0,
+            eb: 0,
+            crashes: 0,
+            median_k: f64::NAN,
+            ..launched.clone()
+        };
+        let digests = [&launched, &none_launched]
+            .map(|eval| av_suite::fnv::fnv1a(&encode_eval(0x0123_4567_89ab_cdef, eval)));
+        assert_eq!(
+            digests, PINNED_EVALS,
+            "eval bytes changed: every stored search evaluation would miss"
+        );
+    }
+
+    /// FNV-1a of the launched and the no-launch evaluation's bytes.
+    const PINNED_EVALS: [u64; 2] = [0x9577_bc5c_6918_4d3a, 0xbca0_3dae_c686_932d];
+
     /// A candidate with no launched run has no median K: it renders `n/a`
     /// and sits in K bucket 0, explicitly rather than through a NaN cast.
     #[test]

@@ -50,6 +50,7 @@
 
 pub mod campaign;
 pub mod characterize;
+mod codec;
 pub mod jobs;
 pub mod memo;
 pub mod oracle_cache;

@@ -35,11 +35,13 @@
 //! campaigns that collect metrics bypass both tiers, since their timing is
 //! the point.
 //!
-//! An entry is magic, [`CAMPAIGN_CODE_VERSION`], the address echo and the
-//! run count, then one fixed-width record per [`RunSummary`] (floats by bit
-//! pattern: `min_delta_attack_window` may be `+∞`), then an FNV-1a digest
-//! of everything before it. The decoder treats the bytes as hostile: the
-//! run count is checked against the remaining bytes before anything is
+//! An entry is a sealed frame of the crate's store codec (`codec.rs`: magic
+//! `RTCP`, [`CAMPAIGN_CODE_VERSION`] and the address echo, then an FNV-1a
+//! trailer of everything before it). Its body is the run count, then one
+//! fixed-width record per [`RunSummary`] (floats by bit pattern:
+//! `min_delta_attack_window` may be `+∞`). The decoder reads through the
+//! codec's bounds-checked reader and treats the bytes as hostile: the run
+//! count is checked against the remaining bytes before anything is
 //! allocated, and any mismatch — magic, version, echo, length, digest,
 //! reserved flag bits, a value stored for an absent field — is a miss that
 //! is simulated again, never a panic.
@@ -58,10 +60,11 @@
 use crate::campaign::{
     run_campaign_summary, Campaign, CampaignError, CampaignSummary, DispatchMode, RunSummary,
 };
-use crate::oracle_cache::{network_digest, OracleCache, Reader};
+use crate::codec::Frame;
+use crate::oracle_cache::{network_digest, OracleCache};
 use crate::runner::{AttackerSpec, OracleSpec};
 use av_simkit::scenario::ScenarioId;
-use av_suite::fnv::{fnv1a, Fnv1a};
+use av_suite::fnv::Fnv1a;
 use robotack::vector::AttackVector;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +87,12 @@ pub const CAMPAIGN_CODE_VERSION: u32 = 1;
 /// Artifact-store namespace of folded campaign entries.
 pub const NS_CAMPAIGN: &str = "campaign";
 
-/// Campaign entry magic: "RoboTack CamPaign".
-const CAMPAIGN_MAGIC: [u8; 4] = *b"RTCP";
+/// Campaign entries: "RoboTack CamPaign", versioned by
+/// [`CAMPAIGN_CODE_VERSION`].
+const CAMPAIGN_FRAME: Frame = Frame {
+    magic: *b"RTCP",
+    version: CAMPAIGN_CODE_VERSION,
+};
 
 /// What determines a campaign's runs, bit for bit, apart from how many of
 /// them are asked for.
@@ -118,7 +125,7 @@ impl CampaignKey {
     /// digest, the fault-plan rendering and the base seed.
     pub fn address(&self) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(&CAMPAIGN_MAGIC);
+        h.write(&CAMPAIGN_FRAME.magic);
         h.write_u64(u64::from(CAMPAIGN_CODE_VERSION));
         h.write_str(self.scenario.name());
         if let Some(gen_hash) = self.scenario.gen_hash() {
@@ -298,15 +305,9 @@ impl CampaignMemo {
     }
 }
 
-/// Bytes of the entry header: magic, version, address echo, run count.
-const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
-
 /// Bytes of one [`RunSummary`] record: flags, `k`, `k_prime_ads`, four
 /// floats, two counters.
 const RECORD_BYTES: usize = 3 * 4 + 4 * 8 + 2 * 8;
-
-/// Bytes of the trailing FNV-1a digest.
-const DIGEST_BYTES: usize = 8;
 
 /// Record flag bits; every other bit is reserved and must be clear.
 const LAUNCHED: u32 = 1 << 0;
@@ -322,11 +323,8 @@ const KNOWN_FLAGS: u32 = (1 << 8) - 1;
 /// Serializes the runs of the campaign at `address` (little-endian; an
 /// absent optional field is a clear flag bit and a zero value).
 fn encode(address: u64, runs: &[RunSummary]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + RECORD_BYTES * runs.len() + DIGEST_BYTES);
-    out.extend_from_slice(&CAMPAIGN_MAGIC);
-    out.extend_from_slice(&CAMPAIGN_CODE_VERSION.to_le_bytes());
-    out.extend_from_slice(&address.to_le_bytes());
-    out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    let mut w = CAMPAIGN_FRAME.writer(address, 8 + RECORD_BYTES * runs.len());
+    w.u64(runs.len() as u64);
     for run in runs {
         let flag = |set: bool, bit: u32| if set { bit } else { 0 };
         let flags = flag(run.launched, LAUNCHED)
@@ -343,39 +341,30 @@ fn encode(address: u64, runs: &[RunSummary]) -> Vec<u8> {
             )
             | flag(run.k_prime_ads.is_some(), HAS_K_PRIME_ADS)
             | flag(run.replica_divergence.is_some(), HAS_REPLICA_DIVERGENCE);
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&run.k.to_le_bytes());
-        out.extend_from_slice(&run.k_prime_ads.unwrap_or(0).to_le_bytes());
+        w.u32(flags);
+        w.u32(run.k);
+        w.u32(run.k_prime_ads.unwrap_or(0));
         for value in [
             run.predicted_delta,
             run.min_delta_post_attack,
             run.min_delta_attack_window,
             run.replica_divergence,
         ] {
-            out.extend_from_slice(&value.map_or(0, f64::to_bits).to_le_bytes());
+            w.u64(value.map_or(0, f64::to_bits));
         }
-        out.extend_from_slice(&run.frames_lost.to_le_bytes());
-        out.extend_from_slice(&run.stale_frames.to_le_bytes());
+        w.u64(run.frames_lost);
+        w.u64(run.stale_frames);
     }
-    let digest = fnv1a(&out);
-    out.extend_from_slice(&digest.to_le_bytes());
-    out
+    w.seal()
 }
 
 /// Deserializes the entry stored at `address`; `None` on any mismatch.
 fn decode(address: u64, bytes: &[u8]) -> Option<Vec<RunSummary>> {
-    let (body, digest) = bytes.split_last_chunk::<DIGEST_BYTES>()?;
-    let mut r = Reader(body);
-    if r.bytes()? != CAMPAIGN_MAGIC || r.u32()? != CAMPAIGN_CODE_VERSION || r.u64()? != address {
-        return None;
-    }
+    let mut r = CAMPAIGN_FRAME.open_sealed(address, bytes)?;
     let count = usize::try_from(r.u64()?).ok()?;
     // The declared count must account for exactly the bytes that follow,
     // checked before anything is allocated for it.
     if count.checked_mul(RECORD_BYTES) != Some(r.remaining()) {
-        return None;
-    }
-    if fnv1a(body) != u64::from_le_bytes(*digest) {
         return None;
     }
     let mut runs = Vec::with_capacity(count);
@@ -425,13 +414,17 @@ fn optional<T: PartialEq + Default>(flags: u32, bit: u32, value: T) -> Option<Op
 mod tests {
     use super::*;
     use crate::campaign::run_campaign_dispatch;
+    use crate::codec::{DIGEST_BYTES, HEADER_BYTES as FRAME_BYTES};
     use av_faults::{FaultKind, FaultPlan, FaultSpec};
     use av_neural::mlp::Mlp;
     use av_neural::train::Normalizer;
+    use av_suite::fnv::fnv1a;
     use robotack::safety_hijacker::NnOracle;
     use std::path::PathBuf;
     use std::sync::OnceLock;
-    use std::time::{Duration, Instant};
+
+    /// Bytes before the first record: the frame header, then the run count.
+    const HEADER_BYTES: usize = FRAME_BYTES + 8;
 
     impl CampaignMemo {
         /// [`CampaignMemo::run`] over a disabled store: the memo alone.
@@ -691,40 +684,24 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn mutated_entries_never_panic_or_decode_to_other_runs(
-            edits in proptest::prelude::prop::collection::vec(
-                (0..4u8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
-                1..12,
-            ),
+        fn fuzz_campaign_decoder(
+            edits in crate::codec::fuzz::edits(),
             resealed in proptest::prelude::any::<bool>(),
         ) {
             let (address, original) = real_entry();
-            let mut bytes = original.clone();
-            for (op, at, byte) in edits {
-                let at = usize::try_from(at % (bytes.len() as u64 + 1)).expect("small");
-                match op {
-                    0 if at < bytes.len() => bytes[at] ^= byte.max(1),
-                    1 => bytes.insert(at, byte),
-                    2 if at < bytes.len() => {
-                        bytes.remove(at);
-                    }
-                    _ => bytes.truncate(at),
-                }
-            }
+            let mut bytes = crate::codec::fuzz::mutate(original, &edits);
             // Resealing lets a mutation past the digest to the structural
             // checks behind it.
             if resealed && bytes.len() >= DIGEST_BYTES {
                 reseal(&mut bytes);
             }
-            let started = Instant::now();
-            let decoded = decode(*address, &bytes);
-            proptest::prop_assert!(started.elapsed() < Duration::from_secs(1));
-            if let Some(runs) = decoded {
-                // Whatever decodes is canonical: it re-encodes to exactly
-                // the bytes read, and unsealed, only the original passes.
-                proptest::prop_assert_eq!(encode(*address, &runs), bytes.clone());
-                proptest::prop_assert!(resealed || bytes == *original);
-            }
+            let decoded = crate::codec::fuzz::check(
+                &bytes,
+                |b| decode(*address, b),
+                |runs| encode(*address, runs),
+            )?;
+            // Unsealed, only the original passes the digest.
+            proptest::prop_assert!(!decoded || resealed || bytes == *original);
         }
     }
 

@@ -25,11 +25,15 @@
 //! An [`OracleCache`] is a cheap *view* over the store with its own
 //! hit/miss counters: the suite orchestrator gives every job a private
 //! view over one shared store, which is how the per-job scorecards in the
-//! run summary stay exact. Decoders treat every file as hostile: lengths
-//! are bounds-checked against the remaining bytes *before* any allocation,
-//! and any mismatch — magic, version, key echo, shape, parameter count —
-//! is a miss, never a panic.
+//! run summary stay exact.
+//!
+//! Both snapshot kinds (`RTOC`, `RTDS`) are frames of the crate's one store
+//! codec (`codec.rs`), which treats every file as hostile: lengths are
+//! checked against the remaining bytes *before* any allocation, and any
+//! mismatch — magic, version, key echo, shape, parameter count — is a
+//! miss, never a panic.
 
+use crate::codec::Frame;
 use crate::train_sh::{collect_dataset, train_oracle_on, SweepConfig, TrainedOracle};
 use av_neural::infer::InferenceMlp;
 use av_neural::train::{Dataset, Normalizer};
@@ -52,14 +56,17 @@ use std::sync::Arc;
 /// [`crate::memo::CAMPAIGN_CODE_VERSION`] with it.
 pub const DATASET_CODE_VERSION: u32 = 1;
 
-/// On-disk snapshot format version (shared by both codecs).
-const FORMAT_VERSION: u32 = 1;
+/// Oracle snapshots: "RoboTack Oracle Cache", format version 1.
+const ORACLE_FRAME: Frame = Frame {
+    magic: *b"RTOC",
+    version: 1,
+};
 
-/// Oracle snapshot file magic: "RoboTack Oracle Cache".
-const MAGIC: [u8; 4] = *b"RTOC";
-
-/// Dataset snapshot file magic: "RoboTack DataSet".
-const DATASET_MAGIC: [u8; 4] = *b"RTDS";
+/// Dataset snapshots: "RoboTack DataSet", format version 1.
+const DATASET_FRAME: Frame = Frame {
+    magic: *b"RTDS",
+    version: 1,
+};
 
 /// Artifact-store namespace of trained-oracle snapshots.
 pub const NS_ORACLE: &str = "oracle";
@@ -402,22 +409,20 @@ impl OracleCache {
     }
 }
 
-/// Serializes a [`TrainedOracle`] (all integers/floats little-endian).
+/// Serializes a [`TrainedOracle`]: metrics, then the network section.
 fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
     let net = oracle.oracle.inference();
-    let mut out = Vec::with_capacity(
-        64 + 8
-            * (2 * oracle.oracle.normalizer().mean.len()
-                + net.layer_sizes().len()
-                + net.param_count()),
+    let mut w = ORACLE_FRAME.writer(
+        key,
+        8 * (6
+            + 2 * oracle.oracle.normalizer().mean.len()
+            + net.layer_sizes().len()
+            + net.param_count()),
     );
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&oracle.val_mse.to_bits().to_le_bytes());
-    out.extend_from_slice(&(oracle.examples as u64).to_le_bytes());
-    write_network(&oracle.oracle, |bytes| out.extend_from_slice(bytes));
-    out
+    w.f64(oracle.val_mse);
+    w.u64(oracle.examples as u64);
+    write_network(&oracle.oracle, |bytes| w.bytes(bytes));
+    w.finish()
 }
 
 /// Content digest of an oracle's network alone — the normalizer, dropout,
@@ -457,69 +462,24 @@ fn write_network(oracle: &NnOracle, mut emit: impl FnMut(&[u8])) {
     }
 }
 
-/// Checked little-endian reader over untrusted bytes — the oracle,
-/// dataset and campaign codecs decode through it.
-pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
-
-impl Reader<'_> {
-    pub(crate) fn remaining(&self) -> usize {
-        self.0.len()
-    }
-
-    pub(crate) fn bytes<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.0.split_at_checked(N)?;
-        self.0 = rest;
-        head.try_into().ok()
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.bytes().map(u32::from_le_bytes)
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.bytes().map(u64::from_le_bytes)
-    }
-
-    pub(crate) fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// Reads `n` floats, refusing (no allocation) if `n` overshoots the
-    /// remaining bytes — the guard that makes hostile length fields cheap.
-    fn f64s(&mut self, n: usize) -> Option<Vec<f64>> {
-        if n > self.remaining() / 8 {
-            return None;
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
-}
-
 /// Deserializes an oracle snapshot; `None` on any structural problem.
 fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
-    let mut r = Reader(bytes);
-    if r.bytes()? != MAGIC || r.u32()? != FORMAT_VERSION || r.u64()? != key {
-        return None;
-    }
+    let mut r = ORACLE_FRAME.open(key, bytes)?;
     let val_mse = r.f64()?;
     let examples = usize::try_from(r.u64()?).ok()?;
 
-    let dim = usize::try_from(r.u64()?).ok()?;
+    let dim = r.count(16)?;
     let mean = r.f64s(dim)?;
     let std = r.f64s(dim)?;
 
     let dropout = r.f64()?;
-    let n_sizes = usize::try_from(r.u64()?).ok()?;
-    if n_sizes > r.remaining() / 8 || n_sizes > 64 {
-        return None;
-    }
+    let n_sizes = r.count(8).filter(|&n| n <= 64)?;
     let sizes: Vec<usize> = (0..n_sizes)
         .map(|_| r.u64().and_then(|s| usize::try_from(s).ok()))
         .collect::<Option<_>>()?;
-    let n_params = usize::try_from(r.u64()?).ok()?;
+    let n_params = r.count(8)?;
     let params = r.f64s(n_params)?;
-    if r.remaining() != 0 {
-        return None;
-    }
+    r.end()?;
 
     // Straight into the inference form: no intermediate row-major copy.
     let net = InferenceMlp::from_flat(&sizes, &params)?;
@@ -546,46 +506,33 @@ fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
 /// never trusts a dimension it didn't read).
 fn encode_dataset(key: u64, data: &Dataset) -> Vec<u8> {
     let floats: usize = data.inputs.iter().chain(&data.targets).map(Vec::len).sum();
-    let mut out = Vec::with_capacity(32 + 16 * data.inputs.len() + 8 * floats);
-    out.extend_from_slice(&DATASET_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(data.inputs.len() as u64).to_le_bytes());
+    let mut w = DATASET_FRAME.writer(key, 8 + 16 * data.inputs.len() + 8 * floats);
+    w.u64(data.inputs.len() as u64);
     for (input, target) in data.inputs.iter().zip(&data.targets) {
-        out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-        for &x in input {
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(target.len() as u64).to_le_bytes());
-        for &y in target {
-            out.extend_from_slice(&y.to_bits().to_le_bytes());
+        for row in [input, target] {
+            w.u64(row.len() as u64);
+            for &x in row {
+                w.f64(x);
+            }
         }
     }
-    out
+    w.finish()
 }
 
 /// Deserializes a dataset snapshot; `None` on any structural problem.
 fn decode_dataset(key: u64, bytes: &[u8]) -> Option<Dataset> {
-    let mut r = Reader(bytes);
-    if r.bytes()? != DATASET_MAGIC || r.u32()? != FORMAT_VERSION || r.u64()? != key {
-        return None;
-    }
-    let n_rows = usize::try_from(r.u64()?).ok()?;
+    let mut r = DATASET_FRAME.open(key, bytes)?;
     // Each row needs at least its two length fields.
-    if n_rows > r.remaining() / 16 {
-        return None;
-    }
+    let n_rows = r.count(16)?;
     let mut inputs = Vec::with_capacity(n_rows);
     let mut targets = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        let input_len = usize::try_from(r.u64()?).ok()?;
+        let input_len = r.count(8)?;
         inputs.push(r.f64s(input_len)?);
-        let target_len = usize::try_from(r.u64()?).ok()?;
+        let target_len = r.count(8)?;
         targets.push(r.f64s(target_len)?);
     }
-    if r.remaining() != 0 {
-        return None;
-    }
+    r.end()?;
     Some(Dataset { inputs, targets })
 }
 
@@ -639,6 +586,24 @@ mod tests {
             "snapshot bytes changed: every stored oracle and dataset would miss"
         );
         assert!(decode(key, &oracle).is_some_and(|o| bitwise_eq(&o, &fixed_oracle())));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fuzz_snapshot_decoders(
+            dataset in proptest::prelude::any::<bool>(),
+            edits in crate::codec::fuzz::edits(),
+        ) {
+            use crate::codec::fuzz::{check, mutate};
+            let key = 0x0123_4567_89ab_cdef;
+            if dataset {
+                let bytes = mutate(&encode_dataset(key, &sample_dataset()), &edits);
+                check(&bytes, |b| decode_dataset(key, b), |d| encode_dataset(key, d))?;
+            } else {
+                let bytes = mutate(&encode(key, &fixed_oracle()), &edits);
+                check(&bytes, |b| decode(key, b), |o| encode(key, o))?;
+            }
+        }
     }
 
     /// ⟨length, FNV-1a⟩ of the fixed oracle's snapshot, then of the

@@ -48,6 +48,7 @@
 //! rate or crash rate.
 
 use crate::campaign::{run_sweep, Campaign, DispatchMode, RunSummary};
+use crate::codec::Frame;
 use crate::oracle_cache::{oracle_digest, OracleCache};
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::stats;
@@ -73,8 +74,12 @@ pub const SEARCH_CODE_VERSION: u32 = 1;
 /// Artifact-store namespace of cached candidate-evaluation summaries.
 pub const NS_SEARCH_EVAL: &str = "search-eval";
 
-/// Evaluation-summary file magic: "RoboTack Search Eval".
-const EVAL_MAGIC: [u8; 4] = *b"RTSE";
+/// Evaluation summaries: "RoboTack Search Eval", versioned by
+/// [`SEARCH_CODE_VERSION`].
+const EVAL_FRAME: Frame = Frame {
+    magic: *b"RTSE",
+    version: SEARCH_CODE_VERSION,
+};
 
 /// RNG stream of the mutation schedule (disjoint from the scenario stream
 /// `0xD5` and the attacker stream `0xA77ACC`).
@@ -426,7 +431,7 @@ fn oracle_policy(
 /// determines the summary bit-for-bit.
 fn eval_key(spec_hash: u64, root: ScenarioId, cfg: &SearchConfig, oracle_key: u64) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(&EVAL_MAGIC);
+    h.write(&EVAL_FRAME.magic);
     h.write_u64(u64::from(SEARCH_CODE_VERSION));
     h.write_u64(spec_hash);
     h.write(root.name().as_bytes());
@@ -437,37 +442,27 @@ fn eval_key(spec_hash: u64, root: ScenarioId, cfg: &SearchConfig, oracle_key: u6
     h.finish()
 }
 
-/// Serializes an evaluation summary (little-endian, key echo first).
+/// Serializes an evaluation summary.
 fn encode_eval(key: u64, eval: &Eval) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56);
-    out.extend_from_slice(&EVAL_MAGIC);
-    out.extend_from_slice(&SEARCH_CODE_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&eval.launched.to_le_bytes());
-    out.extend_from_slice(&eval.runs.to_le_bytes());
-    out.extend_from_slice(&eval.eb.to_le_bytes());
-    out.extend_from_slice(&eval.crashes.to_le_bytes());
-    out.extend_from_slice(&eval.median_k.to_bits().to_le_bytes());
-    out
+    let mut w = EVAL_FRAME.writer(key, 40);
+    for count in [eval.launched, eval.runs, eval.eb, eval.crashes] {
+        w.u64(count);
+    }
+    w.f64(eval.median_k);
+    w.finish()
 }
 
-/// Deserializes an evaluation summary; `None` on any structural mismatch
-/// (hostile bytes degrade to a cache miss, never a panic).
+/// Deserializes an evaluation summary of a `runs`-run candidate; `None` on
+/// any structural mismatch (hostile bytes degrade to a cache miss, never a
+/// panic).
 fn decode_eval(key: u64, bytes: &[u8], label: &str, root: ScenarioId, runs: u64) -> Option<Eval> {
-    if bytes.len() != 56 {
+    let mut r = EVAL_FRAME.open(key, bytes)?;
+    let launched = r.u64()?;
+    if r.u64()? != runs {
         return None;
     }
-    let word =
-        |i: usize| -> u64 { u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte slice")) };
-    if bytes[..4] != EVAL_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice")) != SEARCH_CODE_VERSION
-        || word(8) != key
-        || word(24) != runs
-    {
-        return None;
-    }
-    let (launched, eb, crashes) = (word(16), word(32), word(40));
-    let median_k = f64::from_bits(word(48));
+    let (eb, crashes, median_k) = (r.u64()?, r.u64()?, r.f64()?);
+    r.end()?;
     // Only a candidate with no launched run may carry a non-finite median K
     // (the median of nothing); anywhere else it is corruption.
     if launched > runs
@@ -883,6 +878,30 @@ mod tests {
             digests, PINNED_EVALS,
             "eval bytes changed: every stored search evaluation would miss"
         );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fuzz_eval_decoder(
+            launched in proptest::prelude::any::<bool>(),
+            edits in crate::codec::fuzz::edits(),
+        ) {
+            let eval = Eval {
+                label: "DS-2".into(),
+                root: ScenarioId::Ds2,
+                launched: if launched { 5 } else { 0 },
+                runs: 6,
+                eb: if launched { 4 } else { 0 },
+                crashes: if launched { 3 } else { 0 },
+                median_k: if launched { 32.5 } else { f64::NAN },
+            };
+            let bytes = crate::codec::fuzz::mutate(&encode_eval(9, &eval), &edits);
+            crate::codec::fuzz::check(
+                &bytes,
+                |b| decode_eval(9, b, "DS-2", ScenarioId::Ds2, 6),
+                |e| encode_eval(9, e),
+            )?;
+        }
     }
 
     /// FNV-1a of the launched and the no-launch evaluation's bytes.

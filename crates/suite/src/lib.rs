@@ -23,12 +23,14 @@
 //!   summary table.
 //! - [`scope`]: [`ExecScope`], the per-execution state every job of one
 //!   [`execute`] call shares (and nothing outside it sees).
-//! - [`manifest`]: the hand-rolled JSONL manifest codec (the vendored
-//!   `serde` is a no-op stub); truncated trailing lines — a killed run —
-//!   parse as "not completed", which is what makes resume safe.
+//! - [`json`]: the one hostile-input-safe JSON reader every JSON line
+//!   goes through — wire requests, streamed events and manifest lines.
+//! - [`manifest`]: the JSONL run manifest (the vendored `serde` is a
+//!   no-op stub); truncated trailing lines — a killed run — parse as "not
+//!   completed", which is what makes resume safe.
 //! - [`api`]: the typed evaluation-service wire API — [`EvalRequest`] in,
 //!   streamed [`EvalEvent`]s out — shared verbatim by the one-shot CLI and
-//!   the daemon, with a hostile-input-safe JSON reader.
+//!   the daemon.
 //! - [`dedup`]: the cross-request in-flight claim registry — concurrent
 //!   computations of one artifact key coalesce onto a single leader.
 //! - [`serve`]: the evaluation daemon — newline-delimited requests over
@@ -52,6 +54,7 @@ pub mod dag;
 pub mod dedup;
 pub mod exec;
 pub mod fnv;
+pub mod json;
 pub mod manifest;
 pub mod scope;
 pub mod serve;

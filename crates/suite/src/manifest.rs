@@ -2,19 +2,28 @@
 //!
 //! One header line pinning the run configuration digest, then one line per
 //! completed job carrying its stdout (escaped), a stdout digest, wall time
-//! and artifact scorecard. The vendored `serde` is a no-op stub, so both
-//! directions are hand-rolled against a fixed field order — the writer
-//! below is the only producer, and the parser refuses anything it did not
-//! write.
+//! and artifact scorecard. The vendored `serde` is a no-op stub: the
+//! writer below formats its fields by hand, and the reader parses each
+//! line with the suite's one JSON reader ([`crate::json`]) and then reads
+//! the fields by name.
+//!
+//! What keeps wrong bytes out is the check on each field, not the layout
+//! of the line, so field order and whitespace do not matter. A line loads
+//! only if every field is present with its type: an exact non-negative
+//! integer for each counter, exactly 16 hex digits for each digest, a
+//! header `version` of 1, and a `stdout_digest` equal to the FNV-1a digest
+//! of the `stdout` it came with. A corrupted stdout fails that cross-check
+//! instead of being replayed.
 //!
 //! Resume semantics: a rerun with the same configuration digest loads the
-//! manifest, treats every parseable entry as "already completed" and skips
-//! those jobs, replaying their recorded stdout. A run killed mid-write
-//! leaves a truncated trailing line; the parser stops at the first
-//! malformed line, so partially written entries simply count as "not
-//! completed" and the job reruns.
+//! manifest, treats every entry that passes those checks as "already
+//! completed" and skips those jobs, replaying their recorded stdout. A run
+//! killed mid-write leaves a truncated trailing line, which is not valid
+//! JSON, so partially written entries simply count as "not completed" and
+//! the job reruns.
 
 use crate::fnv::fnv1a;
+use crate::json::Json;
 use av_telemetry::json_escape;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -71,49 +80,33 @@ impl ManifestEntry {
         s
     }
 
-    /// Parses one manifest line; `None` on any structural mismatch
-    /// (including a stdout digest that doesn't match the stdout bytes).
+    /// Parses one manifest line; `None` if it is not JSON, lacks a field,
+    /// holds a field of the wrong type, or carries a stdout digest that
+    /// does not match its stdout bytes.
     pub fn parse(line: &str) -> Option<ManifestEntry> {
-        let mut r = Scanner(line);
-        r.literal("{\"job\":\"")?;
-        let job = r.string()?;
-        r.literal(",\"wall_ms\":")?;
-        let wall_ms = r.integer()?;
-        r.literal(",\"hits\":")?;
-        let artifact_hits = r.integer()?;
-        r.literal(",\"misses\":")?;
-        let artifact_misses = r.integer()?;
-        r.literal(",\"artifacts\":[")?;
-        let mut artifacts = Vec::new();
-        if !r.try_literal("]") {
-            loop {
-                r.literal("{\"name\":\"")?;
-                let name = r.string()?;
-                r.literal(",\"digest\":\"")?;
-                let digest = r.hex_u64()?;
-                r.literal("\"}")?;
-                artifacts.push((name, digest));
-                if r.try_literal("]") {
-                    break;
-                }
-                r.literal(",")?;
-            }
-        }
-        r.literal(",\"stdout_digest\":\"")?;
-        let stdout_digest = r.hex_u64()?;
-        r.literal("\",\"stdout\":\"")?;
-        let stdout = r.string()?;
-        r.literal("}")?;
-        if !r.0.is_empty() || fnv1a(stdout.as_bytes()) != stdout_digest {
+        let v = Json::parse(line).ok()?;
+        let text = |field| v.get(field).and_then(Json::as_str);
+        let count = |field| v.get(field).and_then(Json::as_u64);
+        let artifacts = v
+            .get("artifacts")?
+            .as_arr()?
+            .iter()
+            .map(|a| {
+                let name = a.get("name")?.as_str()?.to_string();
+                Some((name, hex_digest(a.get("digest")?)?))
+            })
+            .collect::<Option<_>>()?;
+        let stdout = text("stdout")?;
+        if fnv1a(stdout.as_bytes()) != hex_digest(v.get("stdout_digest")?)? {
             return None;
         }
         Some(ManifestEntry {
-            job,
-            wall_ms,
-            artifact_hits,
-            artifact_misses,
+            job: text("job")?.to_string(),
+            wall_ms: count("wall_ms")?,
+            artifact_hits: count("hits")?,
+            artifact_misses: count("misses")?,
             artifacts,
-            stdout,
+            stdout: stdout.to_string(),
         })
     }
 }
@@ -123,18 +116,25 @@ pub fn header(config: u64) -> String {
     format!("{{\"manifest\":\"av-suite\",\"version\":{VERSION},\"config\":\"{config:016x}\"}}")
 }
 
-/// Parses a header line back into its configuration digest.
+/// Parses a header line back into its configuration digest; `None` for
+/// another file kind or manifest version.
 pub fn parse_header(line: &str) -> Option<u64> {
-    let mut r = Scanner(line);
-    r.literal("{\"manifest\":\"av-suite\",\"version\":")?;
-    let version = r.integer()?;
-    if version != u64::from(VERSION) {
+    let v = Json::parse(line).ok()?;
+    if v.get("manifest")?.as_str()? != "av-suite"
+        || v.get("version")?.as_u64()? != u64::from(VERSION)
+    {
         return None;
     }
-    r.literal(",\"config\":\"")?;
-    let config = r.hex_u64()?;
-    r.literal("\"}")?;
-    r.0.is_empty().then_some(config)
+    hex_digest(v.get("config")?)
+}
+
+/// A digest field: a string of exactly 16 hex digits.
+fn hex_digest(field: &Json) -> Option<u64> {
+    let digits = field.as_str().filter(|d| d.len() == 16)?;
+    if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(digits, 16).ok()
 }
 
 /// Loads the completed-job entries of the manifest at `path`, provided its
@@ -142,8 +142,8 @@ pub fn parse_header(line: &str) -> Option<u64> {
 /// different run configuration must not be resumed) loads nothing.
 /// Malformed lines — typically one line truncated by a kill mid-write —
 /// are skipped, so those jobs rerun; every line is independently validated
-/// (strict grammar plus a stdout digest cross-check), so a garbled line
-/// can never resurrect wrong bytes. If a job appears twice (a resumed run
+/// (every field typed, plus the stdout digest cross-check), so a garbled
+/// line can never resurrect wrong bytes. If a job appears twice (a resumed run
 /// appends), the last entry wins.
 pub fn load(path: &Path, config: u64) -> Vec<ManifestEntry> {
     let Ok(contents) = std::fs::read_to_string(path) else {
@@ -162,87 +162,6 @@ pub fn load(path: &Path, config: u64) -> Vec<ManifestEntry> {
         }
     }
     entries
-}
-
-/// Strict cursor over one manifest line.
-struct Scanner<'a>(&'a str);
-
-impl Scanner<'_> {
-    /// Consumes an exact literal or fails.
-    fn literal(&mut self, lit: &str) -> Option<()> {
-        self.0 = self.0.strip_prefix(lit)?;
-        Some(())
-    }
-
-    /// Consumes `lit` if present, reporting whether it did.
-    fn try_literal(&mut self, lit: &str) -> bool {
-        match self.0.strip_prefix(lit) {
-            Some(rest) => {
-                self.0 = rest;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Consumes an unsigned decimal integer.
-    fn integer(&mut self) -> Option<u64> {
-        let end = self
-            .0
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.0.len());
-        let (digits, rest) = self.0.split_at(end);
-        self.0 = rest;
-        digits.parse().ok()
-    }
-
-    /// Consumes exactly 16 lowercase hex digits.
-    fn hex_u64(&mut self) -> Option<u64> {
-        let digits = self.0.get(..16)?;
-        if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        self.0 = &self.0[16..];
-        u64::from_str_radix(digits, 16).ok()
-    }
-
-    /// Consumes an escaped string body up to (and including) its closing
-    /// quote, unescaping as it goes.
-    fn string(&mut self) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = self.0.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.0 = &self.0[i + 1..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let start = i + 2;
-                            let hex = self.0.get(start..start + 4)?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            // Skip the 4 hex digits.
-                            for _ in 0..4 {
-                                chars.next()?;
-                            }
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -279,6 +198,40 @@ mod tests {
         let line = header(0x1234_5678_9abc_def0);
         assert_eq!(parse_header(&line), Some(0x1234_5678_9abc_def0));
         assert_eq!(parse_header("{\"manifest\":\"other\"}"), None);
+        for bad in [
+            line.replace("\"version\":1", "\"version\":2"),
+            line.replace("\"version\":1", "\"version\":1.0"),
+            line.replace("\"version\":1,", ""),
+            line.replace("9abcdef0", "9abcdef"),
+            line.replace("9abcdef0", "9abcdefg"),
+            line.replace("\"1234", "\"+234"),
+        ] {
+            assert_eq!(parse_header(&bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn field_order_and_whitespace_do_not_matter() {
+        let digest = format!("{:016x}", fnv1a(b"out\n"));
+        let line = format!(
+            " {{ \"stdout\" : \"out\\n\", \"misses\":0,\"hits\":1, \"artifacts\":[ {{\"digest\":\
+             \"00000000000000ff\",\"name\":\"a\"}} ], \"wall_ms\":7,\"job\":\"j\",\
+             \"stdout_digest\":\"{digest}\" }} "
+        );
+        let entry = ManifestEntry {
+            job: "j".into(),
+            wall_ms: 7,
+            artifact_hits: 1,
+            artifact_misses: 0,
+            artifacts: vec![("a".into(), 0xff)],
+            stdout: "out\n".into(),
+        };
+        assert_eq!(ManifestEntry::parse(&line), Some(entry));
+        let header = format!(
+            "{{ \"config\":\"{:016x}\", \"version\": 1, \"manifest\":\"av-suite\" }}",
+            9
+        );
+        assert_eq!(parse_header(&header), Some(9));
     }
 
     #[test]
@@ -290,6 +243,21 @@ mod tests {
         // Flip a stdout byte: the digest cross-check rejects it.
         let tampered = line.replace("Table II", "Fable II");
         assert_eq!(ManifestEntry::parse(&tampered), None);
+        // Every field is required, and each holds exactly its type.
+        for bad in [
+            line.replace("\"wall_ms\":1234,", ""),
+            line.replace("\"hits\":2,", ""),
+            line.replace("\"job\"", "\"jab\""),
+            line.replace("\"wall_ms\":1234", "\"wall_ms\":1234.0"),
+            line.replace("\"wall_ms\":1234", "\"wall_ms\":-1234"),
+            line.replace("\"hits\":2", "\"hits\":\"2\""),
+            line.replace("\"misses\":1", "\"misses\":18446744073709551616"),
+            line.replace("dead", "deadd"),
+            line.replace("\"digest\":\"dead", "\"digest\":\"xead"),
+            line.replace("\"artifacts\":[", "\"artifacts\":[1,"),
+        ] {
+            assert_eq!(ManifestEntry::parse(&bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -16,23 +16,30 @@
 //!   two-class FIFO queue — `interactive` requests are admitted before any
 //!   queued `batch` request — so a 2000-run campaign cannot starve a quick
 //!   `--only fig5` query for longer than the slot bound.
-//! - **Hostile-input safety.** Malformed request lines produce a typed
-//!   error response and nothing else; the daemon never panics or exits on
-//!   bad input. Shutdown is explicit: the `{"shutdown":true}` sentinel (or
-//!   stdin EOF) stops admission, drains queued requests, and returns.
+//! - **Hostile-input safety.** Both transports feed one per-connection
+//!   admission loop, which reads at most 64 KiB of a line (a legitimate
+//!   request is a few KiB), so a client that never sends a newline cannot
+//!   grow the daemon's memory. A malformed line — not JSON, not UTF-8,
+//!   over-long or an invalid request — gets a typed `bad_request` response
+//!   and the loop goes on with the next line; the daemon never panics or
+//!   exits on bad input. Shutdown is explicit: the `{"shutdown":true}`
+//!   sentinel (or stdin EOF) stops admission, drains queued requests, and
+//!   returns.
 //!
-//! Everything is std-only threads over the vendored `crossbeam::scope` —
-//! no async runtime. Per-request event ordering is guaranteed (one writer
-//! mutex per client); cross-request interleaving is not, which is why every
-//! event carries its request id.
+//! Everything is std-only scoped threads — no async runtime. Per-request
+//! event ordering is guaranteed (one writer mutex per client);
+//! cross-request interleaving is not, which is why every event carries its
+//! request id.
 
-use crate::api::{ClientMessage, ErrorCode, EvalEvent, EvalRequest, EvalResponse};
+use crate::api::{
+    ApiError, ClientMessage, ErrorCode, EvalEvent, EvalRequest, EvalResponse, MAX_LINE,
+};
 use crate::dag::Dag;
 use crate::exec::{execute, ExecEvent, ExecOptions};
 use av_telemetry::{Telemetry, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -141,19 +148,13 @@ struct QueueInner {
 }
 
 /// The two-class FIFO admission queue.
+#[derive(Default)]
 struct RequestQueue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
 }
 
 impl RequestQueue {
-    fn new() -> RequestQueue {
-        RequestQueue {
-            inner: Mutex::new(QueueInner::default()),
-            ready: Condvar::new(),
-        }
-    }
-
     fn push(&self, work: Work) {
         let mut q = self.inner.lock().expect("request queue lock");
         match work.req.priority {
@@ -292,43 +293,105 @@ fn run_request(service: &dyn EvalService, opts: &ServeOptions, work: Work) -> bo
     finish(ok)
 }
 
-/// Parses one admission-loop line and enqueues it. Returns `true` if the
-/// line was the shutdown sentinel.
-fn admit_line(
-    line: &str,
-    writer: &SharedWriter,
-    queue: &RequestQueue,
-    next_id: &AtomicU64,
-    errors: &AtomicU64,
-) -> bool {
-    if line.trim().is_empty() {
-        return false;
-    }
-    match EvalRequest::parse(line) {
-        Ok(ClientMessage::Shutdown) => true,
-        Ok(ClientMessage::Eval(mut req)) => {
-            if req.id.is_empty() {
-                req.id = format!("req-{}", next_id.fetch_add(1, Ordering::Relaxed));
-            }
-            queue.push(Work {
-                req,
-                writer: writer.clone(),
+/// The admission side of one daemon lifetime: the queue every connection
+/// feeds and the request slots drain, and the counts of the shutdown
+/// summary.
+#[derive(Default)]
+struct Admission {
+    queue: RequestQueue,
+    requests: AtomicU64,
+    errors: AtomicU64,
+    next_id: AtomicU64,
+}
+
+impl Admission {
+    /// Starts `opts.request_slots` request slots; each runs admitted
+    /// requests until the queue is closed and drained.
+    fn spawn_slots<'scope>(
+        &'scope self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        service: &'scope dyn EvalService,
+        opts: &'scope ServeOptions,
+    ) {
+        for _ in 0..opts.request_slots.max(1) {
+            scope.spawn(move || {
+                while let Some(work) = self.queue.pop() {
+                    self.requests.fetch_add(1, Ordering::Relaxed);
+                    if !run_request(service, opts, work) {
+                        self.errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             });
-            false
-        }
-        Err(e) => {
-            errors.fetch_add(1, Ordering::Relaxed);
-            writer.emit(
-                &EvalEvent::Response(EvalResponse::Error {
-                    request: String::new(),
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                })
-                .to_json(),
-            );
-            false
         }
     }
+
+    /// One connection's admission loop: reads request lines from `input`
+    /// until EOF, an I/O error or the shutdown sentinel, enqueueing each
+    /// request and answering each bad line with a typed error on `writer`.
+    /// Returns whether the connection sent the sentinel.
+    fn admit(&self, mut input: impl BufRead, writer: &SharedWriter) -> bool {
+        let mut line = Vec::new();
+        while let Ok(true) = read_line(&mut input, &mut line) {
+            let message = if line.len() > MAX_LINE {
+                Err(ApiError::LineTooLong)
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => EvalRequest::parse(text),
+                    Err(e) => Err(ApiError::Syntax(format!("line is not UTF-8: {e}"))),
+                }
+            };
+            match message {
+                Ok(ClientMessage::Shutdown) => return true,
+                Ok(ClientMessage::Eval(mut req)) => {
+                    if req.id.is_empty() {
+                        req.id = format!("req-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
+                    }
+                    self.queue.push(Work {
+                        req,
+                        writer: writer.clone(),
+                    });
+                }
+                Err(e) => {
+                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    writer.emit(
+                        &EvalEvent::Response(EvalResponse::Error {
+                            request: String::new(),
+                            code: ErrorCode::BadRequest,
+                            message: e.to_string(),
+                        })
+                        .to_json(),
+                    );
+                }
+            }
+        }
+        false
+    }
+
+    fn report(&self) -> ServeReport {
+        ServeReport {
+            requests: self.requests.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Reads one line into `line`, newline excluded, keeping at most
+/// `MAX_LINE + 1` of its bytes (so an over-long line shows as one) while
+/// still consuming it through its newline. `Ok(false)` at EOF with nothing
+/// read.
+fn read_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    let bound = MAX_LINE as u64 + 1;
+    if Read::take(&mut *input, bound).read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE {
+        input.skip_until(b'\n')?;
+    }
+    Ok(true)
 }
 
 /// Serves newline-delimited requests from `input`, streaming all events to
@@ -340,38 +403,13 @@ pub fn serve_lines<R: BufRead>(
     service: &dyn EvalService,
     opts: &ServeOptions,
 ) -> ServeReport {
-    let writer = SharedWriter::new(output);
-    let queue = RequestQueue::new();
-    let requests = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
-    let next_id = AtomicU64::new(0);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..opts.request_slots.max(1) {
-            let (queue, requests, errors) = (&queue, &requests, &errors);
-            scope.spawn(move |_| {
-                while let Some(work) = queue.pop() {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                    if !run_request(service, opts, work) {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            if admit_line(&line, &writer, &queue, &next_id, &errors) {
-                break;
-            }
-        }
-        queue.close();
-    })
-    .expect("serve request slots panicked");
-
-    ServeReport {
-        requests: requests.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
-    }
+    let admission = Admission::default();
+    std::thread::scope(|scope| {
+        admission.spawn_slots(scope, service, opts);
+        admission.admit(input, &SharedWriter::new(output));
+        admission.queue.close();
+    });
+    admission.report()
 }
 
 /// Serves requests on a Unix socket at `path` (created fresh; a stale
@@ -388,26 +426,12 @@ pub fn serve_unix(
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
 
-    let queue = RequestQueue::new();
-    let requests = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
-    let next_id = AtomicU64::new(0);
+    let admission = Admission::default();
     let shutdown = AtomicBool::new(false);
     let open_connections = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..opts.request_slots.max(1) {
-            let (queue, requests, errors) = (&queue, &requests, &errors);
-            scope.spawn(move |_| {
-                while let Some(work) = queue.pop() {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                    if !run_request(service, opts, work) {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-
+    std::thread::scope(|scope| {
+        admission.spawn_slots(scope, service, opts);
         while !shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _addr)) => {
@@ -416,15 +440,11 @@ pub fn serve_unix(
                     };
                     let writer = SharedWriter::new(Box::new(write_half));
                     open_connections.fetch_add(1, Ordering::SeqCst);
-                    let (queue, errors, next_id, shutdown, open_connections) =
-                        (&queue, &errors, &next_id, &shutdown, &open_connections);
-                    scope.spawn(move |_| {
-                        for line in BufReader::new(stream).lines() {
-                            let Ok(line) = line else { break };
-                            if admit_line(&line, &writer, queue, next_id, errors) {
-                                shutdown.store(true, Ordering::SeqCst);
-                                break;
-                            }
+                    let (admission, shutdown, open_connections) =
+                        (&admission, &shutdown, &open_connections);
+                    scope.spawn(move || {
+                        if admission.admit(BufReader::new(stream), &writer) {
+                            shutdown.store(true, Ordering::SeqCst);
                         }
                         open_connections.fetch_sub(1, Ordering::SeqCst);
                     });
@@ -441,15 +461,11 @@ pub fn serve_unix(
         while open_connections.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(10));
         }
-        queue.close();
-    })
-    .expect("serve request slots panicked");
+        admission.queue.close();
+    });
 
     let _ = std::fs::remove_file(path);
-    Ok(ServeReport {
-        requests: requests.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
-    })
+    Ok(admission.report())
 }
 
 // ---------------------------------------------------------------------------
@@ -725,6 +741,60 @@ mod tests {
                 EvalEvent::Response(EvalResponse::Done { request, .. }) if request == "survivor"
             )),
             "the valid request completed after the hostile ones"
+        );
+    }
+
+    #[test]
+    fn over_long_and_non_utf8_lines_get_typed_errors_and_admission_goes_on() {
+        let mut input = vec![b'{'; 1 << 20];
+        input.push(b'\n');
+        input.extend_from_slice(b"{\"request\":\"\xff\xfe\"}\n");
+        input.extend_from_slice(
+            EvalRequest {
+                id: "after".into(),
+                only: vec!["sleep:1".into()],
+                ..EvalRequest::default()
+            }
+            .to_json()
+            .as_bytes(),
+        );
+        // The reader keeps at most one byte past the bound of a line that
+        // never ends, however much of it arrives.
+        let mut line = Vec::new();
+        assert!(read_line(&mut Cursor::new(&input[..1 << 20]), &mut line).unwrap());
+        assert_eq!(line.len(), MAX_LINE + 1);
+
+        let capture = Capture::default();
+        let report = serve_lines(
+            Cursor::new(input),
+            Box::new(capture.clone()),
+            &ToyService,
+            &ServeOptions::default(),
+        );
+        assert_eq!(
+            report,
+            ServeReport {
+                requests: 1,
+                errors: 2
+            }
+        );
+        let outcomes: Vec<(String, Option<ErrorCode>)> = events_of(&capture.take_lines())
+            .into_iter()
+            .filter_map(|e| match e {
+                EvalEvent::Response(EvalResponse::Error { request, code, .. }) => {
+                    Some((request, Some(code)))
+                }
+                EvalEvent::Response(EvalResponse::Done { request, .. }) => Some((request, None)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                (String::new(), Some(ErrorCode::BadRequest)),
+                (String::new(), Some(ErrorCode::BadRequest)),
+                ("after".to_string(), None),
+            ]
         );
     }
 

@@ -627,8 +627,15 @@ mod tests {
             let result = EvalRequest::parse(line);
             assert!(result.is_err(), "{line:.40} should be rejected: {result:?}");
         }
-        // Non-object JSON gets the dedicated error.
+        // Non-object JSON gets the dedicated error; a lone surrogate is a
+        // syntax error, not a silent U+FFFD.
         assert_eq!(EvalRequest::parse("[1,2,3]"), Err(ApiError::NotAnObject));
+        for lone in ["{\"request\":\"\\ud83d\"}", "{\"request\":\"\\ude00\"}"] {
+            assert!(
+                matches!(EvalRequest::parse(lone), Err(ApiError::Syntax(_))),
+                "{lone}"
+            );
+        }
     }
 
     #[test]

@@ -1,27 +1,16 @@
-//! The one JSON reader of the suite.
-//!
-//! Every JSON line the suite takes in goes through [`Json::parse`]: daemon
-//! requests from arbitrary clients, the event stream a client reads back,
-//! and the run manifest a resumed execution loads. The vendored `serde` is
-//! a no-op stub, so the reader is a small recursive-descent parser, and it
-//! treats every line as hostile:
-//!
-//! - nesting is depth-limited, so no input can overflow the stack;
-//! - every index is bounds-checked and nothing panics, whatever the bytes;
-//! - numbers follow the JSON grammar and keep their literal text, so an
-//!   integer is read exactly ([`Json::as_u64`]) instead of rounding
-//!   through `f64`;
-//! - `\u` escapes take exactly four hex digits, a surrogate pair decodes
-//!   to its one scalar, and a lone surrogate is an error.
-//!
-//! Readers of typed values ([`crate::api`], [`crate::manifest`]) parse a
-//! line into a [`Json`] value and then read their fields by name, so field
-//! order and whitespace never matter to them.
+//! The one JSON reader of the suite: daemon requests, the events a client
+//! reads back and run-manifest lines all go through [`Json::parse`]. The
+//! vendored `serde` is a no-op stub, so this is a small recursive-descent
+//! parser, and it treats every line as hostile: nesting is depth-limited,
+//! nothing panics whatever the bytes, numbers keep their literal text so
+//! integers read exactly ([`Json::as_u64`]), and `\u` escapes take exactly
+//! four hex digits, with surrogate pairs decoded and lone surrogates
+//! refused. Typed readers ([`crate::api`], [`crate::manifest`]) read their
+//! fields by name, so field order and whitespace never matter to them.
 
-/// Maximum nesting depth the parser follows. Every line the suite reads
-/// is a flat object or one level deeper; anything far deeper is an attack
-/// or a bug, and recursing into it would let a hostile client overflow the
-/// daemon's stack.
+/// Maximum nesting depth the parser follows. The suite's own lines nest
+/// three levels at most; recursing far deeper would let a hostile client
+/// overflow the daemon's stack.
 const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value. Objects keep insertion order; duplicate keys keep

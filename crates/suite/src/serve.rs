@@ -16,12 +16,11 @@
 //!   two-class FIFO queue — `interactive` requests are admitted before any
 //!   queued `batch` request — so a 2000-run campaign cannot starve a quick
 //!   `--only fig5` query for longer than the slot bound.
-//! - **Hostile-input safety.** Both transports feed one per-connection
-//!   admission loop, which reads at most 64 KiB of a line (a legitimate
-//!   request is a few KiB), so a client that never sends a newline cannot
-//!   grow the daemon's memory. A malformed line — not JSON, not UTF-8,
-//!   over-long or an invalid request — gets a typed `bad_request` response
-//!   and the loop goes on with the next line; the daemon never panics or
+//! - **Hostile-input safety.** Both transports run one per-connection
+//!   admission loop that keeps at most 64 KiB of a line, so a client that
+//!   never sends a newline cannot grow the daemon's memory. A bad line
+//!   (not JSON, not UTF-8, over-long, an invalid request) gets a typed
+//!   `bad_request` response and nothing else; the daemon never panics or
 //!   exits on bad input. Shutdown is explicit: the `{"shutdown":true}`
 //!   sentinel (or stdin EOF) stops admission, drains queued requests, and
 //!   returns.

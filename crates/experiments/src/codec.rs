@@ -155,18 +155,20 @@ pub(crate) mod fuzz {
     use proptest::prelude::*;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::time::{Duration, Instant};
 
     /// One byte-level edit: ⟨operation, position, argument⟩.
     pub(crate) type Edit = (u8, u64, u64);
 
-    /// One to eight edits.
+    /// One to eleven edits.
     pub(crate) fn edits() -> impl Strategy<Value = Vec<Edit>> {
-        prop::collection::vec((0..4u8, any::<u64>(), any::<u64>()), 1..9)
+        prop::collection::vec((0..6u8, any::<u64>(), any::<u64>()), 1..12)
     }
 
     /// `seed` with `edits` applied in order. Each edit flips bits of one
-    /// byte, cuts the bytes short, splices a run copied from elsewhere over
-    /// them, or duplicates a run in place.
+    /// byte, inserts an arbitrary byte, deletes a run from the middle (so
+    /// what follows shifts left), cuts the bytes short, splices a run
+    /// copied from elsewhere over them, or duplicates a run in place.
     pub(crate) fn mutate(seed: &[u8], edits: &[Edit]) -> Vec<u8> {
         let mut bytes = seed.to_vec();
         for &(op, at, arg) in edits {
@@ -174,8 +176,12 @@ pub(crate) mod fuzz {
             let (at, from, run) = (pick(at), pick(arg), (arg % 17) as usize);
             match op {
                 0 if at < bytes.len() => bytes[at] ^= (arg as u8).max(1),
-                1 => bytes.truncate(at),
+                1 => bytes.insert(at, arg as u8),
                 2 => {
+                    bytes.drain(at..(at + run.max(1)).min(bytes.len()));
+                }
+                3 => bytes.truncate(at),
+                4 => {
                     let src: Vec<u8> = bytes[from..].iter().take(run).copied().collect();
                     let end = (at + src.len()).min(bytes.len());
                     bytes.splice(at..end, src);
@@ -190,7 +196,9 @@ pub(crate) mod fuzz {
     }
 
     /// Decodes `bytes` and checks what every decoder promises on hostile
-    /// input: it returns rather than panics; it allocates at most a small
+    /// input: it returns rather than panics, within a second (the entries
+    /// are a few KiB, so this only catches a decoder that loops or
+    /// backtracks); it allocates at most a small
     /// multiple of the input's length (the values it builds, with `Vec`
     /// growth — an allocation sized by a length field would ask for up to
     /// 2^64 bytes); and what it accepts re-encodes to exactly the bytes
@@ -201,9 +209,14 @@ pub(crate) mod fuzz {
         decode: impl FnOnce(&[u8]) -> Option<T>,
         encode: impl FnOnce(&T) -> Vec<u8>,
     ) -> Result<bool, TestCaseError> {
-        let before = ALLOCATED.with(Cell::get);
+        let (before, started) = (ALLOCATED.with(Cell::get), Instant::now());
         let decoded = decode(bytes);
-        let allocated = ALLOCATED.with(Cell::get) - before;
+        let (allocated, elapsed) = (ALLOCATED.with(Cell::get) - before, started.elapsed());
+        prop_assert!(
+            elapsed < Duration::from_secs(1),
+            "decoding {} bytes took {elapsed:?}",
+            bytes.len()
+        );
         prop_assert!(
             allocated <= 4 * bytes.len() + 1024,
             "decoding {} bytes allocated {allocated}",
@@ -324,6 +337,15 @@ mod tests {
         assert!(fuzz::check(&bytes, trusting, |_| bytes.to_vec()).is_err());
         let checked = |b: &[u8]| Reader(b).count(1);
         assert_eq!(fuzz::check(&bytes, checked, |_| Vec::new()), Ok(false));
+    }
+
+    #[test]
+    fn the_fuzz_harness_catches_a_decoder_that_stalls() {
+        let stalling = |_: &[u8]| {
+            std::thread::sleep(std::time::Duration::from_millis(1100));
+            None::<()>
+        };
+        assert!(fuzz::check(&[0; 8], stalling, |_| Vec::new()).is_err());
     }
 
     #[test]

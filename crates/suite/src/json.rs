@@ -35,7 +35,7 @@ pub enum Json {
 
 impl Json {
     /// Parses one complete JSON document. Trailing garbage, unterminated
-    /// strings, bad escapes, and nesting beyond [`MAX_DEPTH`] are all
+    /// strings, bad escapes, and nesting deeper than 32 levels are all
     /// errors — never panics, whatever the input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { text, pos: 0 };

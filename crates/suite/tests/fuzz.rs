@@ -6,10 +6,11 @@
 //! strings (quotes, backslashes, control characters, multi-byte
 //! characters) and exact-integer extremes, and require that writing and
 //! reading them back gives the same value. Byte-mutation ones take a real
-//! line — a structured one or a fixed seed — flip, cut, splice and
-//! duplicate its bytes, and feed the result to every reader. Whatever the
-//! bytes, no reader panics, and a reader either refuses the line or
-//! returns a value that round-trips through its own writer.
+//! line — a structured one or a fixed seed — flip, insert, delete, cut,
+//! splice and duplicate its bytes, and feed the result to every reader.
+//! Whatever the bytes, no reader panics or takes a second over a line, and
+//! a reader either refuses the line or returns a value that round-trips
+//! through its own writer.
 
 use av_suite::api::Json;
 use av_suite::manifest::{header, parse_header};
@@ -17,6 +18,7 @@ use av_suite::{
     ClientMessage, ErrorCode, EvalEvent, EvalRequest, EvalResponse, ManifestEntry, Priority,
 };
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Characters that stress escaping: the JSON specials, control
 /// characters, and one-, two- and four-byte UTF-8.
@@ -212,9 +214,11 @@ fn seeds() -> Vec<String> {
     lines
 }
 
-/// Feeds `line` to every reader: none may panic, and each value read must
-/// round-trip through its writer.
+/// Feeds `line` to every reader: none may panic or take a second (the
+/// lines are a few hundred bytes, so this only catches a reader that loops
+/// or backtracks), and each value read must round-trip through its writer.
 fn read_everything(line: &str) -> Result<(), TestCaseError> {
+    let started = Instant::now();
     let _ = Json::parse(line);
     if let Ok(ClientMessage::Eval(req)) = EvalRequest::parse(line) {
         prop_assert_eq!(
@@ -231,11 +235,18 @@ fn read_everything(line: &str) -> Result<(), TestCaseError> {
     if let Some(config) = parse_header(line) {
         prop_assert_eq!(parse_header(&header(config)), Some(config));
     }
+    prop_assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "reading {} bytes took {:?}",
+        line.len(),
+        started.elapsed()
+    );
     Ok(())
 }
 
-/// `seed` with `edits` applied in order: flip bits of one byte, cut the
-/// line short, splice in a run of `donor`, or duplicate a run in place.
+/// `seed` with `edits` applied in order: flip bits of one byte, insert an
+/// arbitrary byte, delete a run from the middle, cut the line short,
+/// splice in a run of `donor`, or duplicate a run in place.
 fn mutate(seed: &str, donor: &str, edits: &[(u8, u64, u64)]) -> String {
     let mut bytes = seed.as_bytes().to_vec();
     let donor = donor.as_bytes();
@@ -244,8 +255,12 @@ fn mutate(seed: &str, donor: &str, edits: &[(u8, u64, u64)]) -> String {
         let run = (arg % 24) as usize;
         match op {
             0 if at < bytes.len() => bytes[at] ^= (arg as u8).max(1),
-            1 => bytes.truncate(at),
+            1 => bytes.insert(at, arg as u8),
             2 => {
+                bytes.drain(at..(at + run.max(1)).min(bytes.len()));
+            }
+            3 => bytes.truncate(at),
+            4 => {
                 let from = (arg % (donor.len() as u64 + 1)) as usize;
                 let end = (from + run).min(donor.len());
                 bytes.splice(at..at, donor[from..end].iter().copied());
@@ -260,7 +275,7 @@ fn mutate(seed: &str, donor: &str, edits: &[(u8, u64, u64)]) -> String {
 }
 
 fn edits() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    prop::collection::vec((0..4u8, any::<u64>(), any::<u64>()), 1..9)
+    prop::collection::vec((0..6u8, any::<u64>(), any::<u64>()), 1..12)
 }
 
 proptest! {

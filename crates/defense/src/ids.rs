@@ -37,6 +37,26 @@ pub enum AlarmKind {
     Kinematics,
 }
 
+impl AlarmKind {
+    /// Every monitor, in declaration order.
+    pub const ALL: [AlarmKind; 4] = [
+        AlarmKind::Innovation,
+        AlarmKind::Streak,
+        AlarmKind::CrossSensor,
+        AlarmKind::Kinematics,
+    ];
+
+    /// Position of this kind in [`AlarmKind::ALL`].
+    pub fn index(self) -> usize {
+        match self {
+            AlarmKind::Innovation => 0,
+            AlarmKind::Streak => 1,
+            AlarmKind::CrossSensor => 2,
+            AlarmKind::Kinematics => 3,
+        }
+    }
+}
+
 /// One IDS alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Alarm {

@@ -6,10 +6,11 @@
 //! orchestrator runs the same function, so its stdout is byte-identical.
 
 use av_experiments::jobs;
+use av_experiments::memo::CampaignMemo;
 use av_experiments::suite::Args;
 
 fn main() {
     let args = Args::parse();
     let cache = args.oracle_cache();
-    print!("{}", jobs::defense(&args, &cache));
+    print!("{}", jobs::defense(&args, &cache, &CampaignMemo::new()));
 }

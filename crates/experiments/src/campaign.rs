@@ -3,8 +3,10 @@
 use crate::runner::{AttackerSpec, RunConfig, RunOutcome};
 use crate::session::{SessionWorker, SimSession};
 use crate::stats;
+use av_defense::ids::{Alarm, AlarmKind};
 use av_faults::FaultPlan;
 use av_simkit::scenario::ScenarioId;
+use av_simkit::units::CAMERA_HZ;
 use av_telemetry::{MetricsRegistry, MetricsSnapshot, Telemetry, TraceEvent};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,20 +45,17 @@ impl std::error::Error for CampaignError {}
 pub struct Campaign {
     /// Campaign id, e.g. `DS-1-Disappear-R` (paper naming).
     pub name: String,
-    /// Scenario to run.
-    pub scenario: ScenarioId,
-    /// For generated scenarios: the spec every run samples its world from
-    /// (at `base_seed + index`, the same stream the fixed recipes draw
-    /// from). `None` for the fixed DS-1..5 scenarios.
-    pub spec: Option<Arc<av_scenarios::ScenarioSpec>>,
+    /// The configuration every run executes: the scenario (with a
+    /// generated scenario's spec, sampled at the run's seed), the sensor
+    /// faults, and the ADS and attacker settings the ablations vary. Run
+    /// `i` overrides only its seed, with `base_seed + i`.
+    pub config: RunConfig,
     /// Attacker riding along.
     pub attacker: AttackerSpec,
     /// Number of seeded runs.
     pub runs: u64,
     /// Base seed; run `i` uses `base_seed + i`.
     pub base_seed: u64,
-    /// Sensor faults injected into every run (empty = healthy sensors).
-    pub faults: FaultPlan,
     /// Collect per-stage timing metrics across all workers (merged into
     /// [`CampaignResult::metrics`]). Off by default: the campaign then runs
     /// with telemetry fully disabled, the zero-cost path.
@@ -64,7 +63,9 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Creates a campaign with healthy sensors.
+    /// Creates a campaign with healthy sensors and the standard
+    /// configuration ([`RunConfig::new`]); set [`Campaign::config`] fields
+    /// to vary it.
     pub fn new(
         name: impl Into<String>,
         scenario: ScenarioId,
@@ -74,12 +75,10 @@ impl Campaign {
     ) -> Self {
         Campaign {
             name: name.into(),
-            scenario,
-            spec: None,
+            config: RunConfig::new(scenario, base_seed),
             attacker,
             runs,
             base_seed,
-            faults: FaultPlan::none(),
             collect_metrics: false,
         }
     }
@@ -95,14 +94,19 @@ impl Campaign {
         base_seed: u64,
     ) -> Self {
         let mut campaign = Campaign::new(name, spec.scenario_id(), attacker, runs, base_seed);
-        campaign.spec = Some(spec);
+        campaign.config.spec = Some(spec);
         campaign
+    }
+
+    /// The scenario every run executes.
+    pub fn scenario(&self) -> ScenarioId {
+        self.config.scenario
     }
 
     /// The same campaign with a fault plan applied to every run.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.config.faults = faults;
         self
     }
 
@@ -116,13 +120,11 @@ impl Campaign {
     /// The session of run `index` (seed `base_seed + index`) — exactly what
     /// every dispatch mode executes for that run.
     pub fn session(&self, index: u64, telemetry: &Telemetry) -> SimSession {
-        let seed = self.base_seed + index;
-        let mut config = match &self.spec {
-            Some(spec) => RunConfig::generated(spec.clone(), seed),
-            None => RunConfig::new(self.scenario, seed),
+        let config = RunConfig {
+            seed: self.base_seed + index,
+            ..self.config.clone()
         };
-        config = config.with_faults(self.faults.clone());
-        SimSession::builder(self.scenario)
+        SimSession::builder(self.scenario())
             .config(config)
             .attacker(self.attacker.clone())
             .telemetry(telemetry.clone())
@@ -174,9 +176,9 @@ impl CampaignResult {
 
 /// One run folded to the fields the paper's reports and the boundary
 /// search read. The full [`RunOutcome`] carries the time-series record and
-/// the IDS alarms (a DS-1 run records ~450 samples); a summary keeps none
-/// of that, so a campaign can be held — and shared between reports —
-/// without them.
+/// every IDS alarm (a DS-1 run records ~450 samples); a summary keeps only
+/// per-monitor alarm counts, so a campaign can be held — and shared
+/// between reports — without them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// An attack was launched (a valid run, §VI-C).
@@ -201,6 +203,12 @@ pub struct RunSummary {
     pub frames_lost: u64,
     /// See [`RunOutcome::stale_frames`].
     pub stale_frames: u64,
+    /// IDS alarms raised over the whole run.
+    pub alarms: AlarmCounts,
+    /// IDS alarms raised inside the attack window `[launch, launch +
+    /// k/CAMERA_HZ + 1 s]`: the attack plus one second of grace (all zero
+    /// when no attack launched).
+    pub alarms_in_attack: AlarmCounts,
 }
 
 impl RunSummary {
@@ -219,7 +227,41 @@ impl RunSummary {
             frames_lost: u64::from(outcome.faults.camera_frames_dropped)
                 + u64::from(outcome.faults.camera_frames_frozen),
             stale_frames: outcome.stale_frames,
+            alarms: AlarmCounts::of(&outcome.ids_alarms),
+            alarms_in_attack: outcome
+                .attack
+                .launched_at
+                .map_or_else(AlarmCounts::default, |t0| {
+                    let t1 = t0 + f64::from(outcome.attack.k) / CAMERA_HZ + 1.0;
+                    AlarmCounts::of(outcome.ids_alarms.iter().filter(|a| a.t >= t0 && a.t <= t1))
+                }),
         }
+    }
+}
+
+/// IDS alarm counts per raising monitor, in [`AlarmKind::ALL`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AlarmCounts(pub(crate) [u32; AlarmKind::ALL.len()]);
+
+impl AlarmCounts {
+    /// Counts `alarms` by kind.
+    pub fn of<'a>(alarms: impl IntoIterator<Item = &'a Alarm>) -> AlarmCounts {
+        let mut counts = AlarmCounts::default();
+        for alarm in alarms {
+            let n = &mut counts.0[alarm.kind.index()];
+            *n = n.saturating_add(1);
+        }
+        counts
+    }
+
+    /// Alarms raised by `kind`'s monitor.
+    pub fn get(&self, kind: AlarmKind) -> u32 {
+        self.0[kind.index()]
+    }
+
+    /// Alarms raised by any monitor.
+    pub fn total(&self) -> u64 {
+        self.0.iter().map(|&n| u64::from(n)).sum()
     }
 }
 
@@ -351,7 +393,7 @@ pub fn run_campaign_dispatch(
     let (outcomes, metrics) = dispatch(campaign, threads, mode, |outcome| outcome)?;
     Ok(CampaignResult {
         name: campaign.name.clone(),
-        scenario: campaign.scenario,
+        scenario: campaign.scenario(),
         outcomes,
         metrics,
     })
@@ -373,7 +415,7 @@ pub fn run_campaign_summary(
     let (runs, _) = dispatch(campaign, threads, mode, |outcome| RunSummary::of(&outcome))?;
     Ok(CampaignSummary {
         name: campaign.name.clone(),
-        scenario: campaign.scenario,
+        scenario: campaign.scenario(),
         runs,
     })
 }
@@ -620,6 +662,27 @@ mod tests {
             run_campaign_dispatch(&campaign, 1, zero).unwrap_err(),
             CampaignError::ZeroBatch
         );
+    }
+
+    #[test]
+    fn summaries_count_every_alarm_and_those_inside_the_attack_window() {
+        // A Disappear held past the pedestrian streak envelope: the IDS
+        // flags it while the attack runs.
+        let naive = AttackerSpec::AtDelta {
+            vector: Some(robotack::vector::AttackVector::Disappear),
+            delta_inject: 24.0,
+            k: 62,
+        };
+        let campaign = Campaign::new("naive", ScenarioId::Ds2, naive, 2, 0);
+        let result = run_campaign_with_threads(&campaign, 1).unwrap();
+        for (outcome, run) in result.outcomes.iter().zip(result.summary().runs) {
+            assert_eq!(run.alarms.total(), outcome.ids_alarms.len() as u64);
+            for kind in AlarmKind::ALL {
+                assert!(run.alarms_in_attack.get(kind) <= run.alarms.get(kind));
+            }
+            assert!(outcome.attack.launched_at.is_some());
+            assert!(run.alarms_in_attack.get(AlarmKind::Streak) > 0, "{run:?}");
+        }
     }
 
     #[test]

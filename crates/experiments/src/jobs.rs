@@ -30,15 +30,17 @@
 //! are simulated once per store, and fig6's R panels, fig7, fig8(a) and
 //! resilience's healthy cells read the same folded runs — whichever job
 //! asks first reads the stored entry or simulates, the others wait or take
-//! a prefix. A later execution over the same store reads every campaign
-//! an earlier one simulated; its store lookups count in each job's
-//! hit/miss scorecard. A standalone binary runs its report with a fresh
-//! memo over its own store view, so its stdout stays byte-identical to the
-//! suite job's. `defense` and `ablations` go through neither tier; each of
-//! their sections is one [`run_sweep`] over the host's workers. `ablations`
-//! varies its configuration from run to run. Each `defense` section is a
-//! set of fixed-configuration seeded campaigns, but it reads the IDS
-//! alarms of every run, which a [`RunSummary`] does not fold.
+//! a prefix. `defense` folds its golden, RoboTack and naive campaigns the
+//! same way and reads the IDS alarm counts each [`RunSummary`] keeps;
+//! each `ablations` cell is one campaign whose configuration template sets
+//! the swept σ fraction, LiDAR registration delay or γ. A later execution
+//! over the same store reads every campaign an earlier one simulated; its
+//! store lookups count in each job's hit/miss scorecard. A standalone
+//! binary runs its report with a fresh memo over its own store view, so
+//! its stdout stays byte-identical to the suite job's. Two paths simulate
+//! without the memo: `fig5` (the detector characterization, which runs no
+//! campaign) and fig8(b)'s k sweep (one run per k, reading the attack
+//! features at launch, which a [`RunSummary`] does not keep).
 
 use crate::characterize::characterize_detector;
 use crate::memo::CampaignMemo;
@@ -55,7 +57,6 @@ use crate::suite::{
 };
 use av_defense::ids::AlarmKind;
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
-use av_simkit::units::CAMERA_HZ;
 use av_suite::api::{ErrorCode, EvalRequest};
 use av_suite::serve::EvalService;
 use av_suite::{ArtifactStore, Dag, DagError, Job, JobOutcome};
@@ -133,7 +134,6 @@ pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
         rows.push((result, reference, crashes_apply));
     }
 
-    report_cache(cache);
     eprintln!("running DS-5-Baseline-Random ...");
     let baseline = fold(
         memo,
@@ -141,6 +141,7 @@ pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
         args,
         &baseline_campaign(args.runs.max(24), args.seed + 5000),
     );
+    report_cache(cache);
 
     let mut out = String::new();
     writeln!(out, "{}", render_table2(&rows, &baseline)).unwrap();
@@ -306,7 +307,6 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     eprintln!("  DS-1: {desc1}");
     let (oracle_ds2, desc2) = oracle_for(ScenarioId::Ds2, AttackVector::MoveOut, &sweep, cache);
     eprintln!("  DS-2: {desc2}");
-    report_cache(cache);
     let mut samples: Vec<(f64, bool)> = Vec::new();
     for (scenario, oracle) in [
         (ScenarioId::Ds1, oracle_ds1.clone()),
@@ -347,6 +347,7 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
             bins.push((upper, p, in_bin.len()));
         }
     }
+    report_cache(cache);
     writeln!(out, "{}", render_fig8a(&bins)).unwrap();
 
     // Panel (b): δ0 ≈ 41 m, sweep k, compare prediction to ground truth.
@@ -382,37 +383,12 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     out
 }
 
-/// `sessions` runs as one sweep on the host's default worker count, each
-/// worker reusing one [`SessionWorker`]: `reduce` of session `make(i)`'s
-/// outcome for every index `i`, in index order.
-fn sweep<T: Send>(
-    sessions: u64,
-    make: impl Fn(u64) -> SimSession + Sync,
-    reduce: impl Fn(RunOutcome) -> T + Sync,
-) -> Vec<T> {
-    let sessions = usize::try_from(sessions).expect("session count fits usize");
-    run_sweep(
-        sessions,
-        default_threads(),
-        1,
-        &|_| Telemetry::disabled(),
-        |i, _| make(i as u64),
-        reduce,
-    )
-    .expect("default_threads() is nonzero")
-}
-
-/// A [`sweep`]'s output cut into consecutive cells of `per` results, one
-/// per swept parameter value (zip it with the values; `per` may be 0).
-fn cells<T>(folded: &[T], per: u64) -> impl Iterator<Item = &[T]> {
-    let per = usize::try_from(per).expect("cell size fits usize");
-    (0..).map(move |j| &folded[j * per..(j + 1) * per])
-}
-
 /// Ablation studies for the design choices DESIGN.md calls out: the
 /// trajectory-hijacker noise gate, the fusion LiDAR registration delay, the
-/// SH launch threshold γ, and binary-vs-linear K search.
-pub fn ablations(args: &Args, cache: &OracleCache) -> String {
+/// SH launch threshold γ, and binary-vs-linear K search. Each cell of the
+/// first three is one campaign whose configuration template sets the
+/// swept value.
+pub fn ablations(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let runs = args.runs.min(40);
     let mut out = String::new();
 
@@ -427,29 +403,21 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     )
     .unwrap();
     writeln!(out, "σ fraction | K' median (frames) | EB rate").unwrap();
-    let sigmas = [0.25, 0.5, 1.0, 1.5];
-    let folded = sweep(
-        sigmas.len() as u64 * runs,
-        |i| {
-            let mut cfg = RunConfig::new(ScenarioId::Ds3, i % runs);
-            cfg.sigma_fraction = sigmas[(i / runs) as usize];
-            SimSession::builder(ScenarioId::Ds3)
-                .config(cfg)
-                .attacker(AttackerSpec::AtDelta {
-                    vector: Some(AttackVector::MoveIn),
-                    delta_inject: 8.0,
-                    k: 40,
-                })
-                .build()
-        },
-        |out| (out.k_prime_ads, out.eb_after_attack),
-    );
-    for (sigma, cell) in sigmas.iter().zip(cells(&folded, runs)) {
-        let kprimes: Vec<f64> = cell
+    for sigma in [0.25, 0.5, 1.0, 1.5] {
+        let attacker = AttackerSpec::AtDelta {
+            vector: Some(AttackVector::MoveIn),
+            delta_inject: 8.0,
+            k: 40,
+        };
+        let mut cell = Campaign::new("ablation-sigma", ScenarioId::Ds3, attacker, runs, 0);
+        cell.config.sigma_fraction = sigma;
+        let result = fold(memo, cache, args, &cell);
+        let kprimes: Vec<f64> = result
+            .runs
             .iter()
-            .filter_map(|(kp, _)| kp.map(f64::from))
+            .filter_map(|r| r.k_prime_ads.map(f64::from))
             .collect();
-        let eb = cell.iter().filter(|(_, eb)| *eb).count();
+        let eb = result.runs.iter().filter(|r| r.eb).count();
         writeln!(
             out,
             "  {sigma:>7.2}  | {:>18.0} | {:>5.1}%",
@@ -466,26 +434,21 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     )
     .unwrap();
     writeln!(out, "register (scans) | accident rate | min-δ median").unwrap();
-    let registers = [5u32, 15, 40, 80];
-    let folded = sweep(
-        registers.len() as u64 * runs,
-        |i| {
-            let mut cfg = RunConfig::new(ScenarioId::Ds1, i % runs);
-            cfg.fusion.lidar_register = registers[(i / runs) as usize];
-            SimSession::builder(ScenarioId::Ds1)
-                .config(cfg)
-                .attacker(AttackerSpec::AtDelta {
-                    vector: Some(AttackVector::MoveOut),
-                    delta_inject: 30.0,
-                    k: 90,
-                })
-                .build()
-        },
-        |out| (out.accident, out.min_delta_post_attack),
-    );
-    for (register, cell) in registers.iter().zip(cells(&folded, runs)) {
-        let accidents = cell.iter().filter(|(accident, _)| *accident).count();
-        let deltas: Vec<f64> = cell.iter().filter_map(|(_, d)| *d).collect();
+    for register in [5u32, 15, 40, 80] {
+        let attacker = AttackerSpec::AtDelta {
+            vector: Some(AttackVector::MoveOut),
+            delta_inject: 30.0,
+            k: 90,
+        };
+        let mut cell = Campaign::new("ablation-register", ScenarioId::Ds1, attacker, runs, 0);
+        cell.config.fusion.lidar_register = register;
+        let result = fold(memo, cache, args, &cell);
+        let accidents = result.runs.iter().filter(|r| r.accident).count();
+        let deltas: Vec<f64> = result
+            .runs
+            .iter()
+            .filter_map(|r| r.min_delta_post_attack)
+            .collect();
         writeln!(
             out,
             "  {register:>14} | {:>12.1}% | {:>8.1} m",
@@ -502,36 +465,20 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
     .unwrap();
     writeln!(out, "(DS-2 Move_Out with the trained NN oracle)\n").unwrap();
     let (oracle, desc) = oracle_for(ScenarioId::Ds2, AttackVector::MoveOut, &args.sweep(), cache);
-    report_cache(cache);
     writeln!(out, "oracle: {desc}\n").unwrap();
     writeln!(out, "γ (m) | launched | EB rate | accident rate").unwrap();
-    let gammas = [2.0, 4.0, 8.0];
-    let folded = sweep(
-        gammas.len() as u64 * runs,
-        |i| {
-            let mut cfg = RunConfig::new(ScenarioId::Ds2, 4000 + i % runs);
-            cfg.sh.gamma = gammas[(i / runs) as usize];
-            SimSession::builder(ScenarioId::Ds2)
-                .config(cfg)
-                .attacker(AttackerSpec::RoboTack {
-                    vector: Some(AttackVector::MoveOut),
-                    oracle: oracle.clone(),
-                })
-                .build()
-        },
-        |out| {
-            (
-                out.attack.launched_at.is_some(),
-                out.eb_after_attack,
-                out.accident,
-            )
-        },
-    );
-    for (gamma, cell) in gammas.iter().zip(cells(&folded, runs)) {
-        let count = |hit: fn(&(bool, bool, bool)) -> bool| cell.iter().filter(|r| hit(r)).count();
-        let launched = count(|r| r.0);
-        let eb = count(|r| r.1);
-        let accidents = count(|r| r.2);
+    for gamma in [2.0, 4.0, 8.0] {
+        let attacker = AttackerSpec::RoboTack {
+            vector: Some(AttackVector::MoveOut),
+            oracle: oracle.clone(),
+        };
+        let mut cell = Campaign::new("ablation-gamma", ScenarioId::Ds2, attacker, runs, 4000);
+        cell.config.sh.gamma = gamma;
+        let result = fold(memo, cache, args, &cell);
+        let count = |hit: fn(&RunSummary) -> bool| result.runs.iter().filter(|r| hit(r)).count();
+        let launched = count(|r| r.launched);
+        let eb = count(|r| r.eb);
+        let accidents = count(|r| r.accident);
         writeln!(
             out,
             "  {gamma:>3.0} | {launched:>8} | {:>6.1}% | {:>6.1}%",
@@ -540,6 +487,7 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
         )
         .unwrap();
     }
+    report_cache(cache);
 
     writeln!(
         out,
@@ -571,8 +519,9 @@ pub fn ablations(args: &Args, cache: &OracleCache) -> String {
 
 /// The countermeasure study: IDS false positives on golden runs, IDS vs
 /// RoboTack's stealthy perturbations, and IDS vs a naive non-stealthy
-/// attacker.
-pub fn defense(args: &Args, cache: &OracleCache) -> String {
+/// attacker. Every section reads the per-monitor alarm counts its
+/// campaigns fold ([`RunSummary::alarms`], [`RunSummary::alarms_in_attack`]).
+pub fn defense(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     let runs = args.runs.min(60);
     let sweep_config = args.sweep();
     let mut out = String::new();
@@ -587,35 +536,22 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
         "scenario | runs w/ any alarm | innovation | streak | cross-sensor | kinematics"
     )
     .unwrap();
-    let kind_index = |kind: AlarmKind| match kind {
-        AlarmKind::Innovation => 0,
-        AlarmKind::Streak => 1,
-        AlarmKind::CrossSensor => 2,
-        AlarmKind::Kinematics => 3,
-    };
-    let folded = sweep(
-        ScenarioId::ALL.len() as u64 * runs,
-        |i| {
-            SimSession::builder(ScenarioId::ALL[(i / runs) as usize])
-                .seed(i % runs)
-                .build()
-        },
-        |run_out| {
-            let mut by_kind = [0u64; 4];
-            for a in &run_out.ids_alarms {
-                by_kind[kind_index(a.kind)] += 1;
-            }
-            (!run_out.ids_alarms.is_empty(), by_kind)
-        },
-    );
-    for (scenario, cell) in ScenarioId::ALL.iter().zip(cells(&folded, runs)) {
-        let any = cell.iter().filter(|(alarmed, _)| *alarmed).count();
-        let mut by_kind = [0u64; 4];
-        for (_, counts) in cell {
-            for (total, n) in by_kind.iter_mut().zip(counts) {
-                *total += n;
-            }
-        }
+    for scenario in ScenarioId::ALL {
+        let name = format!("{}-golden", scenario.name());
+        let golden = fold(
+            memo,
+            cache,
+            args,
+            &Campaign::new(name, scenario, AttackerSpec::None, runs, 0),
+        );
+        let any = golden.runs.iter().filter(|r| r.alarms.total() > 0).count();
+        let by_kind = AlarmKind::ALL.map(|kind| {
+            golden
+                .runs
+                .iter()
+                .map(|r| u64::from(r.alarms.get(kind)))
+                .sum::<u64>()
+        });
         writeln!(
             out,
             "{:<8} | {:>17} | {:>10} | {:>6} | {:>12} | {:>10}",
@@ -635,49 +571,29 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
         "arm                  | launched | flagged during attack | by monitor"
     )
     .unwrap();
-    let arms: Vec<(ScenarioId, AttackerSpec)> = ARMS
-        .iter()
-        .map(|&(scenario, vector, _)| {
-            let (oracle, _) = oracle_for(scenario, vector, &sweep_config, cache);
-            let attacker = AttackerSpec::RoboTack {
-                vector: Some(vector),
-                oracle,
-            };
-            (scenario, attacker)
-        })
-        .collect();
-    // Per launched run: the alarms raised within the attack window, plus
-    // one second of grace after it.
-    let folded = sweep(
-        arms.len() as u64 * runs,
-        |i| {
-            let (scenario, attacker) = &arms[(i / runs) as usize];
-            SimSession::builder(*scenario)
-                .seed(7000 + i % runs)
-                .attacker(attacker.clone())
-                .build()
-        },
-        |run_out| {
-            let t0 = run_out.attack.launched_at?;
-            let t1 = t0 + f64::from(run_out.attack.k) / CAMERA_HZ + 1.0;
-            Some(
-                run_out
-                    .ids_alarms
-                    .iter()
-                    .filter(|a| a.t >= t0 && a.t <= t1)
-                    .map(|a| a.kind)
-                    .collect::<Vec<AlarmKind>>(),
-            )
-        },
-    );
-    for ((_, _, name), cell) in ARMS.iter().zip(cells(&folded, runs)) {
-        let launched = cell.iter().flatten().count() as u64;
-        let flagged = cell.iter().flatten().filter(|d| !d.is_empty()).count() as u64;
-        let mut kinds: HashMap<AlarmKind, u64> = HashMap::new();
-        for kind in cell.iter().flatten().flatten() {
-            *kinds.entry(*kind).or_default() += 1;
-        }
-        let mut kind_list: Vec<String> = kinds.iter().map(|(k, n)| format!("{k:?}×{n}")).collect();
+    for (scenario, vector, name) in ARMS {
+        let (oracle, _) = oracle_for(scenario, vector, &sweep_config, cache);
+        let result = fold(
+            memo,
+            cache,
+            args,
+            &r_campaign(name, scenario, vector, oracle, runs, 7000),
+        );
+        let launched = result.n_launched() as u64;
+        let flagged = result
+            .launched()
+            .filter(|r| r.alarms_in_attack.total() > 0)
+            .count() as u64;
+        let mut kind_list: Vec<String> = AlarmKind::ALL
+            .iter()
+            .filter_map(|&kind| {
+                let n: u64 = result
+                    .launched()
+                    .map(|r| u64::from(r.alarms_in_attack.get(kind)))
+                    .sum();
+                (n > 0).then(|| format!("{kind:?}×{n}"))
+            })
+            .collect();
         kind_list.sort();
         writeln!(
             out,
@@ -689,8 +605,6 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
         .unwrap();
     }
 
-    report_cache(cache);
-
     writeln!(out, "\n=== IDS vs a non-stealthy attacker ===\n").unwrap();
     writeln!(
         out,
@@ -698,28 +612,28 @@ pub fn defense(args: &Args, cache: &OracleCache) -> String {
              frames on a pedestrian, envelope 31):"
     )
     .unwrap();
-    let folded = sweep(
-        runs,
-        |seed| {
-            SimSession::builder(ScenarioId::Ds2)
-                .seed(seed)
-                .attacker(AttackerSpec::AtDelta {
-                    vector: Some(AttackVector::Disappear),
-                    delta_inject: 24.0,
-                    k: 62,
-                })
-                .build()
-        },
-        |run_out| {
-            run_out.attack.launched_at.is_some()
-                && run_out
-                    .ids_alarms
-                    .iter()
-                    .any(|a| a.kind == AlarmKind::Streak)
-        },
+    let naive = fold(
+        memo,
+        cache,
+        args,
+        &Campaign::new(
+            "DS-2-Disappear-naive",
+            ScenarioId::Ds2,
+            AttackerSpec::AtDelta {
+                vector: Some(AttackVector::Disappear),
+                delta_inject: 24.0,
+                k: 62,
+            },
+            runs,
+            0,
+        ),
     );
-    let flagged = folded.iter().filter(|&&f| f).count();
+    let flagged = naive
+        .launched()
+        .filter(|r| r.alarms.get(AlarmKind::Streak) > 0)
+        .count();
     writeln!(out, "  streak-flagged in {flagged}/{runs} runs").unwrap();
+    report_cache(cache);
     out
 }
 
@@ -819,7 +733,6 @@ pub fn resilience(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> Stri
             },
         ));
     }
-    report_cache(cache);
 
     let mut out = String::new();
     writeln!(
@@ -876,6 +789,7 @@ pub fn resilience(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> Stri
             .unwrap();
         }
     }
+    report_cache(cache);
 
     writeln!(
         out,
@@ -1056,18 +970,14 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
             .output("report:fig8"),
     );
     jobs.push(
-        report_job("ablations", args, store, |args, cache, _| {
-            ablations(args, cache)
-        })
-        .deps(oracle_deps(&ablations_arms))
-        .output("report:ablations"),
+        report_job("ablations", args, store, ablations)
+            .deps(oracle_deps(&ablations_arms))
+            .output("report:ablations"),
     );
     jobs.push(
-        report_job("defense", args, store, |args, cache, _| {
-            defense(args, cache)
-        })
-        .deps(oracle_deps(&all))
-        .output("report:defense"),
+        report_job("defense", args, store, defense)
+            .deps(oracle_deps(&all))
+            .output("report:defense"),
     );
     jobs.push(
         report_job("resilience", args, store, resilience)

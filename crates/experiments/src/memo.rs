@@ -2,11 +2,13 @@
 //! store, every report reading the same folded outcomes.
 //!
 //! Table II, Fig. 6, Fig. 7, Fig. 8(a) and the resilience study's healthy
-//! cells are different views of the same RoboTack campaigns (§VI-C). A
-//! campaign's runs depend only on its scenario, attacker (the oracle by
-//! content), fault plan and base seed — run `i` is seed `base_seed + i`
-//! ([`Campaign::session`]), and every dispatch mode and thread count gives
-//! bit-identical outcomes. The campaign name, run count, dispatch mode and
+//! cells are different views of the same RoboTack campaigns (§VI-C); the
+//! countermeasure study and the ablations fold campaigns of their own. A
+//! campaign's runs depend only on its configuration template (scenario,
+//! fault plan, ADS and attacker settings — everything but the seed),
+//! attacker (the oracle by content) and base seed — run `i` is the
+//! template at seed `base_seed + i` ([`Campaign::session`]), and every
+//! dispatch mode and thread count gives bit-identical outcomes. The campaign name, run count, dispatch mode and
 //! thread count are therefore not part of a [`CampaignKey`]: an entry
 //! holds runs `0..n` of its key, a request for `m ≤ n` runs takes the
 //! prefix, and a request for `m > n` simulates only runs `n..m` and
@@ -39,7 +41,7 @@
 //! `RTCP`, [`CAMPAIGN_CODE_VERSION`] and the address echo, then an FNV-1a
 //! trailer of everything before it). Its body is the run count, then one
 //! fixed-width record per [`RunSummary`] (floats by bit pattern:
-//! `min_delta_attack_window` may be `+∞`). The decoder reads through the
+//! `min_delta_attack_window` may be `+∞`; the IDS alarm counts last). The decoder reads through the
 //! codec's bounds-checked reader and treats the bytes as hostile: the run
 //! count is checked against the remaining bytes before anything is
 //! allocated, and any mismatch — magic, version, echo, length, digest,
@@ -58,11 +60,13 @@
 //! entry or the other's, never a mix.
 
 use crate::campaign::{
-    run_campaign_summary, Campaign, CampaignError, CampaignSummary, DispatchMode, RunSummary,
+    run_campaign_summary, AlarmCounts, Campaign, CampaignError, CampaignSummary, DispatchMode,
+    RunSummary,
 };
 use crate::codec::Frame;
 use crate::oracle_cache::{network_digest, OracleCache};
-use crate::runner::{AttackerSpec, OracleSpec};
+use crate::runner::{AttackerSpec, OracleSpec, RunConfig};
+use av_defense::ids::AlarmKind;
 use av_simkit::scenario::ScenarioId;
 use av_suite::fnv::Fnv1a;
 use robotack::vector::AttackVector;
@@ -79,10 +83,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// The same rule holds for [`crate::oracle_cache::DATASET_CODE_VERSION`]
 /// and [`crate::search::SEARCH_CODE_VERSION`]; a simulator change usually
 /// bumps all three. A unit test pins this version together with the
-/// entries of five small fixed campaigns, one per campaign shape the
+/// entries of seven small fixed campaigns, one per campaign shape the
 /// reports run (kinematic and NN-oracle RoboTack, "R w/o SH", the random
-/// baseline, a fault plan).
-pub const CAMPAIGN_CODE_VERSION: u32 = 1;
+/// baseline, a fault plan, an alarm-raising naive attacker, a changed ADS
+/// configuration).
+pub const CAMPAIGN_CODE_VERSION: u32 = 2;
 
 /// Artifact-store namespace of folded campaign entries.
 pub const NS_CAMPAIGN: &str = "campaign";
@@ -100,21 +105,28 @@ const CAMPAIGN_FRAME: Frame = Frame {
 pub struct CampaignKey {
     scenario: ScenarioId,
     attacker: u64,
-    faults: String,
+    config: String,
     base_seed: u64,
 }
 
 impl CampaignKey {
     /// The key of `campaign`. The attacker enters by content — an NN
     /// oracle by its [`network_digest`] — so separately loaded copies of
-    /// one oracle share a key. The fault plan enters by its `Debug`
-    /// rendering, which writes every parameter (floats round-trip).
-    /// Generated scenarios are covered by their content-hash id.
+    /// one oracle share a key. The configuration template enters by its
+    /// `Debug` rendering, which writes every parameter (floats round-trip)
+    /// including the fault plan, with the seed (run `i` overrides it) and
+    /// a generated scenario's spec (covered by its content-hash id) left
+    /// out.
     pub fn of(campaign: &Campaign) -> CampaignKey {
+        let template = RunConfig {
+            seed: 0,
+            spec: None,
+            ..campaign.config.clone()
+        };
         CampaignKey {
-            scenario: campaign.scenario,
+            scenario: campaign.scenario(),
             attacker: attacker_digest(&campaign.attacker),
-            faults: format!("{:?}", campaign.faults),
+            config: format!("{template:?}"),
             base_seed: campaign.base_seed,
         }
     }
@@ -122,7 +134,7 @@ impl CampaignKey {
     /// The key's artifact-store address: an FNV-1a digest of the entry
     /// magic, [`CAMPAIGN_CODE_VERSION`] and every key field — the scenario
     /// name (plus a generated scenario's content hash), the attacker
-    /// digest, the fault-plan rendering and the base seed.
+    /// digest, the template rendering and the base seed.
     pub fn address(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write(&CAMPAIGN_FRAME.magic);
@@ -132,8 +144,8 @@ impl CampaignKey {
             h.write_u64(gen_hash);
         }
         h.write_u64(self.attacker);
-        h.write_u64(self.faults.len() as u64);
-        h.write_str(&self.faults);
+        h.write_u64(self.config.len() as u64);
+        h.write_str(&self.config);
         h.write_u64(self.base_seed);
         h.finish()
     }
@@ -233,7 +245,7 @@ impl CampaignMemo {
         });
         Ok(CampaignSummary {
             name: campaign.name.clone(),
-            scenario: campaign.scenario,
+            scenario: campaign.scenario(),
             runs,
         })
     }
@@ -305,9 +317,12 @@ impl CampaignMemo {
     }
 }
 
+/// Alarm counters per record: whole-run, then in-attack, each per kind.
+const ALARM_COUNTERS: usize = 2 * AlarmKind::ALL.len();
+
 /// Bytes of one [`RunSummary`] record: flags, `k`, `k_prime_ads`, four
-/// floats, two counters.
-const RECORD_BYTES: usize = 3 * 4 + 4 * 8 + 2 * 8;
+/// floats, two counters, the alarm counters.
+const RECORD_BYTES: usize = 3 * 4 + 4 * 8 + 2 * 8 + ALARM_COUNTERS * 4;
 
 /// Record flag bits; every other bit is reserved and must be clear.
 const LAUNCHED: u32 = 1 << 0;
@@ -354,6 +369,9 @@ fn encode(address: u64, runs: &[RunSummary]) -> Vec<u8> {
         }
         w.u64(run.frames_lost);
         w.u64(run.stale_frames);
+        for n in run.alarms.0.into_iter().chain(run.alarms_in_attack.0) {
+            w.u32(n);
+        }
     }
     w.seal()
 }
@@ -380,6 +398,17 @@ fn decode(address: u64, bytes: &[u8]) -> Option<Vec<RunSummary>> {
         let min_delta_post_attack = float(HAS_MIN_DELTA_POST_ATTACK)?;
         let min_delta_attack_window = float(HAS_MIN_DELTA_ATTACK_WINDOW)?;
         let replica_divergence = float(HAS_REPLICA_DIVERGENCE)?;
+        let frames_lost = r.u64()?;
+        let stale_frames = r.u64()?;
+        let mut counts = || -> Option<AlarmCounts> {
+            let mut counts = AlarmCounts::default();
+            for n in &mut counts.0 {
+                *n = r.u32()?;
+            }
+            Some(counts)
+        };
+        let alarms = counts()?;
+        let alarms_in_attack = counts()?;
         runs.push(RunSummary {
             launched: flags & LAUNCHED != 0,
             k,
@@ -390,8 +419,10 @@ fn decode(address: u64, bytes: &[u8]) -> Option<Vec<RunSummary>> {
             min_delta_attack_window,
             k_prime_ads,
             replica_divergence,
-            frames_lost: r.u64()?,
-            stale_frames: r.u64()?,
+            frames_lost,
+            stale_frames,
+            alarms,
+            alarms_in_attack,
         });
     }
     Some(runs)
@@ -452,12 +483,28 @@ mod tests {
         )
     }
 
+    /// The DS-1 Move_Out cell of the LiDAR registration ablation, at a
+    /// registration delay of `register` scans.
+    fn register_cell(register: u32) -> Campaign {
+        let attacker = AttackerSpec::AtDelta {
+            vector: Some(AttackVector::MoveOut),
+            delta_inject: 30.0,
+            k: 90,
+        };
+        let mut cell = Campaign::new("register", ScenarioId::Ds1, attacker, 3, 7);
+        cell.config.fusion.lidar_register = register;
+        cell
+    }
+
     /// The pinned campaigns, one per shape the reports run, each 3 runs
     /// from seed 7: RoboTack under the kinematic oracle (DS-1 Move_Out,
     /// the entry the codec tests mutate), RoboTack under a fixed NN oracle,
-    /// "R w/o SH", the DS-5 random baseline, and RoboTack under a fault
-    /// plan of every fault kind the resilience study injects.
-    fn pinned_campaigns() -> [Campaign; 5] {
+    /// "R w/o SH", the DS-5 random baseline, RoboTack under a fault plan of
+    /// every fault kind the resilience study injects, the countermeasure
+    /// study's naive DS-2 Disappear (K = 62, past the streak envelope, so
+    /// the IDS raises alarms), and an ablation cell whose template sets a
+    /// LiDAR registration delay of 5 scans.
+    fn pinned_campaigns() -> [Campaign; 7] {
         let robotack = |vector, oracle| AttackerSpec::RoboTack {
             vector: Some(vector),
             oracle,
@@ -518,6 +565,18 @@ mod tests {
             ),
             Campaign::new("random", ScenarioId::Ds5, AttackerSpec::Random, 3, 7),
             Campaign::new("faults", ScenarioId::Ds1, disappear, 3, 7).with_faults(faults),
+            Campaign::new(
+                "naive",
+                ScenarioId::Ds2,
+                AttackerSpec::AtDelta {
+                    vector: Some(AttackVector::Disappear),
+                    delta_inject: 24.0,
+                    k: 62,
+                },
+                3,
+                7,
+            ),
+            register_cell(5),
         ]
     }
 
@@ -573,6 +632,8 @@ mod tests {
             replica_divergence: Some(f64::MIN_POSITIVE),
             frames_lost: u64::MAX,
             stale_frames: 1,
+            alarms: AlarmCounts([u32::MAX, 0, 7, 1]),
+            alarms_in_attack: AlarmCounts([1, u32::MAX, 0, 2]),
         };
         let empty = RunSummary {
             launched: false,
@@ -586,6 +647,8 @@ mod tests {
             replica_divergence: None,
             frames_lost: 0,
             stale_frames: 0,
+            alarms: AlarmCounts::default(),
+            alarms_in_attack: AlarmCounts::default(),
         };
         vec![full, empty, full]
     }
@@ -727,6 +790,23 @@ mod tests {
             "the fault plan drops frames: {:?}",
             runs[4]
         );
+        assert!(
+            runs[5].iter().any(|r| r.alarms.get(AlarmKind::Streak) > 0
+                && r.alarms_in_attack.get(AlarmKind::Streak) > 0),
+            "the naive attack raises streak alarms inside its window: {:?}",
+            runs[5]
+        );
+        let default_register = run_campaign_summary(
+            &register_cell(RunConfig::new(ScenarioId::Ds1, 0).fusion.lidar_register),
+            1,
+            DispatchMode::WorkStealing,
+        )
+        .expect("one thread")
+        .runs;
+        assert_ne!(
+            runs[6], default_register,
+            "the template's registration delay reaches the runs"
+        );
         let digests: Vec<u64> = pinned_entries()
             .iter()
             .map(|(_, bytes)| fnv1a(bytes))
@@ -748,14 +828,16 @@ mod tests {
 
     /// ⟨[`CAMPAIGN_CODE_VERSION`], FNV-1a of each pinned entry⟩, in
     /// [`pinned_campaigns`] order.
-    const PINNED_ENTRIES: (u32, [u64; 5]) = (
-        1,
+    const PINNED_ENTRIES: (u32, [u64; 7]) = (
+        2,
         [
-            0xdba1_2532_0be0_8b1b,
-            0x0a65_98c4_71f3_6781,
-            0x186d_b38a_9ee7_4058,
-            0x4c1e_53b9_93c0_d923,
-            0x97c2_c98c_429d_087e,
+            0x81f8_492b_3f7a_8a75,
+            0x3cb2_20a1_af2f_f7ee,
+            0xe37e_c865_2c0f_a8a3,
+            0xb57e_fd04_c1ac_8137,
+            0x80c1_23e9_cea7_d98e,
+            0x1704_89ff_5cfa_12cc,
+            0x4067_23a3_016b_6e0e,
         ],
     );
 
@@ -1012,5 +1094,26 @@ mod tests {
         };
         assert_ne!(at_delta(8.0, 40), at_delta(8.0, 41));
         assert_ne!(at_delta(8.0, 40), at_delta(9.0, 40));
+        // The configuration template enters on every field an ablation
+        // varies; the run seed inside it does not (run `i` overrides it).
+        let configured = |edit: fn(&mut RunConfig)| {
+            let mut c = nosh(1, 0);
+            edit(&mut c.config);
+            CampaignKey::of(&c)
+        };
+        assert_eq!(base, configured(|_| {}));
+        assert_eq!(base, configured(|c| c.seed = 99));
+        for (edit, what) in [
+            (
+                (|c| c.sigma_fraction = 0.5) as fn(&mut RunConfig),
+                "σ fraction",
+            ),
+            (|c| c.fusion.lidar_register = 5, "LiDAR registration"),
+            (|c| c.sh.gamma = 8.0, "γ"),
+        ] {
+            let moved = configured(edit);
+            assert_ne!(base, moved, "{what} enters the key");
+            assert_ne!(base.address(), moved.address(), "{what} moves the address");
+        }
     }
 }

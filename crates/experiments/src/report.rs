@@ -380,6 +380,8 @@ mod tests {
             replica_divergence: None,
             frames_lost: 0,
             stale_frames: 0,
+            alarms: crate::campaign::AlarmCounts::default(),
+            alarms_in_attack: crate::campaign::AlarmCounts::default(),
         };
         with_sh.runs = vec![run(true, true), run(true, false)];
         without_sh.runs = vec![run(true, false), run(false, false)];

@@ -431,7 +431,9 @@ pub fn oracle_for(
 }
 
 /// Prints the cache scorecard to stderr (stdout stays byte-identical across
-/// warm and cold runs — CI diffs it).
+/// warm and cold runs — CI diffs it): oracle, dataset and campaign lookups.
+/// A report calls it after its last campaign fold, so the campaign line
+/// says whether its campaigns came from the store.
 pub fn report_cache(cache: &OracleCache) {
     if cache.is_enabled() {
         eprintln!(
@@ -444,9 +446,15 @@ pub fn report_cache(cache: &OracleCache) {
             cache.dataset_hits(),
             cache.dataset_misses()
         );
+        eprintln!(
+            "[artifact] campaign hits={} misses={}",
+            cache.campaign_hits(),
+            cache.campaign_misses()
+        );
     } else {
         eprintln!("[oracle-cache] disabled");
         eprintln!("[artifact] dataset cache disabled");
+        eprintln!("[artifact] campaign cache disabled");
     }
 }
 

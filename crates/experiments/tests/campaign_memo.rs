@@ -224,6 +224,17 @@ fn probed_paper_dag(store: &Arc<ArtifactStore>, seen: &Seen, only: &[&str]) -> D
     Dag::new(jobs).expect("valid DAG")
 }
 
+/// Each report's stdout from one two-worker execution of `dag`, in order.
+fn stdout(dag: &Dag) -> Vec<(String, String)> {
+    execute(dag, &ExecOptions::new().workers(2))
+        .expect("suite run")
+        .jobs
+        .iter()
+        .filter(|j| j.emits_stdout)
+        .map(|j| (j.id.clone(), j.stdout.clone()))
+        .collect()
+}
+
 #[test]
 fn each_execution_simulates_its_shared_campaigns_once() {
     let dir = std::env::temp_dir().join(format!("campaign-memo-dag-{}", std::process::id()));
@@ -231,16 +242,6 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     let store = Arc::new(ArtifactStore::at(&dir));
     let seen = Seen::default();
     let dag = probed_paper_dag(&store, &seen, &[]);
-    let opts = ExecOptions::new().workers(2);
-    let stdout = |dag: &Dag| -> Vec<(String, String)> {
-        execute(dag, &opts)
-            .expect("suite run")
-            .jobs
-            .iter()
-            .filter(|j| j.emits_stdout)
-            .map(|j| (j.id.clone(), j.stdout.clone()))
-            .collect()
-    };
 
     let cold = stdout(&dag);
     assert_eq!(
@@ -262,7 +263,15 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     let disabled = probed_paper_dag(
         &Arc::new(ArtifactStore::disabled()),
         &alone_seen,
-        &["table2", "fig6", "fig7", "fig8", "resilience"],
+        &[
+            "table2",
+            "fig6",
+            "fig7",
+            "fig8",
+            "ablations",
+            "defense",
+            "resilience",
+        ],
     );
     for report in stdout(&disabled) {
         assert!(
@@ -275,9 +284,14 @@ fn each_execution_simulates_its_shared_campaigns_once() {
     // Quick mode, 2 runs per campaign. Distinct keys: the six Table II arms
     // (shared by fig6's R panels, fig7, fig8 and resilience's healthy
     // RoboTack cells), the 24-run DS-5 baseline, fig6's four w/o-SH arms,
-    // resilience's four golden cells and nine faulted RoboTack cells.
-    // Unshared, the same reports would simulate 100 runs.
-    let per_execution = (6 + 1 + 4 + 4 + 9, 6 * 2 + 24 + 4 * 2 + 4 * 2 + 9 * 2);
+    // resilience's four golden cells and nine faulted RoboTack cells, the
+    // eleven ablation cells, and defense's five golden scenarios, six
+    // RoboTack arms at seed 7000 and naive Disappear. Unshared, the same
+    // reports would simulate 146 runs.
+    let per_execution = (
+        6 + 1 + 4 + 4 + 9 + 11 + 12,
+        6 * 2 + 24 + 4 * 2 + 4 * 2 + 9 * 2 + 11 * 2 + 12 * 2,
+    );
     assert_eq!(
         *seen.lock().unwrap(),
         [(0, 0), per_execution, (0, 0), (per_execution.0, 0)],
@@ -290,6 +304,35 @@ fn each_execution_simulates_its_shared_campaigns_once() {
         [(0, 0), per_execution],
         "without a store the memo still simulates each campaign once"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_countermeasure_and_ablation_reports_simulate_nothing() {
+    let dir = std::env::temp_dir().join(format!("campaign-memo-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ArtifactStore::at(&dir));
+    let seen = Seen::default();
+    let reports = ["defense", "ablations"];
+    let dag = probed_paper_dag(&store, &seen, &reports);
+    let cold = stdout(&dag);
+    let warm = stdout(&dag);
+    assert_eq!(cold, warm, "a warm execution prints the cold bytes");
+
+    // Quick mode, 2 runs each: defense's five golden scenarios, six
+    // RoboTack arms and naive Disappear, and the eleven ablation cells.
+    let per_execution = (12 + 11, (12 + 11) * 2);
+    assert_eq!(
+        *seen.lock().unwrap(),
+        [(0, 0), per_execution, (0, 0), (per_execution.0, 0)],
+        "the warm execution reads every campaign from the store"
+    );
+
+    let alone_seen = Seen::default();
+    let disabled = probed_paper_dag(&Arc::new(ArtifactStore::disabled()), &alone_seen, &reports);
+    assert_eq!(stdout(&disabled), cold, "a disabled store prints the same");
+    assert_eq!(*alone_seen.lock().unwrap(), [(0, 0), per_execution]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

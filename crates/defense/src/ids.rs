@@ -135,6 +135,12 @@ pub struct Ids {
     tracks: Vec<IdsTrack>,
     next_id: u64,
     alarms: Vec<Alarm>,
+    /// Per-frame scratch, kept across frames so a frame allocates nothing:
+    /// which detections a track claimed, one track's gated candidates
+    /// (detection index, distance), and a scan's LiDAR return positions.
+    used: Vec<bool>,
+    candidates: Vec<(usize, f64)>,
+    returns: Vec<Vec2>,
 }
 
 impl Ids {
@@ -148,6 +154,9 @@ impl Ids {
             tracks: Vec::new(),
             next_id: 0,
             alarms: Vec::new(),
+            used: Vec::new(),
+            candidates: Vec::new(),
+            returns: Vec::new(),
         }
     }
 
@@ -164,7 +173,9 @@ impl Ids {
     /// Feeds one camera frame's raw detections at time `t`.
     pub fn on_camera(&mut self, t: f64, detections: &[Detection]) {
         let dt = 1.0 / av_simkit::units::CAMERA_HZ;
-        let mut used = vec![false; detections.len()];
+        let used = &mut self.used;
+        used.clear();
+        used.resize(detections.len(), false);
 
         // Greedy nearest-neighbor association against predictions.
         for track in &mut self.tracks {
@@ -173,24 +184,28 @@ impl Ids {
                 track.center.1 + track.velocity.1 * dt,
             );
             let gate = 4.0 * track.width.hypot(track.height).max(8.0);
-            let mut candidates: Vec<(usize, &Detection, f64)> = detections
-                .iter()
-                .enumerate()
-                .filter(|(i, d)| !used[*i] && d.kind.is_vehicle() == track.kind.is_vehicle())
-                .map(|(i, d)| {
-                    let (cx, cy) = d.bbox.center();
-                    (i, d, (cx - predicted.0).hypot(cy - predicted.1))
-                })
-                .filter(|(_, _, dist)| *dist <= gate)
-                .collect();
-            candidates.sort_by(|a, b| a.2.total_cmp(&b.2));
+            let candidates = &mut self.candidates;
+            candidates.clear();
+            candidates.extend(
+                detections
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, d)| !used[*i] && d.kind.is_vehicle() == track.kind.is_vehicle())
+                    .map(|(i, d)| {
+                        let (cx, cy) = d.bbox.center();
+                        (i, (cx - predicted.0).hypot(cy - predicted.1))
+                    })
+                    .filter(|(_, dist)| *dist <= gate),
+            );
+            candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
             // Ambiguous association (two plausible candidates, e.g. objects
             // crossing each other in the image) would let identity swaps
             // masquerade as attacks: keep tracking, but skip the monitors.
             let ambiguous = candidates.len() >= 2
-                && candidates[1].2 < 2.0 * candidates[0].2.max(track.width * 0.5);
+                && candidates[1].1 < 2.0 * candidates[0].1.max(track.width * 0.5);
             match candidates.first().copied() {
-                Some((i, det, _)) => {
+                Some((i, _)) => {
+                    let det = &detections[i];
                     used[i] = true;
                     let (cx, cy) = det.bbox.center();
                     // Innovation along the attack axis (image x), in σ units.
@@ -325,7 +340,7 @@ impl Ids {
 
         // New tracks for unmatched detections.
         for (i, det) in detections.iter().enumerate() {
-            if used[i] {
+            if self.used[i] {
                 continue;
             }
             let (cx, cy) = det.bbox.center();
@@ -349,7 +364,8 @@ impl Ids {
 
     /// Feeds one LiDAR sweep plus the current fused world model at time `t`.
     pub fn on_lidar(&mut self, t: f64, scan: &LidarScan, world_model: &[WorldObject]) {
-        let returns: Vec<Vec2> = scan.objects.iter().map(|o| o.position).collect();
+        self.returns.clear();
+        self.returns.extend(scan.objects.iter().map(|o| o.position));
         for obj in world_model {
             // Only camera-steered vehicles inside the expected LiDAR range
             // can be cross-checked.
@@ -361,7 +377,7 @@ impl Ids {
             {
                 continue;
             }
-            if self.consistency.check(obj.id, obj.position, &returns) {
+            if self.consistency.check(obj.id, obj.position, &self.returns) {
                 self.alarms.push(Alarm {
                     t,
                     kind: AlarmKind::CrossSensor,

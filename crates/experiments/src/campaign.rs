@@ -1,5 +1,6 @@
 //! Seeded campaigns: batches of runs with Table II / Fig. 6 / Fig. 7 metrics.
 
+use crate::horizon::Horizon;
 use crate::runner::{AttackerSpec, RunConfig, RunOutcome};
 use crate::session::{SessionWorker, SimSession};
 use crate::stats;
@@ -213,7 +214,18 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Folds one finished run.
+    ///
+    /// # Panics
+    ///
+    /// On a run its consumer cut short ([`crate::horizon`]): its alarms,
+    /// post-attack δ and record stop early, so its summary would be wrong
+    /// and could reach the campaign memo and the store.
     pub fn of(outcome: &RunOutcome) -> RunSummary {
+        assert!(
+            outcome.horizon == Horizon::Full,
+            "RunSummary::of needs a full run, got one cut at {:?}",
+            outcome.horizon
+        );
         RunSummary {
             launched: outcome.attack.launched_at.is_some(),
             k: outcome.attack.k,
@@ -539,12 +551,12 @@ pub fn run_sweep<T: Send>(
     let mut claimed = if workers == 1 {
         work(worker_telemetry(0))
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let tele = worker_telemetry(worker);
                     let work = &work;
-                    scope.spawn(move |_| work(tele))
+                    scope.spawn(move || work(tele))
                 })
                 .collect();
             handles
@@ -552,7 +564,6 @@ pub fn run_sweep<T: Send>(
                 .flat_map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
         })
-        .expect("sweep scope panicked")
     };
     // The claimed blocks partition 0..sessions: ordering them by start
     // restores index order.

@@ -40,9 +40,11 @@
 //! its stdout stays byte-identical to the suite job's. Two paths simulate
 //! without the memo: `fig5` (the detector characterization, which runs no
 //! campaign) and fig8(b)'s k sweep (one run per k, reading the attack
-//! features at launch, which a [`RunSummary`] does not keep).
+//! features at launch, which a [`RunSummary`] does not keep; each run stops
+//! once its label is final, see [`crate::horizon`]).
 
 use crate::characterize::characterize_detector;
+use crate::horizon::Horizon;
 use crate::memo::CampaignMemo;
 use crate::oracle_cache::{dataset_digest, oracle_digest, OracleCache};
 use crate::prelude::*;
@@ -351,7 +353,21 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
     writeln!(out, "{}", render_fig8a(&bins)).unwrap();
 
     // Panel (b): δ0 ≈ 41 m, sweep k, compare prediction to ground truth.
-    let delta0 = 41.0;
+    let rows = fig8b_rows(args, &oracle_ds1, Horizon::Label);
+    writeln!(out, "{}", render_fig8b(&rows, FIG8B_DELTA0)).unwrap();
+    out
+}
+
+/// fig8(b)'s launch threshold δ0 (m).
+const FIG8B_DELTA0: f64 = 41.0;
+
+/// fig8(b)'s rows ⟨k, predicted δ, realized δ⟩: one DS-1 Move_Out run per
+/// k (seed `seed + k`) launched at δ0, each stopped at `horizon`.
+pub(crate) fn fig8b_rows(
+    args: &Args,
+    oracle: &OracleSpec,
+    horizon: Horizon,
+) -> Vec<(u32, f64, f64)> {
     let ks: Vec<u32> = if args.quick {
         vec![20, 50, 80]
     } else {
@@ -363,24 +379,24 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
             .seed(args.seed + u64::from(k))
             .attacker(AttackerSpec::AtDelta {
                 vector: Some(AttackVector::MoveOut),
-                delta_inject: delta0,
+                delta_inject: FIG8B_DELTA0,
                 k,
             })
             .build()
+            .with_horizon(horizon)
             .run();
         if let (Some(features), Some(actual)) = (
             outcome.attack.features_at_launch,
             outcome.min_delta_attack_window,
         ) {
-            let predicted = match &oracle_ds1 {
+            let predicted = match oracle {
                 OracleSpec::Nn(nn) => nn.predict_delta(&features, k),
                 OracleSpec::Kinematic => KinematicOracle::default().predict_delta(&features, k),
             };
             rows.push((k, predicted, actual));
         }
     }
-    writeln!(out, "{}", render_fig8b(&rows, delta0)).unwrap();
-    out
+    rows
 }
 
 /// Ablation studies for the design choices DESIGN.md calls out: the

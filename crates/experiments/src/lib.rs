@@ -10,8 +10,11 @@
 //! - [`runner`]: the run-level types (configuration, attacker spec,
 //!   outcome); [`SimSession`] is the only entry point for executing a run.
 //! - [`campaign`]: seeded batches of runs with the Table II / Fig. 6 / Fig. 7
-//!   metrics, parallelized with crossbeam; per-worker metrics registries are
-//!   merged into the campaign result.
+//!   metrics, parallelized on scoped threads; per-worker metrics registries
+//!   are merged into the campaign result.
+//! - [`horizon`]: run horizons — a consumer that reads only a run's
+//!   training label or its search verdict stops the run once that answer
+//!   is final.
 //! - [`prelude`]: one-stop imports for experiment binaries.
 //! - [`train_sh`]: the safety-hijacker training pipeline (§IV-B) — δ_inject/k
 //!   sweeps to collect the ADS-response dataset, then Adam training of the
@@ -51,6 +54,7 @@
 pub mod campaign;
 pub mod characterize;
 mod codec;
+pub mod horizon;
 pub mod jobs;
 pub mod memo;
 pub mod oracle_cache;

@@ -4,6 +4,7 @@
 //! [`crate::session::SimSession`] via its builder — it is the only entry
 //! point for executing a run.
 
+use crate::horizon::Horizon;
 use av_defense::ids::Alarm;
 use av_faults::{FaultPlan, FaultStats};
 use av_perception::calibration::DetectorCalibration;
@@ -166,7 +167,8 @@ pub struct RunOutcome {
     /// Min ground-truth δ from attack start to run end (m).
     pub min_delta_post_attack: Option<f64>,
     /// Min ground-truth δ within the attack window plus a 3 s consequence
-    /// tail (m) — the quantity the safety-hijacker NN predicts (`δ_{t+k}`).
+    /// tail (m; [`crate::horizon`]'s `ATTACK_WINDOW_TAIL_S`) — the quantity
+    /// the safety-hijacker NN predicts (`δ_{t+k}`).
     pub min_delta_attack_window: Option<f64>,
     /// Ground-truth δ w.r.t. the scripted target at attack end.
     pub target_delta_at_attack_end: Option<f64>,
@@ -190,6 +192,8 @@ pub struct RunOutcome {
     /// divergence the resilience experiments measure. `None` when the
     /// attacker keeps no replica or the target was never co-visible.
     pub replica_divergence: Option<f64>,
+    /// Where the run stopped early, if it was cut (see [`crate::horizon`]).
+    pub(crate) horizon: Horizon,
 }
 
 impl AttackerSpec {

@@ -29,10 +29,11 @@
 //!   generation) is proposed in full, then every candidate missing from
 //!   the store is evaluated in one packed [`run_sweep`]: all their seeded
 //!   runs, cut into blocks of `batch` run indices that `threads` workers
-//!   claim, so blocks span candidates. Workers fold each run down to
-//!   ⟨launched, EB, crash, K⟩ on the spot (full outcomes with their time
-//!   series never accumulate), and summaries are stored and admitted in
-//!   proposal order. Each root's oracle is resolved once per search, so
+//!   claim, so blocks span candidates. Each run stops once its
+//!   ⟨launched, EB, crash, K⟩ verdict is final ([`crate::horizon`]), and
+//!   workers fold it down to that [`RunVerdict`] on the spot (full outcomes
+//!   with their time series never accumulate); summaries are stored and
+//!   admitted in proposal order. Each root's oracle is resolved once per search, so
 //!   runs of one root share one copy of its weights. Every run is a pure
 //!   function of its session, which is what makes cached and fresh
 //!   evaluations, and any ⟨batch, threads⟩, interchangeable.
@@ -47,8 +48,9 @@
 //! discovered a generated scenario that beats every fixed scenario's EB
 //! rate or crash rate.
 
-use crate::campaign::{run_sweep, Campaign, DispatchMode, RunSummary};
+use crate::campaign::{run_sweep, Campaign, DispatchMode};
 use crate::codec::Frame;
+use crate::horizon::{Horizon, RunVerdict};
 use crate::oracle_cache::{oracle_digest, OracleCache};
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::stats;
@@ -494,8 +496,8 @@ struct Proposal {
 /// The campaign statistics of one candidate's seed-ordered runs (folded
 /// inside the sweep workers, so full outcomes never accumulate), counted
 /// over valid (attack-launched) runs exactly like [`crate::campaign::CampaignSummary`].
-fn summarize(label: &str, root: ScenarioId, runs: &[RunSummary]) -> Eval {
-    let launched: Vec<&RunSummary> = runs.iter().filter(|r| r.launched).collect();
+fn summarize(label: &str, root: ScenarioId, runs: &[RunVerdict]) -> Eval {
+    let launched: Vec<&RunVerdict> = runs.iter().filter(|r| r.launched).collect();
     let ks: Vec<f64> = launched.iter().map(|r| f64::from(r.k)).collect();
     Eval {
         label: label.to_string(),
@@ -579,19 +581,23 @@ impl Evaluator<'_> {
             })
             .collect();
         let runs = usize::try_from(cfg.runs).expect("run count fits usize");
-        let summaries = run_sweep(
+        let verdicts = run_sweep(
             campaigns.len() * runs,
             cfg.threads,
             cfg.batch,
             &|_| Telemetry::disabled(),
-            |i, tele| campaigns[i / runs].session((i % runs) as u64, tele),
-            |outcome| RunSummary::of(&outcome),
+            |i, tele| {
+                campaigns[i / runs]
+                    .session((i % runs) as u64, tele)
+                    .with_horizon(Horizon::Verdict)
+            },
+            |outcome| RunVerdict::of(&outcome),
         )
         .expect("search evaluation needs threads >= 1 and batch >= 1");
 
         for (n, &i) in missed.iter().enumerate() {
             let p = &round[i];
-            let eval = summarize(&p.label, p.root, &summaries[n * runs..(n + 1) * runs]);
+            let eval = summarize(&p.label, p.root, &verdicts[n * runs..(n + 1) * runs]);
             let bytes = encode_eval(keys[i], &eval);
             self.cache
                 .artifact_store()

@@ -25,6 +25,7 @@
 //! With the default disabled telemetry handle the session's traces are
 //! bit-stable — the golden-trace suite pins them.
 
+use crate::horizon::{Horizon, ATTACK_WINDOW_TAIL_S};
 use crate::runner::{AttackerSpec, RunConfig, RunOutcome, HORIZON_M};
 use av_defense::ids::{Ids, IdsConfig};
 use av_faults::{FaultInjector, FaultPlan, FaultStats};
@@ -135,6 +136,7 @@ impl SimSessionBuilder {
             config: self.config,
             attacker: self.attacker,
             telemetry: self.telemetry,
+            horizon: Horizon::Full,
         }
     }
 }
@@ -146,6 +148,8 @@ pub struct SimSession {
     config: RunConfig,
     attacker: AttackerSpec,
     telemetry: Telemetry,
+    /// Where the run may stop; picked by the code that consumes the run.
+    horizon: Horizon,
 }
 
 /// Long-lived per-worker state reused across [`SimSession::run_with`] calls.
@@ -205,6 +209,7 @@ struct RunState {
     attacker: Box<dyn Attacker>,
     tap: TracingTap<FaultInjector>,
     fault_stats_seen: FaultStats,
+    horizon: Horizon,
     /// The exact configuration `ads` was built with, returned to the worker
     /// slot at [`RunState::finish`] so the next run can reuse the ADS.
     ads_config: AdsConfig,
@@ -213,11 +218,20 @@ struct RunState {
     camera: Camera,
     lidar: Lidar,
     gps: GpsImu,
-    ids: Ids,
+    /// The IDS monitors: a pure observer, off (`None`) under a cut horizon.
+    ids: Option<Ids>,
     record: RunRecord,
     seq: u64,
     collided: bool,
-    attack_seen: bool,
+    /// Launch time, once the session has seen the attack start.
+    launched_at: Option<f64>,
+    /// Time of the first [`Event::AttackEnded`].
+    attack_end_t: Option<f64>,
+    /// Emergency braking entered at/after the launch (as
+    /// [`RunOutcome::eb_after_attack`] counts it); may lag, never lead.
+    eb_after_launch: bool,
+    /// A post-launch sample below the accident threshold.
+    accident_after_launch: bool,
     k_prime_ads: Option<u32>,
     frames_since_launch: u32,
     target_delta_at_attack_end: Option<f64>,
@@ -271,9 +285,11 @@ impl RunState {
         };
         ads.set_telemetry(tele.clone());
 
-        let ids = Ids::new(IdsConfig {
-            calibration: config.calibration,
-            ..IdsConfig::default()
+        let ids = (session.horizon == Horizon::Full).then(|| {
+            Ids::new(IdsConfig {
+                calibration: config.calibration,
+                ..IdsConfig::default()
+            })
         });
 
         tele.emit(0.0, || TraceEvent::RunStarted {
@@ -292,6 +308,7 @@ impl RunState {
             attacker,
             tap,
             fault_stats_seen: FaultStats::default(),
+            horizon: session.horizon,
             ads_config,
             ads,
             camera: Camera::default(),
@@ -301,7 +318,10 @@ impl RunState {
             record: RunRecord::new(),
             seq: 0,
             collided: false,
-            attack_seen: false,
+            launched_at: None,
+            attack_end_t: None,
+            eb_after_launch: false,
+            accident_after_launch: false,
             k_prime_ads: None,
             frames_since_launch: 0,
             target_delta_at_attack_end: None,
@@ -383,14 +403,15 @@ impl RunState {
         self.attacker
             .process_frame(&mut self.frame, world.ego().speed, &mut self.rng);
         self.ads.on_camera_frame(&self.frame, &mut self.rng);
-        self.ids
-            .on_camera(world.time(), self.ads.perception().last_detections());
+        if let Some(ids) = &mut self.ids {
+            ids.on_camera(world.time(), self.ads.perception().last_detections());
+        }
 
         // Attack bookkeeping at camera rate.
         let stats = *self.attacker.stats();
         if let Some(t0) = stats.launched_at {
-            if !self.attack_seen {
-                self.attack_seen = true;
+            if self.launched_at.is_none() {
+                self.launched_at = Some(t0);
                 self.record.push_event(t0, Event::AttackStarted);
             }
             self.frames_since_launch += 1;
@@ -407,6 +428,7 @@ impl RunState {
             // frame the attack window closes.
             if self.target_delta_at_attack_end.is_none() && stats.frames_perturbed >= stats.k {
                 self.record.push_event(world.time(), Event::AttackEnded);
+                self.attack_end_t.get_or_insert(world.time());
                 self.target_delta_at_attack_end = av_planning::safety::target_delta(
                     &self.config.safety,
                     world,
@@ -431,18 +453,23 @@ impl RunState {
         );
         if delivered {
             self.ads.on_lidar(&scan);
-            self.ids
-                .on_lidar(world.time(), &scan, &self.ads.world_model());
+            if let Some(ids) = &mut self.ids {
+                ids.on_lidar(world.time(), &scan, &self.ads.world_model());
+            }
         }
     }
 
-    /// The planner task: plan tick, replica-divergence probe, and the
-    /// ground-truth safety sample.
+    /// The planner task: plan tick, replica-divergence probe (full
+    /// horizon only), and the ground-truth safety sample.
     fn planner_task(&mut self, world: &World) {
         let entered_eb = self.ads.plan_tick_at(world.time());
         // Mirrored-replica divergence: both models estimate the scripted
         // target ego-relative; track the worst disagreement.
-        if let Some(replica) = self.attacker.replica_world() {
+        let replica = match self.horizon {
+            Horizon::Full => self.attacker.replica_world(),
+            Horizon::Label | Horizon::Verdict => None,
+        };
+        if let Some(replica) = replica {
             let ego = self.ads.ego_position();
             let ads_rel = self
                 .ads
@@ -462,8 +489,11 @@ impl RunState {
         }
         if entered_eb {
             self.record.push_event(world.time(), Event::EmergencyBrake);
+            if self.launched_at.is_some_and(|t0| world.time() >= t0 - 1e-9) {
+                self.eb_after_launch = true;
+            }
         }
-        if self.attack_seen {
+        if self.launched_at.is_some() {
             let d =
                 perceived_in_path_delta(&self.ads, &self.config.safety).unwrap_or(f64::INFINITY);
             self.perceived_window[self.perceived_idx % 3] = d;
@@ -487,6 +517,11 @@ impl RunState {
         let target_gap = world
             .separation_to_ego(self.scenario.target)
             .unwrap_or(f64::INFINITY);
+        if self.launched_at.is_some_and(|t0| world.time() >= t0)
+            && self.config.safety.is_accident(delta)
+        {
+            self.accident_after_launch = true;
+        }
         self.record.push_sample(Sample {
             t: world.time(),
             ego_speed: world.ego().speed,
@@ -512,6 +547,24 @@ impl RunState {
         self.collided
     }
 
+    /// Whether the run's horizon is reached: nothing the consumer reads can
+    /// change after this tick. Checked after every step.
+    fn horizon_reached(&self, world: &World) -> bool {
+        match self.horizon {
+            Horizon::Full => false,
+            // Later samples fall outside the attack window's tail; a
+            // Move_In label reads the perceived δ up to the run's end.
+            Horizon::Label => {
+                self.attack_end_t
+                    .is_some_and(|t1| world.time() > t1 + ATTACK_WINDOW_TAIL_S)
+                    && self.attacker.stats().vector != Some(AttackVector::MoveIn)
+            }
+            Horizon::Verdict => {
+                self.launched_at.is_some() && self.eb_after_launch && self.accident_after_launch
+            }
+        }
+    }
+
     /// Closes the run: final labels, outcome assembly, the
     /// [`TraceEvent::RunFinished`] emit/flush, and handing the warmed ADS
     /// and frame buffer back to `worker` for the next run.
@@ -535,7 +588,7 @@ impl RunState {
             self.record
                 .samples
                 .iter()
-                .filter(|s| s.t >= t0 && s.t <= attack_end_t + 3.0)
+                .filter(|s| s.t >= t0 && s.t <= attack_end_t + ATTACK_WINDOW_TAIL_S)
                 .map(|s| s.delta)
                 .fold(f64::INFINITY, f64::min)
         });
@@ -575,10 +628,14 @@ impl RunState {
             target_delta_at_attack_end: self.target_delta_at_attack_end,
             min_perceived_delta_post_attack: self.min_perceived_delta,
             k_prime_ads: self.k_prime_ads,
-            ids_alarms: self.ids.alarms().to_vec(),
+            ids_alarms: self
+                .ids
+                .map(|ids| ids.alarms().to_vec())
+                .unwrap_or_default(),
             faults: *self.tap.inner().stats(),
             stale_frames,
             replica_divergence: self.replica_divergence,
+            horizon: self.horizon,
         }
     }
 }
@@ -591,6 +648,14 @@ impl SimSession {
             attacker: AttackerSpec::None,
             telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// The same session, stopping at `horizon` instead of the scenario's
+    /// end (see [`crate::horizon`]).
+    #[must_use]
+    pub(crate) fn with_horizon(mut self, horizon: Horizon) -> SimSession {
+        self.horizon = horizon;
+        self
     }
 
     /// The run configuration this session will execute.
@@ -619,7 +684,7 @@ impl SimSession {
         let mut world = state.scenario.world.clone();
         let mut fired = std::mem::take(&mut worker.fired);
         for _ in 0..state.total_steps() {
-            if state.tick(&mut world, &mut fired) {
+            if state.tick(&mut world, &mut fired) || state.horizon_reached(&world) {
                 break;
             }
         }

@@ -9,20 +9,21 @@
 //! potential at the attack's end, followed by Adam training of the paper's
 //! 100/100/50 network with a 60/40 train/validation split.
 
-use crate::campaign::default_threads;
+use crate::campaign::{default_threads, run_sweep};
+use crate::horizon::Horizon;
 use crate::runner::{AttackerSpec, RunOutcome};
-use crate::session::{SessionWorker, SimSession};
+use crate::session::SimSession;
 use av_neural::mlp::Mlp;
 use av_neural::train::{mse, train, Dataset, Normalizer, TrainConfig};
 use av_simkit::scenario::ScenarioId;
+use av_telemetry::Telemetry;
 use rand::SeedableRng;
 use robotack::safety_hijacker::NnOracle;
 use robotack::vector::AttackVector;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One labeled training row: replica features at launch → target δ.
-type Example = (Vec<f64>, Vec<f64>);
+pub(crate) type Example = (Vec<f64>, Vec<f64>);
 
 /// Sweep parameters for dataset collection.
 #[derive(Debug, Clone)]
@@ -76,74 +77,51 @@ pub struct TrainedOracle {
 /// Collects the ADS-response dataset for one 〈scenario, vector〉 pair.
 ///
 /// Each run contributes one example: the malware-replica features at launch
-/// (plus k) → the ground-truth target safety potential at attack end.
+/// (plus k) → the ground-truth target safety potential at attack end. The
+/// runs go through [`run_sweep`] (one cell per claim, rows in cell order)
+/// and stop once their label is final ([`crate::horizon`]).
 pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &SweepConfig) -> Dataset {
-    let mut cells = Vec::new();
+    let sessions = dataset_sessions(scenario, vector, sweep);
+    let rows = run_sweep(
+        sessions.len(),
+        default_threads(),
+        1,
+        &|_| Telemetry::disabled(),
+        |i, _| sessions[i].clone().with_horizon(Horizon::Label),
+        |outcome| example_from(&outcome),
+    )
+    .expect("default_threads() is at least 1 and one cell is claimed at a time");
+    Dataset::from_rows(rows.into_iter().flatten())
+}
+
+/// The sweep's runs for ⟨`scenario`, `vector`⟩, one per (δ_inject, k,
+/// seed) cell, in cell order.
+pub(crate) fn dataset_sessions(
+    scenario: ScenarioId,
+    vector: AttackVector,
+    sweep: &SweepConfig,
+) -> Vec<SimSession> {
+    let mut sessions = Vec::new();
     for &delta_inject in &sweep.delta_injects {
         for &k in &sweep.ks {
             for s in 0..sweep.seeds_per_cell {
                 let seed = sweep.base_seed
                     + av_simkit::rng::mix((delta_inject * 10.0) as u64, u64::from(k)) % 10_000
                     + s;
-                cells.push((delta_inject, k, seed));
+                sessions.push(
+                    SimSession::builder(scenario)
+                        .seed(seed)
+                        .attacker(AttackerSpec::AtDelta {
+                            vector: Some(vector),
+                            delta_inject,
+                            k,
+                        })
+                        .build(),
+                );
             }
         }
     }
-
-    // Parallel collection: the same work-stealing dispatch as campaigns —
-    // workers claim cells off an atomic queue and keep one long-lived
-    // SessionWorker each, so the warmed ADS/frame buffers survive the sweep.
-    let run_cell = |worker: &mut SessionWorker, (delta_inject, k, seed): (f64, u32, u64)| {
-        let outcome = SimSession::builder(scenario)
-            .seed(seed)
-            .attacker(AttackerSpec::AtDelta {
-                vector: Some(vector),
-                delta_inject,
-                k,
-            })
-            .build()
-            .run_with(worker);
-        example_from(&outcome)
-    };
-
-    let mut rows: Vec<Option<Example>> = Vec::new();
-    rows.resize_with(cells.len(), || None);
-    let workers = default_threads().min(cells.len());
-    if workers <= 1 {
-        let mut session_worker = SessionWorker::new();
-        for (slot, &cell) in rows.iter_mut().zip(&cells) {
-            *slot = run_cell(&mut session_worker, cell);
-        }
-    } else {
-        let next = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, cells, run_cell) = (&next, &cells, &run_cell);
-                    scope.spawn(move |_| {
-                        let mut session_worker = SessionWorker::new();
-                        let mut claimed: Vec<(usize, Option<Example>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                            if i >= cells.len() {
-                                break;
-                            }
-                            claimed.push((i, run_cell(&mut session_worker, cells[i])));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, example) in handle.join().expect("dataset worker panicked") {
-                    rows[i] = example;
-                }
-            }
-        })
-        .expect("dataset scope panicked");
-    }
-
-    Dataset::from_rows(rows.into_iter().flatten())
+    sessions
 }
 
 /// Extracts a training example from one sweep run, if the attack launched
@@ -153,7 +131,7 @@ pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &Sweep
 /// in-path δ for Move_Out/Disappear (the real hazard), the EV's *perceived*
 /// in-path δ for Move_In (the real δ is untouched; the phantom forces the
 /// braking, §VI-D "Move_In attacks did not reduce δ but caused EB only").
-fn example_from(outcome: &RunOutcome) -> Option<Example> {
+pub(crate) fn example_from(outcome: &RunOutcome) -> Option<Example> {
     let features = outcome.attack.features_at_launch?;
     let label = match outcome.attack.vector? {
         robotack::vector::AttackVector::MoveIn => outcome.min_perceived_delta_post_attack?,

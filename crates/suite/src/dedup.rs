@@ -188,12 +188,12 @@ mod tests {
         let reg = Arc::new(InFlight::new());
         let computed = Arc::new(AtomicU32::new(0));
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // One leader holds the key for a while; N followers must all
             // observe the store-after-release world, i.e. coalesce.
             let leader_reg = reg.clone();
             let leader_computed = computed.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let token = match leader_reg.claim("dataset", 42) {
                     Claim::Leader(t) => t,
                     other => panic!("leader expected, got {other:?}"),
@@ -206,7 +206,7 @@ mod tests {
             for _ in 0..4 {
                 let reg = reg.clone();
                 let computed = computed.clone();
-                scope.spawn(move |_| match reg.claim("dataset", 42) {
+                scope.spawn(move || match reg.claim("dataset", 42) {
                     Claim::Coalesced => {
                         assert_eq!(
                             computed.load(Ordering::SeqCst),
@@ -221,8 +221,7 @@ mod tests {
                     Claim::Uncoordinated => panic!("registry never uncoordinates"),
                 });
             }
-        })
-        .expect("dedup test threads");
+        });
 
         assert_eq!(computed.load(Ordering::SeqCst), 1, "one computation");
         assert!(reg.coalesced() >= 1, "followers coalesced");

@@ -408,11 +408,11 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     let exec_scope = ExecScope::new();
 
     if outstanding > 0 {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let (pool, work_available, dag, dependents, opts, exec_scope) =
                     (&pool, &work_available, dag, &dependents, opts, &exec_scope);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     loop {
                         let i = {
                             let mut state = pool.lock().expect("pool lock");
@@ -484,8 +484,7 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                     }
                 });
             }
-        })
-        .expect("suite worker pool panicked");
+        });
     }
 
     let state = pool.into_inner().expect("pool lock");

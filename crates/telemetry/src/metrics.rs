@@ -393,11 +393,11 @@ mod tests {
     #[test]
     fn concurrent_recording_loses_nothing() {
         let registry = Arc::new(MetricsRegistry::new());
-        crossbeam_scope(&registry);
+        record_from_four_threads(&registry);
         assert_eq!(registry.stage(Stage::WorldStep).count(), 4 * 1000);
     }
 
-    fn crossbeam_scope(registry: &Arc<MetricsRegistry>) {
+    fn record_from_four_threads(registry: &Arc<MetricsRegistry>) {
         let mut handles = Vec::new();
         for _ in 0..4 {
             let r = registry.clone();

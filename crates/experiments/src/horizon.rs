@@ -90,7 +90,7 @@ pub mod probe {
     use crate::runner::{OracleSpec, RunOutcome};
     use crate::session::SimSession;
     use crate::suite::Args;
-    use crate::train_sh::{dataset_sessions, example_from, Example, SweepConfig};
+    use crate::train_sh::{dataset_session, example_from, Example, SweepConfig};
     use av_simkit::scenario::ScenarioId;
     use robotack::vector::AttackVector;
 
@@ -128,9 +128,13 @@ pub mod probe {
         vector: AttackVector,
         sweep: &SweepConfig,
     ) -> Vec<Cut<Option<Example>>> {
-        dataset_sessions(scenario, vector, sweep)
+        sweep
+            .cells()
             .into_iter()
-            .map(|session| cut(session, Horizon::Label, example_from))
+            .map(|cell| {
+                let session = dataset_session(scenario, vector, cell);
+                cut(session, Horizon::Label, example_from)
+            })
             .collect()
     }
 

@@ -51,7 +51,26 @@ impl Default for SweepConfig {
     }
 }
 
+/// One sweep cell: ⟨δ_inject (m), k (frames), seed⟩.
+pub(crate) type Cell = (f64, u32, u64);
+
 impl SweepConfig {
+    /// Every cell of the sweep, δ_inject-major, then k, then seed.
+    pub(crate) fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &delta_inject in &self.delta_injects {
+            for &k in &self.ks {
+                for s in 0..self.seeds_per_cell {
+                    let seed = self.base_seed
+                        + av_simkit::rng::mix((delta_inject * 10.0) as u64, u64::from(k)) % 10_000
+                        + s;
+                    cells.push((delta_inject, k, seed));
+                }
+            }
+        }
+        cells
+    }
+
     /// A small sweep for unit tests.
     pub fn tiny() -> Self {
         SweepConfig {
@@ -81,47 +100,33 @@ pub struct TrainedOracle {
 /// runs go through [`run_sweep`] (one cell per claim, rows in cell order)
 /// and stop once their label is final ([`crate::horizon`]).
 pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &SweepConfig) -> Dataset {
-    let sessions = dataset_sessions(scenario, vector, sweep);
+    let cells = sweep.cells();
     let rows = run_sweep(
-        sessions.len(),
+        cells.len(),
         default_threads(),
         1,
         &|_| Telemetry::disabled(),
-        |i, _| sessions[i].clone().with_horizon(Horizon::Label),
+        |i, _| dataset_session(scenario, vector, cells[i]).with_horizon(Horizon::Label),
         |outcome| example_from(&outcome),
     )
     .expect("default_threads() is at least 1 and one cell is claimed at a time");
     Dataset::from_rows(rows.into_iter().flatten())
 }
 
-/// The sweep's runs for ⟨`scenario`, `vector`⟩, one per (δ_inject, k,
-/// seed) cell, in cell order.
-pub(crate) fn dataset_sessions(
+/// The run of one sweep cell for ⟨`scenario`, `vector`⟩.
+pub(crate) fn dataset_session(
     scenario: ScenarioId,
     vector: AttackVector,
-    sweep: &SweepConfig,
-) -> Vec<SimSession> {
-    let mut sessions = Vec::new();
-    for &delta_inject in &sweep.delta_injects {
-        for &k in &sweep.ks {
-            for s in 0..sweep.seeds_per_cell {
-                let seed = sweep.base_seed
-                    + av_simkit::rng::mix((delta_inject * 10.0) as u64, u64::from(k)) % 10_000
-                    + s;
-                sessions.push(
-                    SimSession::builder(scenario)
-                        .seed(seed)
-                        .attacker(AttackerSpec::AtDelta {
-                            vector: Some(vector),
-                            delta_inject,
-                            k,
-                        })
-                        .build(),
-                );
-            }
-        }
-    }
-    sessions
+    (delta_inject, k, seed): Cell,
+) -> SimSession {
+    SimSession::builder(scenario)
+        .seed(seed)
+        .attacker(AttackerSpec::AtDelta {
+            vector: Some(vector),
+            delta_inject,
+            k,
+        })
+        .build()
 }
 
 /// Extracts a training example from one sweep run, if the attack launched

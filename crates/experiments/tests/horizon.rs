@@ -136,6 +136,27 @@ fn default_dataset_digests_are_pinned() {
     }
 }
 
+/// Whether the full run braked after launch before its first accident
+/// sample: the runs on which the verdict horizon must wait for both.
+fn brakes_before_its_accident(full: &RunOutcome) -> bool {
+    let Some(t0) = full.attack.launched_at else {
+        return false;
+    };
+    let eb = full
+        .record
+        .events
+        .iter()
+        .find(|(t, e)| *e == Event::EmergencyBrake && *t >= t0 - 1e-9)
+        .map(|(t, _)| *t);
+    let accident = full
+        .record
+        .samples
+        .iter()
+        .find(|s| s.t >= t0 && s.delta < 4.0)
+        .map(|s| s.t);
+    matches!((eb, accident), (Some(eb), Some(accident)) if eb < accident)
+}
+
 #[test]
 fn verdict_runs_yield_the_full_runs_verdicts() {
     let mut specs: Vec<(String, Arc<av_scenarios::ScenarioSpec>)> = ds::all()
@@ -143,19 +164,25 @@ fn verdict_runs_yield_the_full_runs_verdicts() {
         .enumerate()
         .map(|(i, spec)| (format!("DS-{}", i + 1), Arc::new(spec)))
         .collect();
-    // A few mutants of DS-1 and DS-2 whose sampled worlds are valid.
+    // Mutants of DS-1..3 whose sampled worlds are valid. On the fixed
+    // scenarios every accident comes before (or with) the braking; a few
+    // of these mutants brake first.
     let mut rng = run_rng(2020, 0x5EA6C4);
-    for root in [ds::ds1(), ds::ds2()] {
+    for (root, name) in [
+        (ds::ds1(), "DS-1"),
+        (ds::ds2(), "DS-2"),
+        (ds::ds3(), "DS-3"),
+    ] {
         let mut kept = 0;
-        while kept < 2 {
+        while kept < 12 {
             let mutant = mutate(&root, &mut rng, &MutateConfig::default());
             if mutant.validate().is_ok() && world_invariants(&mutant.sample(40)).is_ok() {
-                specs.push((format!("mutant {}", specs.len()), Arc::new(mutant)));
                 kept += 1;
+                specs.push((format!("{name} mutant {kept}"), Arc::new(mutant)));
             }
         }
     }
-    let mut cut_short = 0;
+    let (mut cut_short, mut brakes_first) = (0, 0);
     for vector in [
         AttackVector::Disappear,
         AttackVector::MoveOut,
@@ -174,6 +201,7 @@ fn verdict_runs_yield_the_full_runs_verdicts() {
                     "{label} {vector:?} run {i}: verdict"
                 );
                 cut_short += usize::from(cut.cut_seconds < cut.full.sim_seconds);
+                brakes_first += usize::from(brakes_before_its_accident(&cut.full));
             }
         }
     }
@@ -181,6 +209,7 @@ fn verdict_runs_yield_the_full_runs_verdicts() {
         cut_short > 0,
         "the verdict horizon never stopped a run early"
     );
+    assert!(brakes_first > 0, "no run braked before its accident");
 }
 
 #[test]

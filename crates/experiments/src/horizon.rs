@@ -31,10 +31,9 @@ pub(crate) const ATTACK_WINDOW_TAIL_S: f64 = 3.0;
 
 /// Where a run may stop: on the first tick after which nothing its
 /// consumer reads can change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Horizon {
-    /// The whole scenario with every observer on.
-    #[default]
+    /// The whole scenario with every observer on (every session's default).
     Full,
     /// A launched attack other than Move_In stops once the simulated time
     /// passes the attack window's end plus [`ATTACK_WINDOW_TAIL_S`]. Move_In
@@ -178,12 +177,6 @@ mod tests {
     #[should_panic(expected = "RunSummary::of needs a full run")]
     fn a_label_run_cannot_be_summarized() {
         RunSummary::of(&run_at(Horizon::Label));
-    }
-
-    #[test]
-    #[should_panic(expected = "RunSummary::of needs a full run")]
-    fn a_verdict_run_cannot_be_summarized() {
-        RunSummary::of(&run_at(Horizon::Verdict));
     }
 
     #[test]

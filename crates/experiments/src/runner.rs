@@ -192,7 +192,7 @@ pub struct RunOutcome {
     /// divergence the resilience experiments measure. `None` when the
     /// attacker keeps no replica or the target was never co-visible.
     pub replica_divergence: Option<f64>,
-    /// Where the run stopped early, if it was cut (see [`crate::horizon`]).
+    /// How far the run was simulated (see [`crate::horizon`]).
     pub(crate) horizon: Horizon,
 }
 

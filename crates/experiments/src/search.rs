@@ -33,8 +33,8 @@
 //!   ⟨launched, EB, crash, K⟩ verdict is final ([`crate::horizon`]), and
 //!   workers fold it down to that [`RunVerdict`] on the spot (full outcomes
 //!   with their time series never accumulate); summaries are stored and
-//!   admitted in proposal order. Each root's oracle is resolved once per search, so
-//!   runs of one root share one copy of its weights. Every run is a pure
+//!   admitted in proposal order. Each root's oracle is resolved once per
+//!   search, so runs of one root share one copy of its weights. Every run is a pure
 //!   function of its session, which is what makes cached and fresh
 //!   evaluations, and any ⟨batch, threads⟩, interchangeable.
 //! - **Evaluation cache.** Each ⟨spec, vector, run shape, oracle⟩

@@ -124,7 +124,7 @@ fn quick_dataset_digests_are_pinned() {
     }
 }
 
-/// The default sweep's datasets (2 848 runs): run in the release test job
+/// The default sweep's datasets (4 290 runs): run in the release test job
 /// with `--include-ignored`; too slow for a debug build.
 #[test]
 #[ignore = "slow: the default sweep; run with --release -- --include-ignored"]

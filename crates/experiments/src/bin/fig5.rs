@@ -9,5 +9,5 @@ use av_experiments::suite::Args;
 
 fn main() {
     let args = Args::parse();
-    print!("{}", jobs::fig5(&args));
+    print!("{}", jobs::fig5(&args, &args.oracle_cache()));
 }

@@ -16,6 +16,8 @@
 //! distribution (σ_x ≈ 2 box widths means most detections do not overlap
 //! their ground truth box at all).
 
+use crate::stats::{fit_exponential, histogram, mean, std_dev, ExponentialFit};
+use crate::tally::{self, Work};
 use av_perception::calibration::DetectorCalibration;
 use av_perception::detector::Detector;
 use av_sensing::camera::Camera;
@@ -26,7 +28,6 @@ use av_simkit::math::Vec2;
 use av_simkit::rng::run_rng;
 use av_simkit::road::Road;
 use av_simkit::world::World;
-use std::collections::HashMap;
 
 /// Raw characterization measurements, per class.
 #[derive(Debug, Clone, Default)]
@@ -81,30 +82,36 @@ pub fn characterize_detector(frames: u64, seed: u64) -> DetectorCharacterization
     let camera = Camera::default();
     let mut detector = Detector::new(DetectorCalibration::paper());
     let mut rng = run_rng(seed, 0xF165);
+    tally::add(Work::Frame, frames);
 
     let mut result = DetectorCharacterization {
         frames,
         ..Default::default()
     };
-    // Per-actor running streak length.
-    let mut streaks: HashMap<ActorId, u64> = HashMap::new();
+    // The scene is static, so every frame has the same truth boxes; only
+    // its sequence number changes.
+    let mut frame = capture(&camera, &world, 0, false);
+    // Running misdetection streak length per truth box.
+    let mut streaks = vec![0u64; frame.truth.len()];
+    let mut detections = Vec::with_capacity(frame.truth.len());
 
     for seq in 0..frames {
-        let frame = capture(&camera, &world, seq, false);
-        let detections = detector.detect(&frame, &mut rng);
-        for tb in &frame.truth {
+        frame.seq = seq;
+        detector.detect_into(&frame, &mut rng, &mut detections);
+        for (tb, streak) in frame.truth.iter().zip(&mut streaks) {
             let det = detections.iter().find(|d| d.provenance == Some(tb.actor));
             if det.is_some() {
-                if let Some(len) = streaks.remove(&tb.actor) {
+                if *streak > 0 {
                     let out = if tb.kind.is_vehicle() {
                         &mut result.veh_streaks
                     } else {
                         &mut result.ped_streaks
                     };
-                    out.push(len as f64);
+                    out.push(*streak as f64);
+                    *streak = 0;
                 }
             } else {
-                *streaks.entry(tb.actor).or_insert(0) += 1;
+                *streak += 1;
             }
             // Center errors over every matched detection (see module docs).
             if let Some(d) = det {
@@ -123,6 +130,79 @@ pub fn characterize_detector(frames: u64, seed: u64) -> DetectorCharacterization
         }
     }
     result
+}
+
+/// Bins of each Fig. 5 streak histogram.
+pub const STREAK_BINS: usize = 32;
+
+/// Width of a Fig. 5 streak histogram bin (frames).
+pub const STREAK_BIN_FRAMES: f64 = 5.0;
+
+/// One streak class of Fig. 5: its shifted-exponential fit and histogram.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreakFold {
+    /// The fit of the class's streak lengths.
+    pub fit: ExponentialFit,
+    /// Streaks per [`STREAK_BIN_FRAMES`]-wide bin from `fit.loc`; the last
+    /// bin also holds every longer streak.
+    pub counts: [u64; STREAK_BINS],
+}
+
+/// One center-error series of Fig. 5: its normal fit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ErrorFold {
+    /// Mean µ.
+    pub mean: f64,
+    /// Standard deviation σ.
+    pub std_dev: f64,
+    /// Sample count.
+    pub n: u64,
+}
+
+/// What Fig. 5 renders of a [`DetectorCharacterization`]: the fits and
+/// histograms, not the samples. `None` marks a series too short to fit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig5Fold {
+    /// Camera frames observed.
+    pub frames: u64,
+    /// Pedestrian, then vehicle misdetection streaks.
+    pub streaks: [Option<StreakFold>; 2],
+    /// Vehicle Δx/width, vehicle Δy/height, pedestrian Δx/width,
+    /// pedestrian Δy/height.
+    pub errors: [Option<ErrorFold>; 4],
+}
+
+impl Fig5Fold {
+    /// Folds `c` into what Fig. 5 renders.
+    pub fn of(c: &DetectorCharacterization) -> Fig5Fold {
+        let streak = |xs: &[f64]| {
+            let fit = fit_exponential(xs)?;
+            let bins = histogram(xs, STREAK_BIN_FRAMES, STREAK_BINS);
+            let mut counts = [0; STREAK_BINS];
+            for (count, (_, n)) in counts.iter_mut().zip(bins) {
+                *count = n as u64;
+            }
+            Some(StreakFold { fit, counts })
+        };
+        // The moments `fit_normal` takes, without its percentile sort.
+        let error = |xs: &[f64]| {
+            (xs.len() >= 2).then(|| ErrorFold {
+                mean: mean(xs),
+                std_dev: std_dev(xs),
+                n: xs.len() as u64,
+            })
+        };
+        Fig5Fold {
+            frames: c.frames,
+            streaks: [streak(&c.ped_streaks), streak(&c.veh_streaks)],
+            errors: [
+                error(&c.veh_dx),
+                error(&c.veh_dy),
+                error(&c.ped_dx),
+                error(&c.ped_dy),
+            ],
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! The binary frame every store entry of this crate shares.
 //!
-//! Four entry kinds live in the artifact store: trained oracles (`RTOC`)
+//! Five entry kinds live in the artifact store: trained oracles (`RTOC`)
 //! and sweep datasets (`RTDS`, both [`crate::oracle_cache`]), search
-//! evaluations (`RTSE`, [`crate::search`]) and folded campaigns (`RTCP`,
-//! [`crate::memo`]). Each starts with the same 16-byte header:
+//! evaluations (`RTSE`, [`crate::search`]), folded campaigns (`RTCP`,
+//! [`crate::memo`]) and figure folds (`RTFG`, [`crate::figures`]). Each
+//! starts with the same 16-byte header:
 //!
 //! - a 4-byte magic naming the kind;
 //! - the kind's format version, a little-endian `u32`;
 //! - an echo of the `u64` key the entry is stored under, little-endian.
 //!
-//! The body follows as little-endian words; a sealed entry (`RTCP`) ends
-//! with an FNV-1a digest of everything before it.
+//! The body follows as little-endian words; a sealed entry (`RTCP`,
+//! `RTFG`) ends with an FNV-1a digest of everything before it.
 //!
 //! Store bytes are hostile: a file can be truncated, corrupted or written
 //! by other code. The [`Reader`] is bounds-checked and never panics, and a

@@ -37,16 +37,23 @@
 //! over the same store reads every campaign an earlier one simulated; its
 //! store lookups count in each job's hit/miss scorecard. A standalone
 //! binary runs its report with a fresh memo over its own store view, so
-//! its stdout stays byte-identical to the suite job's. Two paths simulate
-//! without the memo: `fig5` (the detector characterization, which runs no
-//! campaign) and fig8(b)'s k sweep (one run per k, reading the attack
-//! features at launch, which a [`RunSummary`] does not keep; each run stops
-//! once its label is final, see [`crate::horizon`]).
+//! its stdout stays byte-identical to the suite job's.
+//!
+//! Two reports compute outside the campaign memo, and the store keeps what
+//! they compute as `figure` entries ([`crate::figures`]): `fig5`'s detector
+//! characterization, which runs no campaign, and fig8(b)'s k sweep (one run
+//! per k, reading the attack features at launch, which a [`RunSummary`]
+//! does not keep; each run stops once its label is final, see
+//! [`crate::horizon`]). A warm execution therefore simulates nothing.
+//!
+//! The jobs of one execution also share an [`OracleMemo`] (another value
+//! of its [`av_suite::ExecScope`]): each oracle is decoded or trained once
+//! and digested once, whichever jobs use it.
 
-use crate::characterize::characterize_detector;
+use crate::figures::{self, Fig8bRun};
 use crate::horizon::Horizon;
 use crate::memo::CampaignMemo;
-use crate::oracle_cache::{dataset_digest, oracle_digest, OracleCache};
+use crate::oracle_cache::{dataset_digest, OracleCache, OracleMemo};
 use crate::prelude::*;
 use crate::report::{
     render_fig5, render_fig6_panel, render_fig6_rates, render_fig7_panel, render_fig8a,
@@ -61,7 +68,7 @@ use av_defense::ids::AlarmKind;
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
 use av_suite::api::{ErrorCode, EvalRequest};
 use av_suite::serve::EvalService;
-use av_suite::{ArtifactStore, Dag, DagError, Job, JobOutcome};
+use av_suite::{ArtifactStore, Dag, DagError, ExecScope, Job, JobOutcome};
 use robotack::safety_hijacker::{
     AttackFeatures, KinematicOracle, SafetyHijacker, SafetyHijackerConfig, SafetyOracle,
 };
@@ -151,13 +158,16 @@ pub fn table2(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
 }
 
 /// Fig. 5: detector noise characterization (misdetection streak
-/// distributions and normalized bbox-center error fits, per class).
-pub fn fig5(args: &Args) -> String {
+/// distributions and normalized bbox-center error fits, per class), read
+/// from the store behind `cache` when an earlier run characterized the same
+/// frames.
+pub fn fig5(args: &Args, cache: &OracleCache) -> String {
     // The paper characterizes ~10 minutes of 15 Hz video (~9000 frames).
     let frames = if args.quick { 2_000 } else { 9_000 };
-    let c = characterize_detector(frames, args.seed);
+    let fold = figures::fig5(cache, frames, args.seed);
+    report_cache(cache);
     let mut out = String::new();
-    writeln!(out, "{}", render_fig5(&c)).unwrap();
+    writeln!(out, "{}", render_fig5(&fold)).unwrap();
     out
 }
 
@@ -349,54 +359,83 @@ pub fn fig8(args: &Args, cache: &OracleCache, memo: &CampaignMemo) -> String {
             bins.push((upper, p, in_bin.len()));
         }
     }
-    report_cache(cache);
     writeln!(out, "{}", render_fig8a(&bins)).unwrap();
 
     // Panel (b): δ0 ≈ 41 m, sweep k, compare prediction to ground truth.
-    let rows = fig8b_rows(args, &oracle_ds1, Horizon::Label);
-    writeln!(out, "{}", render_fig8b(&rows, FIG8B_DELTA0)).unwrap();
+    let ks = fig8b_ks(args);
+    let runs = figures::fig8b(cache, args.seed, &ks, || {
+        fig8b_runs(args.seed, &ks, Horizon::Label)
+    });
+    report_cache(cache);
+    writeln!(
+        out,
+        "{}",
+        render_fig8b(&fig8b_predicted(&runs, &oracle_ds1), FIG8B_DELTA0)
+    )
+    .unwrap();
     out
 }
 
 /// fig8(b)'s launch threshold δ0 (m).
 const FIG8B_DELTA0: f64 = 41.0;
 
-/// fig8(b)'s rows ⟨k, predicted δ, realized δ⟩: one DS-1 Move_Out run per
-/// k (seed `seed + k`) launched at δ0, each stopped at `horizon`.
+/// fig8(b)'s k values.
+fn fig8b_ks(args: &Args) -> Vec<u32> {
+    if args.quick {
+        vec![20, 50, 80]
+    } else {
+        vec![10, 20, 30, 40, 50, 60, 70, 80, 90]
+    }
+}
+
+/// fig8(b)'s simulated runs: one DS-1 Move_Out run per k in `ks` (seed
+/// `seed + k`) launched at δ0, each stopped at `horizon`; the runs that
+/// launched, in k order.
+pub(crate) fn fig8b_runs(seed: u64, ks: &[u32], horizon: Horizon) -> Vec<Fig8bRun> {
+    ks.iter()
+        .filter_map(|&k| {
+            let outcome = SimSession::builder(ScenarioId::Ds1)
+                .seed(seed + u64::from(k))
+                .attacker(AttackerSpec::AtDelta {
+                    vector: Some(AttackVector::MoveOut),
+                    delta_inject: FIG8B_DELTA0,
+                    k,
+                })
+                .build()
+                .with_horizon(horizon)
+                .run();
+            Some(Fig8bRun {
+                k,
+                features: outcome.attack.features_at_launch?,
+                actual: outcome.min_delta_attack_window?,
+            })
+        })
+        .collect()
+}
+
+/// fig8(b)'s rows ⟨k, predicted δ, realized δ⟩: `oracle`'s prediction for
+/// each run's launch features next to what the run realized.
+fn fig8b_predicted(runs: &[Fig8bRun], oracle: &OracleSpec) -> Vec<(u32, f64, f64)> {
+    runs.iter()
+        .map(|run| {
+            let predicted = match oracle {
+                OracleSpec::Nn(nn) => nn.predict_delta(&run.features, run.k),
+                OracleSpec::Kinematic => {
+                    KinematicOracle::default().predict_delta(&run.features, run.k)
+                }
+            };
+            (run.k, predicted, run.actual)
+        })
+        .collect()
+}
+
+/// fig8(b)'s rows, simulated at `horizon` without the store.
 pub(crate) fn fig8b_rows(
     args: &Args,
     oracle: &OracleSpec,
     horizon: Horizon,
 ) -> Vec<(u32, f64, f64)> {
-    let ks: Vec<u32> = if args.quick {
-        vec![20, 50, 80]
-    } else {
-        vec![10, 20, 30, 40, 50, 60, 70, 80, 90]
-    };
-    let mut rows = Vec::new();
-    for k in ks {
-        let outcome = SimSession::builder(ScenarioId::Ds1)
-            .seed(args.seed + u64::from(k))
-            .attacker(AttackerSpec::AtDelta {
-                vector: Some(AttackVector::MoveOut),
-                delta_inject: FIG8B_DELTA0,
-                k,
-            })
-            .build()
-            .with_horizon(horizon)
-            .run();
-        if let (Some(features), Some(actual)) = (
-            outcome.attack.features_at_launch,
-            outcome.min_delta_attack_window,
-        ) {
-            let predicted = match oracle {
-                OracleSpec::Nn(nn) => nn.predict_delta(&features, k),
-                OracleSpec::Kinematic => KinematicOracle::default().predict_delta(&features, k),
-            };
-            rows.push((k, predicted, actual));
-        }
-    }
-    rows
+    fig8b_predicted(&fig8b_runs(args.seed, &fig8b_ks(args), horizon), oracle)
 }
 
 /// Ablation studies for the design choices DESIGN.md calls out: the
@@ -857,6 +896,12 @@ fn oracle_deps(arms: &[(ScenarioId, AttackVector)]) -> Vec<String> {
     arms.iter().map(|&(s, v)| oracle_job_id(s, v)).collect()
 }
 
+/// A job's own cache view over the shared store, sharing the execution's
+/// oracle memo.
+fn job_view(store: &Arc<ArtifactStore>, scope: &ExecScope) -> OracleCache {
+    OracleCache::over(store.clone()).with_memo(scope.get::<OracleMemo>())
+}
+
 /// Wraps one report function as a stdout-emitting suite job with its own
 /// cache view over the shared store and the execution's campaign memo.
 fn report_job(
@@ -868,7 +913,7 @@ fn report_job(
     let args = args.clone();
     let store = store.clone();
     Job::new(id, move |scope| {
-        let cache = OracleCache::over(store.clone());
+        let cache = job_view(&store, scope);
         let stdout = render(&args, &cache, &scope.get::<CampaignMemo>());
         let (artifact_hits, artifact_misses) = cache.artifact_totals();
         JobOutcome {
@@ -916,8 +961,8 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
         let store_ = store.clone();
         let sweep_ = sweep.clone();
         jobs.push(
-            Job::new(id.clone(), move |_| {
-                let cache = OracleCache::over(store_.clone());
+            Job::new(id.clone(), move |scope| {
+                let cache = job_view(&store_, scope);
                 let trained = cache.oracle_for(scenario, vector, &sweep_);
                 let (artifact_hits, artifact_misses) = cache.artifact_totals();
                 JobOutcome {
@@ -925,7 +970,10 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
                     artifact_hits,
                     artifact_misses,
                     artifacts: trained
-                        .map(|t| vec![(oracle_job_id(scenario, vector), oracle_digest(&t))])
+                        .map(|t| {
+                            let digest = cache.oracle_digest_of(&t);
+                            vec![(oracle_job_id(scenario, vector), digest)]
+                        })
                         .unwrap_or_default(),
                 }
             })
@@ -958,18 +1006,11 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
             .deps(oracle_deps(&all))
             .output("report:table2"),
     );
-    {
-        let args_ = args.clone();
-        jobs.push(
-            Job::new("fig5", move |_| JobOutcome {
-                stdout: fig5(&args_),
-                ..JobOutcome::default()
-            })
-            .emits_stdout()
+    jobs.push(
+        report_job("fig5", args, store, |args, cache, _| fig5(args, cache))
             .input("detector noise model")
             .output("report:fig5"),
-        );
-    }
+    );
     jobs.push(
         report_job("fig6", args, store, fig6)
             .deps(oracle_deps(&fig6_arms))
@@ -1015,8 +1056,8 @@ pub fn paper_dag(args: &Args, store: &Arc<ArtifactStore>) -> Result<Dag, DagErro
         let args_ = args.clone();
         let store_ = store.clone();
         jobs.push(
-            Job::new(id.clone(), move |_| {
-                let cache = OracleCache::over(store_.clone());
+            Job::new(id.clone(), move |scope| {
+                let cache = job_view(&store_, scope);
                 let config = crate::search::SearchConfig::for_args(vector, &args_);
                 let report = crate::search::run_search(&config, &args_.sweep(), &cache);
                 // The scorecard counts the search's evaluation-summary

@@ -28,6 +28,9 @@
 //!   once per artifact store and shared, folded to [`RunSummary`]s, by
 //!   every report that views it: in memory within one suite execution, and
 //!   through the store's `campaign` namespace across executions.
+//! - [`figures`]: the Fig. 5 characterization fits and Fig. 8(b)'s
+//!   simulated k sweep, kept in the store's `figure` namespace so a warm
+//!   report reads them instead of recomputing them.
 //! - [`jobs`]: every table/figure as a library function returning its
 //!   stdout report, plus the full evaluation as an `av-suite` job DAG over
 //!   one shared artifact store (the `suite` binary runs it; the per-figure
@@ -54,6 +57,7 @@
 pub mod campaign;
 pub mod characterize;
 mod codec;
+pub mod figures;
 pub mod horizon;
 pub mod jobs;
 pub mod memo;
@@ -65,6 +69,8 @@ pub mod search;
 pub mod session;
 pub mod stats;
 pub mod suite;
+#[doc(hidden)]
+pub mod tally;
 pub mod train_sh;
 
 pub use campaign::{Campaign, CampaignError, CampaignResult, CampaignSummary, RunSummary};

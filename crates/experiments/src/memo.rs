@@ -69,6 +69,7 @@ use crate::runner::{AttackerSpec, OracleSpec, RunConfig};
 use av_defense::ids::AlarmKind;
 use av_simkit::scenario::ScenarioId;
 use av_suite::fnv::Fnv1a;
+use robotack::safety_hijacker::NnOracle;
 use robotack::vector::AttackVector;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +89,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// baseline, a fault plan, an alarm-raising naive attacker, a changed ADS
 /// configuration).
 pub const CAMPAIGN_CODE_VERSION: u32 = 2;
+
+/// Version of the stored figure folds ([`crate::figures`]): the Fig. 5
+/// detector characterization (the detector calibration, the camera, the
+/// characterization scene, the fold) and fig8(b)'s simulated runs (the
+/// simulator, fig8(b)'s scenario, δ0 and attack), and the entry encoding.
+/// Bump it whenever a change can move either fold or the entry bytes —
+/// a change that bumps [`CAMPAIGN_CODE_VERSION`] usually moves fig8(b)'s
+/// runs too — so stale `.figure` entries miss. A unit test pins it
+/// together with a small Fig. 5 entry and the `--quick` fig8(b) entry.
+pub const FIGURE_CODE_VERSION: u32 = 1;
 
 /// Artifact-store namespace of folded campaign entries.
 pub const NS_CAMPAIGN: &str = "campaign";
@@ -118,6 +129,12 @@ impl CampaignKey {
     /// a generated scenario's spec (covered by its content-hash id) left
     /// out.
     pub fn of(campaign: &Campaign) -> CampaignKey {
+        CampaignKey::digested(campaign, |nn| network_digest(nn))
+    }
+
+    /// [`CampaignKey::of`] with the oracle's network digest taken from
+    /// `digest`.
+    fn digested(campaign: &Campaign, digest: impl FnOnce(&Arc<NnOracle>) -> u64) -> CampaignKey {
         let template = RunConfig {
             seed: 0,
             spec: None,
@@ -125,7 +142,7 @@ impl CampaignKey {
         };
         CampaignKey {
             scenario: campaign.scenario(),
-            attacker: attacker_digest(&campaign.attacker),
+            attacker: attacker_digest(&campaign.attacker, digest),
             config: format!("{template:?}"),
             base_seed: campaign.base_seed,
         }
@@ -152,8 +169,8 @@ impl CampaignKey {
 }
 
 /// Content digest of an attacker: its variant, parameters and (for
-/// RoboTack) its oracle.
-fn attacker_digest(attacker: &AttackerSpec) -> u64 {
+/// RoboTack) its oracle, by the network digest `digest` gives it.
+fn attacker_digest(attacker: &AttackerSpec, digest: impl FnOnce(&Arc<NnOracle>) -> u64) -> u64 {
     fn vector(h: &mut Fnv1a, v: &Option<AttackVector>) {
         match v {
             Some(v) => h.write(v.name().as_bytes()),
@@ -171,7 +188,7 @@ fn attacker_digest(attacker: &AttackerSpec) -> u64 {
                 OracleSpec::Kinematic => h.write_u64(0),
                 OracleSpec::Nn(nn) => {
                     h.write_u64(1);
-                    h.write_u64(network_digest(nn));
+                    h.write_u64(digest(nn));
                 }
             }
         }
@@ -232,7 +249,7 @@ impl CampaignMemo {
         if campaign.collect_metrics {
             return run_campaign_summary(campaign, threads, mode);
         }
-        let key = CampaignKey::of(campaign);
+        let key = CampaignKey::digested(campaign, |nn| store.network_digest_of(nn));
         let runs = self.runs(key, campaign.runs, store, |start, count| {
             let tail = Campaign {
                 base_seed: campaign.base_seed + start,
@@ -450,7 +467,6 @@ mod tests {
     use av_neural::mlp::Mlp;
     use av_neural::train::Normalizer;
     use av_suite::fnv::fnv1a;
-    use robotack::safety_hijacker::NnOracle;
     use std::path::PathBuf;
     use std::sync::OnceLock;
 

@@ -18,14 +18,23 @@
 //!   skips its ~715 simulations when another consumer already collected
 //!   the identical sweep.
 //!
-//! Two more namespaces read through the same views: `search-eval`
-//! (candidate evaluation summaries, [`crate::search`]) and `campaign`
-//! (folded report campaigns, [`crate::memo`]).
+//! Three more namespaces read through the same views: `search-eval`
+//! (candidate evaluation summaries, [`crate::search`]), `campaign`
+//! (folded report campaigns, [`crate::memo`]) and `figure` (the Fig. 5
+//! and Fig. 8(b) folds, [`crate::figures`]).
 //!
 //! An [`OracleCache`] is a cheap *view* over the store with its own
 //! hit/miss counters: the suite orchestrator gives every job a private
 //! view over one shared store, which is how the per-job scorecards in the
 //! run summary stay exact.
+//!
+//! Within one suite execution the views share an [`OracleMemo`] (a value
+//! of the execution's [`av_suite::ExecScope`], like the campaign memo):
+//! each oracle is decoded or trained once, and its [`network_digest`] and
+//! [`oracle_digest`] are computed at most once, however many jobs use it.
+//! A lookup the memo answers counts in the asking view as the lookup it
+//! replaces, so every scorecard reads as it would without the memo. Nothing
+//! in it outlives the execution.
 //!
 //! Both snapshot kinds (`RTOC`, `RTDS`) are frames of the crate's one store
 //! codec (`codec.rs`), which treats every file as hostile: lengths are
@@ -34,6 +43,7 @@
 //! miss, never a panic.
 
 use crate::codec::Frame;
+use crate::tally::{self, Work};
 use crate::train_sh::{collect_dataset, train_oracle_on, SweepConfig, TrainedOracle};
 use av_neural::infer::InferenceMlp;
 use av_neural::train::{Dataset, Normalizer};
@@ -44,9 +54,10 @@ use av_suite::ArtifactStore;
 use av_telemetry::{Telemetry, TraceEvent};
 use robotack::safety_hijacker::{AttackFeatures, NnOracle};
 use robotack::vector::AttackVector;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Version of the dataset-collection + training code path. Bump this when
 /// [`crate::train_sh`] changes semantics (sweep seeding, labeling, split,
@@ -108,6 +119,7 @@ pub fn cache_key(scenario: ScenarioId, vector: AttackVector, sweep: &SweepConfig
 /// Content digest of a trained oracle (network shape + parameters +
 /// normalizer + metrics, by bit pattern) — what the run manifest records.
 pub fn oracle_digest(oracle: &TrainedOracle) -> u64 {
+    tally::add(Work::OracleDigest, 1);
     fnv1a(&encode(0, oracle))
 }
 
@@ -133,7 +145,10 @@ pub struct OracleCache {
     dataset_misses: AtomicU64,
     campaign_hits: AtomicU64,
     campaign_misses: AtomicU64,
+    figure_hits: AtomicU64,
+    figure_misses: AtomicU64,
     read_errors: AtomicU64,
+    oracles: Option<Arc<OracleMemo>>,
 }
 
 impl Default for OracleCache {
@@ -165,8 +180,19 @@ impl OracleCache {
             dataset_misses: AtomicU64::new(0),
             campaign_hits: AtomicU64::new(0),
             campaign_misses: AtomicU64::new(0),
+            figure_hits: AtomicU64::new(0),
+            figure_misses: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
+            oracles: None,
         }
+    }
+
+    /// Shares `memo`'s oracles with this view: [`Self::oracle_for`] answers
+    /// from it, and fills it.
+    #[must_use]
+    pub fn with_memo(mut self, memo: Arc<OracleMemo>) -> OracleCache {
+        self.oracles = Some(memo);
+        self
     }
 
     /// The default cache root, next to the build artifacts.
@@ -239,13 +265,34 @@ impl OracleCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Figure-entry hits so far (this view).
+    pub fn figure_hits(&self) -> u64 {
+        self.figure_hits.load(Ordering::Relaxed)
+    }
+
+    /// Figure-entry misses so far (this view): folds that had to be
+    /// computed.
+    pub fn figure_misses(&self) -> u64 {
+        self.figure_misses.load(Ordering::Relaxed)
+    }
+
+    /// Counts one figure-entry lookup of this view ([`crate::figures`]).
+    pub(crate) fn count_figure(&self, hit: bool) {
+        let counter = if hit {
+            &self.figure_hits
+        } else {
+            &self.figure_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// All artifact lookups this view made, as ⟨hits, misses⟩ across the
-    /// oracle, dataset and campaign namespaces — what the suite's per-job
-    /// scorecard reports.
+    /// oracle, dataset, campaign and figure namespaces — what the suite's
+    /// per-job scorecard reports.
     pub fn artifact_totals(&self) -> (u64, u64) {
         (
-            self.hits() + self.dataset_hits() + self.campaign_hits(),
-            self.misses() + self.dataset_misses() + self.campaign_misses(),
+            self.hits() + self.dataset_hits() + self.campaign_hits() + self.figure_hits(),
+            self.misses() + self.dataset_misses() + self.campaign_misses() + self.figure_misses(),
         )
     }
 
@@ -371,7 +418,9 @@ impl OracleCache {
     /// the snapshot when present, otherwise trains (on the cached dataset
     /// when one exists), stores, and returns the fresh oracle. Concurrent
     /// trainings of the same key coalesce exactly like [`Self::dataset_for`]
-    /// — the expensive 300-epoch job runs once per store.
+    /// — the expensive 300-epoch job runs once per store. A view with an
+    /// [`OracleMemo`] returns the memo's oracle when it holds one, counted
+    /// as the lookup it replaces, and otherwise leaves the oracle there.
     pub fn oracle_for(
         &self,
         scenario: ScenarioId,
@@ -379,6 +428,84 @@ impl OracleCache {
         sweep: &SweepConfig,
     ) -> Option<TrainedOracle> {
         let key = cache_key(scenario, vector, sweep);
+        let Some(memo) = &self.oracles else {
+            return self.load_or_train(key, scenario, vector, sweep);
+        };
+        // Only this key's slot is held while it loads or trains; a slot
+        // that lost its leader to a panic is simply still empty.
+        let slot = memo.slot(key);
+        let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(memoized) = held.as_ref() {
+            self.count_memoized(key);
+            return Some(memoized.trained.clone());
+        }
+        // A kinematic fallback (`None`) is not memoized: each caller
+        // retries, as without a memo.
+        let trained = self.load_or_train(key, scenario, vector, sweep)?;
+        let memoized = Arc::new(Memoized {
+            trained: trained.clone(),
+            network: OnceLock::new(),
+            digest: OnceLock::new(),
+        });
+        lock(&memo.loaded).push(memoized.clone());
+        *held = Some(memoized);
+        Some(trained)
+    }
+
+    /// Counts a lookup the memo answered as the lookups it replaces: an
+    /// oracle hit on an enabled store; on a disabled one, the oracle and
+    /// dataset misses of the retraining it saves.
+    fn count_memoized(&self, key: u64) {
+        if self.is_enabled() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.telemetry
+                .emit(0.0, || TraceEvent::OracleCacheHit { key });
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.dataset_misses.fetch_add(1, Ordering::Relaxed);
+            self.telemetry
+                .emit(0.0, || TraceEvent::OracleCacheMiss { key });
+        }
+    }
+
+    /// [`network_digest`] of `oracle`, computed once per execution when it
+    /// is one of this view's memoized oracles.
+    pub fn network_digest_of(&self, oracle: &Arc<NnOracle>) -> u64 {
+        match self.memoized(|m| Arc::ptr_eq(&m.trained.oracle, oracle)) {
+            Some(m) => *m.network.get_or_init(|| network_digest(oracle)),
+            None => network_digest(oracle),
+        }
+    }
+
+    /// [`oracle_digest`] of `trained`, computed once per execution when it
+    /// is one of this view's memoized oracles.
+    pub fn oracle_digest_of(&self, trained: &TrainedOracle) -> u64 {
+        let same = |m: &Memoized| {
+            Arc::ptr_eq(&m.trained.oracle, &trained.oracle)
+                && m.trained.val_mse.to_bits() == trained.val_mse.to_bits()
+                && m.trained.examples == trained.examples
+        };
+        match self.memoized(same) {
+            Some(m) => *m.digest.get_or_init(|| oracle_digest(&m.trained)),
+            None => oracle_digest(trained),
+        }
+    }
+
+    /// The memoized oracle `is` picks, if this view has a memo holding one.
+    fn memoized(&self, is: impl Fn(&Memoized) -> bool) -> Option<Arc<Memoized>> {
+        let memo = self.oracles.as_ref()?;
+        lock(&memo.loaded).iter().find(|m| is(m)).cloned()
+    }
+
+    /// [`Self::oracle_for`] without the memo: the store's snapshot, or a
+    /// coalesced training.
+    fn load_or_train(
+        &self,
+        key: u64,
+        scenario: ScenarioId,
+        vector: AttackVector,
+        sweep: &SweepConfig,
+    ) -> Option<TrainedOracle> {
         loop {
             if let Some(oracle) = self.lookup(key) {
                 return Some(oracle);
@@ -409,6 +536,50 @@ impl OracleCache {
     }
 }
 
+/// The oracles one suite execution has loaded or trained, shared by the
+/// [`OracleCache`] views of its jobs ([`OracleCache::with_memo`]). One lives
+/// for exactly one `av_suite::execute` call, as a value of its
+/// [`av_suite::ExecScope`]; a standalone experiment binary has none.
+#[derive(Debug, Default)]
+pub struct OracleMemo {
+    slots: Mutex<HashMap<u64, Slot>>,
+    /// Every filled slot's oracle, for the digest lookups by identity.
+    loaded: Mutex<Vec<Arc<Memoized>>>,
+}
+
+/// One cache key's oracle, once loaded or trained.
+type Slot = Arc<Mutex<Option<Arc<Memoized>>>>;
+
+/// A memoized oracle with its digests, each computed on first use.
+#[derive(Debug)]
+struct Memoized {
+    trained: TrainedOracle,
+    network: OnceLock<u64>,
+    digest: OnceLock<u64>,
+}
+
+impl OracleMemo {
+    /// An empty memo.
+    pub fn new() -> OracleMemo {
+        OracleMemo::default()
+    }
+
+    /// Oracles held so far.
+    pub fn oracles(&self) -> usize {
+        lock(&self.loaded).len()
+    }
+
+    fn slot(&self, key: u64) -> Slot {
+        lock(&self.slots).entry(key).or_default().clone()
+    }
+}
+
+/// Locks `mutex`; the memo's maps stay consistent under a panic, since
+/// each update is a single insert or push.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Serializes a [`TrainedOracle`]: metrics, then the network section.
 fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
     let net = oracle.oracle.inference();
@@ -430,6 +601,7 @@ fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
 /// metrics. Two separately loaded copies of one oracle share it; it is
 /// what identifies an oracle's behaviour.
 pub fn network_digest(oracle: &NnOracle) -> u64 {
+    tally::add(Work::NetworkDigest, 1);
     let mut h = Fnv1a::new();
     write_network(oracle, |bytes| h.write(bytes));
     h.finish()
@@ -464,6 +636,7 @@ fn write_network(oracle: &NnOracle, mut emit: impl FnMut(&[u8])) {
 
 /// Deserializes an oracle snapshot; `None` on any structural problem.
 fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
+    tally::add(Work::OracleDecode, 1);
     let mut r = ORACLE_FRAME.open(key, bytes)?;
     let val_mse = r.f64()?;
     let examples = usize::try_from(r.u64()?).ok()?;
@@ -895,6 +1068,56 @@ mod tests {
         // or disavowed leadership — exactly one collection ran.
         assert_eq!(store.dedup_counters().0, 1, "one collection led");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_execution_memo_loads_each_oracle_once_counted_as_the_lookup_it_replaces() {
+        let dir = std::env::temp_dir().join(format!("oracle-memo-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::at(&dir));
+        let sweep = SweepConfig::tiny();
+        let key = cache_key(ScenarioId::Ds1, AttackVector::MoveOut, &sweep);
+        OracleCache::over(store.clone()).store(key, &sample_oracle());
+
+        let memo = Arc::new(OracleMemo::new());
+        let view = || OracleCache::over(store.clone()).with_memo(memo.clone());
+        let (first, second) = (view(), view());
+        let a = first
+            .oracle_for(ScenarioId::Ds1, AttackVector::MoveOut, &sweep)
+            .expect("stored oracle");
+        let b = second
+            .oracle_for(ScenarioId::Ds1, AttackVector::MoveOut, &sweep)
+            .expect("memoized oracle");
+        assert!(Arc::ptr_eq(&a.oracle, &b.oracle), "one decode, shared");
+        assert_eq!(memo.oracles(), 1);
+        for v in [&first, &second] {
+            assert_eq!((v.hits(), v.misses()), (1, 0), "each view counts a hit");
+        }
+        let loaded = OracleCache::over(store.clone())
+            .lookup(key)
+            .expect("a separate copy");
+        assert!(!Arc::ptr_eq(&loaded.oracle, &b.oracle));
+        for trained in [&b, &loaded] {
+            assert_eq!(
+                second.network_digest_of(&trained.oracle),
+                network_digest(&trained.oracle)
+            );
+            assert_eq!(second.oracle_digest_of(trained), oracle_digest(trained));
+        }
+
+        // On a disabled store a memoized oracle would count as the oracle
+        // and dataset misses of its retraining; a kinematic fallback (the
+        // tiny sweep has too few examples) is not memoized at all.
+        let memo = Arc::new(OracleMemo::new());
+        for _ in 0..2 {
+            let alone = OracleCache::disabled().with_memo(memo.clone());
+            assert!(alone
+                .oracle_for(ScenarioId::Ds1, AttackVector::MoveOut, &sweep)
+                .is_none());
+            assert_eq!(alone.artifact_totals(), (0, 2), "oracle and dataset miss");
+        }
+        assert_eq!(memo.oracles(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,8 +4,8 @@
 //! numbers so `EXPERIMENTS.md` can be regenerated by running the binaries.
 
 use crate::campaign::{CampaignResult, CampaignSummary};
-use crate::characterize::DetectorCharacterization;
-use crate::stats::{fit_exponential, fit_normal, histogram, BoxSummary};
+use crate::characterize::{Fig5Fold, StreakFold, STREAK_BIN_FRAMES};
+use crate::stats::BoxSummary;
 use robotack::scenario_matcher::ScenarioMatcher;
 
 /// Renders Table I (the scenario-matching map).
@@ -134,31 +134,33 @@ pub fn render_table2(
 }
 
 /// Renders Fig. 5: detector noise characterization vs the paper's fits.
-pub fn render_fig5(c: &DetectorCharacterization) -> String {
+pub fn render_fig5(fold: &Fig5Fold) -> String {
     let mut out = format!(
         "Fig. 5: YOLOv3-substitute characterization over {} frames\n\n",
-        c.frames
+        fold.frames
     );
-    for (label, data, paper) in [
+    for (label, streaks, paper) in [
         (
             "(a) pedestrian misdetection streaks",
-            &c.ped_streaks,
+            &fold.streaks[0],
             "Exp(loc=1, λ=0.717), p99=31.0",
         ),
         (
             "(b) vehicle misdetection streaks",
-            &c.veh_streaks,
+            &fold.streaks[1],
             "Exp(loc=1, λ=0.327), p99=59.4",
         ),
     ] {
-        match fit_exponential(data) {
-            Some(fit) => {
+        match streaks {
+            Some(StreakFold { fit, counts }) => {
                 out.push_str(&format!(
                     "{label}: Exp(loc={:.1}, λ={:.3}), p99={:.1}, n={}  [paper: {paper}]\n",
                     fit.loc, fit.lambda, fit.p99, fit.n
                 ));
-                for (x, count) in histogram(data, 5.0, 32) {
-                    let bar = "#".repeat(((count as f64 + 1.0).log2().ceil() as usize).min(40));
+                let top = counts.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+                for (i, count) in counts[..top].iter().enumerate() {
+                    let x = fit.loc + STREAK_BIN_FRAMES * i as f64;
+                    let bar = "#".repeat(((*count as f64 + 1.0).log2().ceil() as usize).min(40));
                     out.push_str(&format!("  {:>5.0}+ | {:<40} {}\n", x, bar, count));
                 }
             }
@@ -166,17 +168,29 @@ pub fn render_fig5(c: &DetectorCharacterization) -> String {
         }
     }
     out.push('\n');
-    for (label, data, paper) in [
-        ("(c) vehicle Δx/width", &c.veh_dx, "Normal(0.023, 0.464)"),
-        ("(d) vehicle Δy/height", &c.veh_dy, "Normal(0.094, 0.586)"),
-        ("(e) pedestrian Δx/width", &c.ped_dx, "Normal(0.254, 2.010)"),
+    for (label, error, paper) in [
+        (
+            "(c) vehicle Δx/width",
+            &fold.errors[0],
+            "Normal(0.023, 0.464)",
+        ),
+        (
+            "(d) vehicle Δy/height",
+            &fold.errors[1],
+            "Normal(0.094, 0.586)",
+        ),
+        (
+            "(e) pedestrian Δx/width",
+            &fold.errors[2],
+            "Normal(0.254, 2.010)",
+        ),
         (
             "(f) pedestrian Δy/height",
-            &c.ped_dy,
+            &fold.errors[3],
             "Normal(0.186, 0.409)",
         ),
     ] {
-        match fit_normal(data) {
+        match error {
             Some(fit) => out.push_str(&format!(
                 "{label}: Normal(µ={:.3}, σ={:.3}), n={}  [paper: {paper}]\n",
                 fit.mean, fit.std_dev, fit.n
@@ -393,8 +407,8 @@ mod tests {
 
     #[test]
     fn fig_renderers_handle_empty_data() {
-        let c = DetectorCharacterization::default();
-        assert!(render_fig5(&c).contains("insufficient data"));
+        let c = crate::characterize::DetectorCharacterization::default();
+        assert!(render_fig5(&Fig5Fold::of(&c)).contains("insufficient data"));
         let a = empty_summary("a");
         let b = empty_summary("b");
         let panel = render_fig6_panel("DS-1-Disappear", &a, &b, (19.0, 9.0));

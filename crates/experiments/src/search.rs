@@ -51,7 +51,7 @@
 use crate::campaign::{run_sweep, Campaign, DispatchMode};
 use crate::codec::Frame;
 use crate::horizon::{Horizon, RunVerdict};
-use crate::oracle_cache::{oracle_digest, OracleCache};
+use crate::oracle_cache::OracleCache;
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::stats;
 use crate::suite::{Args, ARMS};
@@ -422,7 +422,7 @@ fn oracle_policy(
     let in_matrix = ARMS.iter().any(|&(s, v, _)| s == root && v == vector);
     if in_matrix {
         if let Some(trained) = cache.oracle_for(root, vector, sweep) {
-            let digest = oracle_digest(&trained);
+            let digest = cache.oracle_digest_of(&trained);
             return (OracleSpec::Nn(trained.oracle), digest);
         }
     }

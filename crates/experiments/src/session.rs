@@ -27,6 +27,7 @@
 
 use crate::horizon::{Horizon, ATTACK_WINDOW_TAIL_S};
 use crate::runner::{AttackerSpec, RunConfig, RunOutcome, HORIZON_M};
+use crate::tally::{self, Work};
 use av_defense::ids::{Ids, IdsConfig};
 use av_faults::{FaultInjector, FaultPlan, FaultStats};
 use av_perception::calibration::DetectorCalibration;
@@ -680,6 +681,7 @@ impl SimSession {
     /// Bit-identical to [`SimSession::run`] for any worker state — a reused
     /// ADS is `reset()` (or rebuilt on configuration change) before the run.
     pub fn run_with(&self, worker: &mut SessionWorker) -> RunOutcome {
+        tally::add(Work::Run, 1);
         let mut state = RunState::new(self, worker);
         let mut world = state.scenario.world.clone();
         let mut fired = std::mem::take(&mut worker.fired);

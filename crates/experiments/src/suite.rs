@@ -431,9 +431,9 @@ pub fn oracle_for(
 }
 
 /// Prints the cache scorecard to stderr (stdout stays byte-identical across
-/// warm and cold runs — CI diffs it): oracle, dataset and campaign lookups.
-/// A report calls it after its last campaign fold, so the campaign line
-/// says whether its campaigns came from the store.
+/// warm and cold runs — CI diffs it): oracle, dataset, campaign and figure
+/// lookups. A report calls it after its last campaign or figure fold, so
+/// the campaign and figure lines say whether those came from the store.
 pub fn report_cache(cache: &OracleCache) {
     if cache.is_enabled() {
         eprintln!(
@@ -451,10 +451,16 @@ pub fn report_cache(cache: &OracleCache) {
             cache.campaign_hits(),
             cache.campaign_misses()
         );
+        eprintln!(
+            "[artifact] figure hits={} misses={}",
+            cache.figure_hits(),
+            cache.figure_misses()
+        );
     } else {
         eprintln!("[oracle-cache] disabled");
         eprintln!("[artifact] dataset cache disabled");
         eprintln!("[artifact] campaign cache disabled");
+        eprintln!("[artifact] figure cache disabled");
     }
 }
 

@@ -2,10 +2,11 @@
 //! the same runs, a memoized result — fresh, a prefix, or an extension —
 //! is bit-equal to direct dispatch, different campaigns never share, one
 //! memo lives for exactly one suite execution, and the store keeps
-//! campaigns across executions (a corrupt entry is one miss, resimulated).
+//! campaigns across executions (a corrupt entry is one miss, resimulated),
+//! as it keeps the Fig. 5 and fig8(b) figure folds.
 
 use av_experiments::campaign::{run_campaign_dispatch, Campaign, CampaignResult, DispatchMode};
-use av_experiments::jobs::{fig8, paper_dag};
+use av_experiments::jobs::{fig5, fig8, paper_dag};
 use av_experiments::memo::{CampaignKey, CampaignMemo};
 use av_experiments::oracle_cache::{network_digest, OracleCache};
 use av_experiments::prelude::{AttackVector, AttackerSpec, OracleSpec, ScenarioId};
@@ -379,8 +380,8 @@ fn a_corrupt_campaign_entry_prints_the_same_report_after_one_miss() {
     );
     assert_eq!(
         warm.artifact_totals(),
-        (3, 1),
-        "two oracles and a campaign hit"
+        (4, 1),
+        "two oracles, a campaign and the fig8(b) runs hit"
     );
     assert_eq!(
         warm.read_errors(),
@@ -389,5 +390,64 @@ fn a_corrupt_campaign_entry_prints_the_same_report_after_one_miss() {
     );
     assert_eq!(memo.simulated_runs(), 2, "only the corrupt campaign reran");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_corrupt_or_truncated_figure_entry_prints_the_same_report_after_one_miss() {
+    // A private copy of the oracle store: this test writes figures.
+    let dir = std::env::temp_dir().join(format!("campaign-memo-figure-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(oracle_store()).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    let args = Args {
+        cache_dir: Some(dir.clone()),
+        ..quick_args()
+    };
+    // Both reports' stdout through one fresh view, and that view's figure
+    // ⟨hits, misses⟩.
+    let reports = || {
+        let view = OracleCache::at(&dir);
+        let stdout = fig5(&args, &view) + &fig8(&args, &view, &CampaignMemo::new());
+        (stdout, (view.figure_hits(), view.figure_misses()))
+    };
+    let (expected, counted) = reports();
+    assert_eq!(counted, (0, 2), "a cold store misses both figures");
+    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "figure"))
+        .collect();
+    assert_eq!(entries.len(), 2, "Fig. 5 and fig8(b) each wrote one entry");
+    assert_eq!(reports(), (expected.clone(), (2, 0)), "then both hit");
+
+    let flip = |bytes: &mut Vec<u8>| {
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+    };
+    let truncate = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() / 2);
+    for (damage, what) in [
+        (&flip as &dyn Fn(&mut Vec<u8>), "corrupt"),
+        (&truncate, "truncated"),
+    ] {
+        for entry in &entries {
+            let mut bytes = std::fs::read(entry).unwrap();
+            damage(&mut bytes);
+            std::fs::write(entry, &bytes).unwrap();
+        }
+        assert_eq!(
+            reports(),
+            (expected.clone(), (0, 2)),
+            "{what} entries: the same bytes after one counted miss each"
+        );
+        assert_eq!(
+            reports(),
+            (expected.clone(), (2, 0)),
+            "{what} entries were written back whole"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

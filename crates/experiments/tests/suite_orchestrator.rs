@@ -158,10 +158,17 @@ fn killed_run_resumes_from_truncated_manifest() {
 
 #[test]
 fn fig5_bin_stdout_equals_job_output() {
-    let args = quick_args();
-    let expected = jobs::fig5(&args);
+    let dir = scratch("fig5");
+    let args = Args {
+        cache_dir: Some(dir.join("store")),
+        ..quick_args()
+    };
+    // The library run characterizes and stores the fold; the binary reads
+    // it back, and prints the same bytes.
+    let expected = jobs::fig5(&args, &args.oracle_cache());
     let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
-        .args(["--quick", "--runs", "2", "--seed", "2020"])
+        .args(["--quick", "--runs", "2", "--seed", "2020", "--cache-dir"])
+        .arg(dir.join("store"))
         .output()
         .expect("fig5 bin runs");
     assert!(out.status.success(), "fig5 exit status: {:?}", out.status);
@@ -170,6 +177,15 @@ fn fig5_bin_stdout_equals_job_output() {
         expected,
         "standalone fig5 stdout ≡ jobs::fig5"
     );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("figure hits=1 misses=0"), "{stderr}");
+    assert_eq!(
+        jobs::fig5(&args, &OracleCache::disabled()),
+        expected,
+        "a disabled store characterizes the same"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -260,7 +276,7 @@ fn suite_bin_replays_and_skips_on_second_invocation() {
 
     // And the orchestrated fig5 stdout equals the standalone binary's.
     let standalone = Command::new(env!("CARGO_BIN_EXE_fig5"))
-        .args(["--quick", "--runs", "2", "--seed", "2020"])
+        .args(["--quick", "--runs", "2", "--seed", "2020", "--no-cache"])
         .output()
         .expect("fig5 bin runs");
     assert_eq!(first.stdout, standalone.stdout);

@@ -25,7 +25,13 @@
 //!   sentinel (or stdin EOF) stops admission, drains queued requests, and
 //!   returns.
 //!
-//! Everything is std-only scoped threads — no async runtime. Per-request
+//! Everything is std-only scoped threads — no async runtime — and the
+//! daemon waits on events, never on a timer. The socket acceptor blocks in
+//! `accept`, so a connection is admitted the moment it arrives; the
+//! connection that reads the shutdown sentinel wakes it with one connection
+//! of its own to the socket path (which must therefore belong to this
+//! daemon); and the drain is the join of the connection threads' scope
+//! followed by closing the queue. Per-request
 //! event ordering is guaranteed (one writer mutex per client);
 //! cross-request interleaving is not, which is why every event carries its
 //! request id.
@@ -124,11 +130,15 @@ impl SharedWriter {
         }
     }
 
-    /// Writes one event line. Failures are ignored — a client that hung up
-    /// mid-request loses its remaining events, nothing else.
-    fn emit(&self, line: &str) {
+    /// Writes `event` as one line, newline included, in a single
+    /// `write_all`, so a reader never wakes on half a line. Failures are
+    /// ignored — a client that hung up mid-request loses its remaining
+    /// events, nothing else.
+    fn emit(&self, event: &EvalEvent) {
+        let mut line = event.to_json();
+        line.push('\n');
         let mut writer = self.inner.lock().expect("serve writer lock");
-        let _ = writeln!(writer, "{line}");
+        let _ = writer.write_all(line.as_bytes());
         let _ = writer.flush();
     }
 }
@@ -203,24 +213,18 @@ fn run_request(service: &dyn EvalService, opts: &ServeOptions, work: Work) -> bo
     let dag = match service.dag_for(&req) {
         Ok(dag) => dag,
         Err((code, message)) => {
-            writer.emit(
-                &EvalEvent::Response(EvalResponse::Error {
-                    request: req.id.clone(),
-                    code,
-                    message,
-                })
-                .to_json(),
-            );
+            writer.emit(&EvalEvent::Response(EvalResponse::Error {
+                request: req.id.clone(),
+                code,
+                message,
+            }));
             return finish(false);
         }
     };
-    writer.emit(
-        &EvalEvent::Accepted {
-            request: req.id.clone(),
-            jobs: dag.len(),
-        }
-        .to_json(),
-    );
+    writer.emit(&EvalEvent::Accepted {
+        request: req.id.clone(),
+        jobs: dag.len(),
+    });
 
     let started = Instant::now();
     let observer_writer = writer.clone();
@@ -228,34 +232,25 @@ fn run_request(service: &dyn EvalService, opts: &ServeOptions, work: Work) -> bo
     let exec_opts = ExecOptions::new()
         .workers(req.jobs.clamp(1, opts.max_workers.max(1)))
         .observer(move |event| match event {
-            ExecEvent::JobStarted { job } => observer_writer.emit(
-                &EvalEvent::JobStarted {
-                    request: observer_request.clone(),
-                    job: job.to_string(),
-                }
-                .to_json(),
-            ),
+            ExecEvent::JobStarted { job } => observer_writer.emit(&EvalEvent::JobStarted {
+                request: observer_request.clone(),
+                job: job.to_string(),
+            }),
             ExecEvent::JobFinished { report } => {
-                observer_writer.emit(
-                    &EvalEvent::JobFinished {
+                observer_writer.emit(&EvalEvent::JobFinished {
+                    request: observer_request.clone(),
+                    job: report.id.clone(),
+                    wall_ms: report.wall_ms,
+                    hits: report.artifact_hits,
+                    misses: report.artifact_misses,
+                    skipped: report.skipped,
+                });
+                if report.emits_stdout {
+                    observer_writer.emit(&EvalEvent::StdoutChunk {
                         request: observer_request.clone(),
                         job: report.id.clone(),
-                        wall_ms: report.wall_ms,
-                        hits: report.artifact_hits,
-                        misses: report.artifact_misses,
-                        skipped: report.skipped,
-                    }
-                    .to_json(),
-                );
-                if report.emits_stdout {
-                    observer_writer.emit(
-                        &EvalEvent::StdoutChunk {
-                            request: observer_request.clone(),
-                            job: report.id.clone(),
-                            stdout: report.stdout.clone(),
-                        }
-                        .to_json(),
-                    );
+                        stdout: report.stdout.clone(),
+                    });
                 }
             }
         });
@@ -288,7 +283,7 @@ fn run_request(service: &dyn EvalService, opts: &ServeOptions, work: Work) -> bo
         },
     };
     let ok = matches!(response, EvalResponse::Done { .. });
-    writer.emit(&EvalEvent::Response(response).to_json());
+    writer.emit(&EvalEvent::Response(response));
     finish(ok)
 }
 
@@ -353,14 +348,11 @@ impl Admission {
                 }
                 Err(e) => {
                     self.errors.fetch_add(1, Ordering::Relaxed);
-                    writer.emit(
-                        &EvalEvent::Response(EvalResponse::Error {
-                            request: String::new(),
-                            code: ErrorCode::BadRequest,
-                            message: e.to_string(),
-                        })
-                        .to_json(),
-                    );
+                    writer.emit(&EvalEvent::Response(EvalResponse::Error {
+                        request: String::new(),
+                        code: ErrorCode::BadRequest,
+                        message: e.to_string(),
+                    }));
                 }
             }
         }
@@ -412,10 +404,16 @@ pub fn serve_lines<R: BufRead>(
 }
 
 /// Serves requests on a Unix socket at `path` (created fresh; a stale
-/// socket file is replaced). Each connection gets its own reader thread and
-/// response writer; requests from all connections share the slot pool and
-/// the store. Returns after a `{"shutdown":true}` sentinel from any client,
-/// once open connections close and queued requests drain.
+/// socket file is replaced, so `path` must belong to this daemon). Each
+/// connection gets its own reader thread and response writer; requests from
+/// all connections share the slot pool and the store.
+///
+/// The acceptor blocks in `accept`, so a connection is admitted the moment
+/// it arrives. The connection that reads a `{"shutdown":true}` sentinel
+/// sets the shutdown flag and then connects to `path` once itself: that
+/// wakes the acceptor, which sees the flag and stops accepting. Returns
+/// once open connections close (their threads are joined) and queued
+/// requests drain.
 pub fn serve_unix(
     path: &Path,
     service: &dyn EvalService,
@@ -423,43 +421,36 @@ pub fn serve_unix(
 ) -> std::io::Result<ServeReport> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
 
     let admission = Admission::default();
     let shutdown = AtomicBool::new(false);
-    let open_connections = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         admission.spawn_slots(scope, service, opts);
-        while !shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let Ok(write_half) = stream.try_clone() else {
-                        continue;
-                    };
-                    let writer = SharedWriter::new(Box::new(write_half));
-                    open_connections.fetch_add(1, Ordering::SeqCst);
-                    let (admission, shutdown, open_connections) =
-                        (&admission, &shutdown, &open_connections);
-                    scope.spawn(move || {
-                        if admission.admit(BufReader::new(stream), &writer) {
-                            shutdown.store(true, Ordering::SeqCst);
-                        }
-                        open_connections.fetch_sub(1, Ordering::SeqCst);
-                    });
+        // The end of this inner scope joins every connection thread: once
+        // it returns, no connection can enqueue, so the queue closes and
+        // the slots drain and exit.
+        std::thread::scope(|connections| {
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => break,
+                let Ok(stream) = stream else { break };
+                let Ok(write_half) = stream.try_clone() else {
+                    continue;
+                };
+                let writer = SharedWriter::new(Box::new(write_half));
+                let (admission, shutdown) = (&admission, &shutdown);
+                connections.spawn(move || {
+                    if admission.admit(BufReader::new(stream), &writer) {
+                        shutdown.store(true, Ordering::SeqCst);
+                        // Wake the acceptor; if it already stopped, the
+                        // refused connection is harmless.
+                        let _ = UnixStream::connect(path);
+                    }
+                });
             }
-        }
-        // Stop accepting, let connected clients finish sending (they close
-        // once their responses arrive), then close the queue so the slots
-        // drain and exit.
-        while open_connections.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        });
         admission.queue.close();
     });
 
@@ -485,17 +476,23 @@ pub struct RequestOutcome {
 }
 
 /// Connects to `path`, retrying until `timeout` elapses — covers the gap
-/// between spawning the daemon and the socket appearing.
+/// between spawning the daemon and the socket appearing. The pause between
+/// attempts doubles from 1 ms up to 50 ms, so a daemon that binds its
+/// socket just after the first attempt costs about a millisecond.
 pub fn connect_unix(path: &Path, timeout: Duration) -> std::io::Result<UnixStream> {
+    const MAX_PAUSE: Duration = Duration::from_millis(50);
     let deadline = Instant::now() + timeout;
+    let mut pause = Duration::from_millis(1);
     loop {
         match UnixStream::connect(path) {
             Ok(stream) => return Ok(stream),
             Err(e) => {
-                if Instant::now() >= deadline {
+                let now = Instant::now();
+                if now >= deadline {
                     return Err(e);
                 }
-                std::thread::sleep(Duration::from_millis(50));
+                std::thread::sleep(pause.min(deadline - now));
+                pause = (pause * 2).min(MAX_PAUSE);
             }
         }
     }
@@ -562,6 +559,7 @@ mod tests {
     use crate::api::Priority;
     use crate::dag::{Job, JobOutcome};
     use std::io::Cursor;
+    use std::sync::mpsc;
 
     /// A capture buffer usable as the serve output.
     #[derive(Clone, Default)]
@@ -588,22 +586,27 @@ mod tests {
     }
 
     /// Builds `count` sleep jobs (one stdout job at the end) per request:
-    /// `only=["sleep:N"]` → N jobs of ~15 ms each.
+    /// `only=["sleep:N"]` → N jobs of ~15 ms each; `only=["noop"]` → one job
+    /// that returns at once.
     struct ToyService;
 
     impl EvalService for ToyService {
         fn dag_for(&self, req: &EvalRequest) -> Result<Dag, (ErrorCode, String)> {
-            let count: usize = match req.only.as_slice() {
+            let (count, pause): (usize, u64) = match req.only.as_slice() {
+                [spec] if spec == "noop" => (1, 0),
                 [spec] => spec
                     .strip_prefix("sleep:")
                     .and_then(|n| n.parse().ok())
+                    .map(|n| (n, 15))
                     .ok_or((ErrorCode::UnknownJob, format!("no job {:?}", spec)))?,
-                _ => 1,
+                _ => (1, 15),
             };
             let jobs = (0..count)
                 .map(|i| {
                     let job = Job::new(format!("step-{i}"), move |_| {
-                        std::thread::sleep(Duration::from_millis(15));
+                        if pause > 0 {
+                            std::thread::sleep(Duration::from_millis(pause));
+                        }
                         JobOutcome {
                             stdout: format!("step-{i}\n"),
                             ..JobOutcome::default()
@@ -1035,5 +1038,157 @@ mod tests {
 
         assert!(!socket.exists(), "socket file removed on shutdown");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A socket path in the temp dir, unique per test and process; the
+    /// daemon replaces a stale file there and removes its own at shutdown.
+    fn scratch_socket(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("serve-{name}-{}.sock", std::process::id()))
+    }
+
+    /// Starts a daemon on `socket` on a detached thread, so a daemon that
+    /// never returns fails the test at a `recv_timeout` instead of hanging
+    /// it; the channel carries the daemon's result.
+    fn spawn_daemon(socket: &Path) -> mpsc::Receiver<std::io::Result<ServeReport>> {
+        let (tx, rx) = mpsc::channel();
+        let socket = socket.to_path_buf();
+        std::thread::spawn(move || {
+            let _ = tx.send(serve_unix(&socket, &ToyService, &ServeOptions::default()));
+        });
+        rx
+    }
+
+    fn request(id: &str, only: &str) -> EvalRequest {
+        EvalRequest {
+            id: id.into(),
+            only: vec![only.into()],
+            ..EvalRequest::default()
+        }
+    }
+
+    fn assert_done(socket: &Path, req: &EvalRequest) {
+        let outcome =
+            request_over_unix(socket, req, Duration::from_secs(10), |_| {}).expect("round trip");
+        assert!(
+            matches!(outcome.response, EvalResponse::Done { .. }),
+            "{}: {:?}",
+            req.id,
+            outcome.response
+        );
+    }
+
+    #[test]
+    fn connections_are_admitted_without_waiting_for_a_poll() {
+        let socket = scratch_socket("admit");
+        let daemon = spawn_daemon(&socket);
+        // The first round trip also waits for the socket to appear.
+        assert_done(&socket, &request("warm-up", "noop"));
+
+        // One connection per request, as `suite request` makes them. A
+        // daemon that polls its listener every 20 ms makes each of these
+        // wait most of a period: about 0.8 s for the 40.
+        let started = Instant::now();
+        for i in 0..40 {
+            assert_done(&socket, &request(&format!("noop-{i}"), "noop"));
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "40 sequential round trips took {elapsed:?}"
+        );
+
+        send_shutdown(&socket, Duration::from_secs(10)).expect("shutdown");
+        let report = daemon
+            .recv_timeout(Duration::from_secs(10))
+            .expect("daemon returned")
+            .expect("daemon report");
+        assert_eq!(
+            report,
+            ServeReport {
+                requests: 41,
+                errors: 0
+            }
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_daemon_promptly() {
+        let socket = scratch_socket("shutdown");
+        let daemon = spawn_daemon(&socket);
+        send_shutdown(&socket, Duration::from_secs(10)).expect("shutdown");
+        let report = daemon
+            .recv_timeout(Duration::from_secs(2))
+            .expect("daemon returned within 2 s of the sentinel")
+            .expect("daemon report");
+        assert_eq!(
+            report,
+            ServeReport {
+                requests: 0,
+                errors: 0
+            }
+        );
+        assert!(!socket.exists(), "socket file removed on shutdown");
+    }
+
+    #[test]
+    fn shutdown_waits_for_open_connections_to_close() {
+        let socket = scratch_socket("drain");
+        let daemon = spawn_daemon(&socket);
+        let timeout = Duration::from_secs(10);
+        let idle = connect_unix(&socket, timeout).expect("idle client");
+        // Connections are accepted in order, so once this request is done
+        // the idle connection has its own admission thread.
+        assert_done(&socket, &request("busy", "sleep:1"));
+        send_shutdown(&socket, timeout).expect("shutdown");
+
+        assert!(
+            matches!(
+                daemon.recv_timeout(Duration::from_millis(300)),
+                Err(mpsc::RecvTimeoutError::Timeout)
+            ),
+            "the daemon returned while a client still held a connection"
+        );
+        drop(idle);
+        let report = daemon
+            .recv_timeout(Duration::from_secs(2))
+            .expect("daemon returned once the idle connection closed")
+            .expect("daemon report");
+        assert_eq!(
+            report,
+            ServeReport {
+                requests: 1,
+                errors: 0
+            }
+        );
+        assert!(!socket.exists(), "socket file removed on shutdown");
+    }
+
+    #[test]
+    fn a_client_hanging_up_mid_request_stalls_nothing() {
+        let socket = scratch_socket("hangup");
+        let daemon = spawn_daemon(&socket);
+        let timeout = Duration::from_secs(10);
+
+        // Send a multi-job request and close the socket before any reply:
+        // every event the daemon writes for it goes to a closed peer.
+        let mut quitter = connect_unix(&socket, timeout).expect("quitter");
+        writeln!(quitter, "{}", request("quitter", "sleep:4").to_json()).expect("send");
+        quitter.shutdown(std::net::Shutdown::Both).expect("hang up");
+        drop(quitter);
+
+        assert_done(&socket, &request("survivor", "sleep:1"));
+        send_shutdown(&socket, timeout).expect("shutdown");
+        let report = daemon
+            .recv_timeout(Duration::from_secs(5))
+            .expect("daemon returned")
+            .expect("daemon report");
+        assert_eq!(
+            report,
+            ServeReport {
+                requests: 2,
+                errors: 0
+            }
+        );
+        assert!(!socket.exists(), "socket file removed on shutdown");
     }
 }

@@ -133,7 +133,7 @@ fn bench_oracle_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = OracleCache::at(&dir);
     let key = cache_key(ScenarioId::Ds1, AttackVector::MoveOut, &SweepConfig::tiny());
-    cache.store(key, &oracle);
+    cache.put(key, &oracle);
 
     let mut group = c.benchmark_group("oracle_cache");
     group.bench_function("warm_lookup", |b| {

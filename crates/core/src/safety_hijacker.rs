@@ -16,11 +16,10 @@
 use av_neural::infer::InferenceMlp;
 use av_neural::mlp::Mlp;
 use av_neural::train::Normalizer;
-use serde::{Deserialize, Serialize};
 
 /// Kinematic features the malware extracts from its perception replica at
 /// decision time (relative to the EV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackFeatures {
     /// Current safety potential w.r.t. the target object (m).
     pub delta: f64,
@@ -65,7 +64,7 @@ pub trait SafetyOracle {
 /// The oracle keeps exactly one copy of the network's weights, in the
 /// transposed inference layout ([`InferenceMlp`]), plus the dropout rate the
 /// trained network recorded, so snapshots reproduce the network exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NnOracle {
     net: InferenceMlp,
     dropout: f64,
@@ -136,7 +135,7 @@ impl SafetyOracle for NnOracle {
 /// toward its cruise speed for the attack's duration (the world-model object
 /// is gone/moved, so the planner releases the brake) while the target keeps
 /// its current kinematics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KinematicOracle {
     /// Assumed EV acceleration while blinded (m/s²).
     pub ev_accel: f64,
@@ -170,7 +169,7 @@ impl SafetyOracle for KinematicOracle {
 }
 
 /// Safety hijacker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyHijackerConfig {
     /// Crash-level safety potential `γ` (m): the attack length is the
     /// minimal `k` whose predicted `δ_{t+k} ≤ γ`. The paper uses 4 m.
@@ -203,7 +202,7 @@ impl Default for SafetyHijackerConfig {
 }
 
 /// The decision the safety hijacker returns when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackDecision {
     /// Number of frames to perturb.
     pub k: u32,

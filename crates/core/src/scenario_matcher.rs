@@ -9,10 +9,9 @@
 
 use crate::vector::AttackVector;
 use av_simkit::actor::ActorKind;
-use serde::{Deserialize, Serialize};
 
 /// Lateral trajectory of the target object relative to the EV lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrajectoryClass {
     /// Moving toward the EV lane center.
     MovingIn,
@@ -45,7 +44,7 @@ impl TrajectoryClass {
 }
 
 /// The Table I rule map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioMatcher {
     /// Minimum |lateral velocity| (m/s) considered deliberate motion when
     /// classifying trajectories.

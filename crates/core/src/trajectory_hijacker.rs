@@ -31,10 +31,9 @@ use av_sensing::bbox::BBox;
 use av_sensing::camera::Camera;
 use av_sensing::frame::CameraFrame;
 use av_simkit::actor::{ActorId, ActorKind};
-use serde::{Deserialize, Serialize};
 
 /// Trajectory hijacker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThConfig {
     /// Camera intrinsics (for ground↔image conversion).
     pub camera: Camera,

@@ -1,9 +1,7 @@
 //! Attack vectors (§III-C).
 
-use serde::{Deserialize, Serialize};
-
 /// The three ways RoboTack hijacks a perceived trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackVector {
     /// Fool the EV into believing the target object is moving out of the EV
     /// lane (or staying out while actually moving in) → the EV accelerates

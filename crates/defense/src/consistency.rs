@@ -7,11 +7,10 @@
 //! disagreement into an alarm when it *persists*).
 
 use av_simkit::math::Vec2;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Consistency monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyConfig {
     /// Camera–LiDAR distance beyond which the pair counts as divergent (m).
     pub divergence_gate: f64,

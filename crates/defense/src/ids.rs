@@ -17,10 +17,9 @@ use av_perception::types::{Detection, Support, WorldObject};
 use av_sensing::lidar::LidarScan;
 use av_simkit::actor::ActorKind;
 use av_simkit::math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Which monitor raised an alarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlarmKind {
     /// Biased innovation sequence (step-like tampering). Note: a hijack
     /// that *walks* the box at constant velocity is kinematically
@@ -58,7 +57,7 @@ impl AlarmKind {
 }
 
 /// One IDS alarm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alarm {
     /// Time raised (s).
     pub t: f64,
@@ -67,7 +66,7 @@ pub struct Alarm {
 }
 
 /// IDS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdsConfig {
     /// Innovation CUSUM parameters.
     pub cusum: CusumConfig,

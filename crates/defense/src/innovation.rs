@@ -7,11 +7,10 @@
 //! each step hides inside ±1σ, but the cumulative sum drifts. A two-sided
 //! CUSUM with drift `k` and threshold `h` detects exactly that.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// CUSUM parameters (in units of σ).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CusumConfig {
     /// Allowance/drift term subtracted each step (σ).
     pub drift: f64,

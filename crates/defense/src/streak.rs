@@ -9,11 +9,10 @@
 
 use av_perception::calibration::DetectorCalibration;
 use av_simkit::actor::ActorKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Streak monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreakConfig {
     /// Multiplier on the calibrated p99 before alarming (1.0 = exactly p99).
     pub envelope_factor: f64,

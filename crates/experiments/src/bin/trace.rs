@@ -35,8 +35,12 @@ fn parse_scenario(s: &str) -> Option<ScenarioId> {
     }
 }
 
+/// The `trace` flags, for the usage line.
+const USAGE: &str = "[--scenario ds1..ds5] [--seed N] [--golden] [--out FILE]";
+
 /// Parses the `trace` flags out of `argv` (program name excluded). A
-/// missing or unparseable value is an [`ArgError`]; unknown flags warn.
+/// missing or unparseable value, or an argument no flag takes, is an
+/// [`ArgError`].
 fn parse_args(argv: &[String]) -> Result<TraceArgs, ArgError> {
     let mut args = TraceArgs {
         scenario: ScenarioId::Ds2,
@@ -58,7 +62,7 @@ fn parse_args(argv: &[String]) -> Result<TraceArgs, ArgError> {
             "--seed" => args.seed = parsed(&mut iter, "--seed", "a non-negative integer")?,
             "--out" => args.out = Some(value(&mut iter, "--out")?.to_string()),
             "--golden" => args.golden = true,
-            other => eprintln!("ignoring unknown argument {other:?}"),
+            other => return Err(ArgError::unknown(other, USAGE)),
         }
     }
     Ok(args)
@@ -154,6 +158,10 @@ mod tests {
                 value: "7x".into(),
                 expected: "a non-negative integer",
             })
+        );
+        assert_eq!(
+            parse_args(&argv(&["--golden", "--seeds", "7"])),
+            Err(ArgError::unknown("--seeds", USAGE))
         );
         assert_eq!(
             parse_args(&argv(&["--scenario", "ds9"])),

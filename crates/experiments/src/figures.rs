@@ -28,26 +28,21 @@
 //! `RTFG`, [`FIGURE_CODE_VERSION`], the address echo, then an FNV-1a
 //! trailer of everything before it), floats stored by bit pattern. Any
 //! mismatch is a miss: the fold is computed again and written back.
-//! Lookups count in the caller's [`OracleCache`] view as figure hits and
-//! misses, and never go through the store's in-flight claims. A disabled
+//! Lookups count in the caller's [`OracleCache`] view as [`Kind::Figure`]
+//! lookups, and never go through the store's in-flight claims. A disabled
 //! store computes every time and counts nothing.
+//!
+//! [`FIGURE_CODE_VERSION`]: crate::memo::FIGURE_CODE_VERSION
 
 use crate::characterize::{characterize_detector, ErrorFold, Fig5Fold, StreakFold, STREAK_BINS};
-use crate::codec::{Frame, Reader, Writer};
-use crate::memo::FIGURE_CODE_VERSION;
+use crate::codec::{Kind, Reader, Stored, Writer};
 use crate::oracle_cache::OracleCache;
 use crate::stats::ExponentialFit;
 use av_suite::fnv::Fnv1a;
 use robotack::safety_hijacker::AttackFeatures;
 
 /// Artifact-store namespace of figure folds.
-pub const NS_FIGURE: &str = "figure";
-
-/// Figure entries: "RoboTack FiGure", versioned by [`FIGURE_CODE_VERSION`].
-const FIGURE_FRAME: Frame = Frame {
-    magic: *b"RTFG",
-    version: FIGURE_CODE_VERSION,
-};
+pub const NS_FIGURE: &str = Kind::Figure.namespace();
 
 /// One fig8(b) run that launched.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,11 +79,11 @@ pub(crate) fn fig8b(
 }
 
 /// The address of a `figure` entry keyed by `words`: an FNV-1a digest of
-/// the entry magic, [`FIGURE_CODE_VERSION`], the figure name and the words.
+/// the entry magic, the kind's code version, the figure name and the words.
 fn address(figure: &str, words: &[u64]) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(&FIGURE_FRAME.magic);
-    h.write_u64(u64::from(FIGURE_CODE_VERSION));
+    h.write(&Kind::Figure.magic());
+    h.write_u64(u64::from(Kind::Figure.code_version()));
     h.write_str(figure);
     h.write_u64(words.len() as u64);
     for &word in words {
@@ -99,46 +94,24 @@ fn address(figure: &str, words: &[u64]) -> u64 {
 
 /// The fold stored at `address`, or `compute`d and stored; one counted
 /// lookup in `cache`.
-fn stored<T: Figure>(cache: &OracleCache, address: u64, compute: impl FnOnce() -> T) -> T {
+fn stored<T: Stored>(cache: &OracleCache, address: u64, compute: impl FnOnce() -> T) -> T {
     if !cache.is_enabled() {
         return compute();
     }
-    let found = cache.fetch(NS_FIGURE, address, |bytes| decode(address, bytes));
-    cache.count_figure(found.is_some());
-    found.unwrap_or_else(|| {
+    cache.get(address).unwrap_or_else(|| {
         let value = compute();
-        cache
-            .artifact_store()
-            .put(NS_FIGURE, address, &encode(address, &value));
+        cache.put(address, &value);
         value
     })
-}
-
-/// A fold the store keeps: its body, as little-endian words.
-trait Figure: Sized {
-    fn write(&self, w: &mut Writer);
-    /// `None` on anything the writer would not have produced.
-    fn read(r: &mut Reader<'_>) -> Option<Self>;
-}
-
-fn encode<T: Figure>(address: u64, value: &T) -> Vec<u8> {
-    let mut w = FIGURE_FRAME.writer(address, 0);
-    value.write(&mut w);
-    w.seal()
-}
-
-fn decode<T: Figure>(address: u64, bytes: &[u8]) -> Option<T> {
-    let mut r = FIGURE_FRAME.open_sealed(address, bytes)?;
-    let value = T::read(&mut r)?;
-    r.end()?;
-    Some(value)
 }
 
 /// Bits of a [`Fig5Fold`]'s presence flags: one per streak class, then one
 /// per error series. Every other bit is reserved and must be clear.
 const FIG5_FITS: u32 = 2 + 4;
 
-impl Figure for Fig5Fold {
+impl Stored for Fig5Fold {
+    const KIND: Kind = Kind::Figure;
+
     /// The frame count, the presence flags, then each present fit in
     /// order: a streak class as loc, λ, p99, n and its bin counts, an error
     /// series as µ, σ, n.
@@ -221,7 +194,9 @@ impl Figure for Fig5Fold {
 /// Bytes of one [`Fig8bRun`] record: k, four features, the realized δ.
 const FIG8B_RUN_BYTES: usize = 4 + 5 * 8;
 
-impl Figure for Vec<Fig8bRun> {
+impl Stored for Vec<Fig8bRun> {
+    const KIND: Kind = Kind::Figure;
+
     /// The run count, then per run k, the features (δ, v_rel_lon,
     /// v_rel_lat, a_rel_lon) and the realized δ.
     fn write(&self, w: &mut Writer) {
@@ -260,8 +235,9 @@ impl Figure for Vec<Fig8bRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::DIGEST_BYTES;
+    use crate::codec::{decode, encode, DIGEST_BYTES};
     use crate::horizon::Horizon;
+    use crate::memo::FIGURE_CODE_VERSION;
     use av_suite::fnv::fnv1a;
     use std::sync::OnceLock;
 
@@ -361,7 +337,10 @@ mod tests {
         let bytes = encode(9, &edge_runs());
         let back: Vec<Fig8bRun> = decode(9, &bytes).expect("round trip");
         assert_eq!(encode(9, &back), bytes);
-        assert_eq!(decode(9, &encode(9, &Vec::<Fig8bRun>::new())), Some(vec![]));
+        assert_eq!(
+            decode(9, &encode(9, &Vec::<Fig8bRun>::new())),
+            Some(Vec::<Fig8bRun>::new())
+        );
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! - [`oracle_cache`]: views over a content-addressed artifact store of
 //!   trained oracles *and* collected sweep datasets, so the suite binaries
 //!   collect and train each 〈scenario, vector〉 arm once instead of once
-//!   per figure.
+//!   per figure; every kind of stored entry is read and counted through
+//!   them.
 //! - [`memo`]: the campaign memo — each distinct campaign (scenario,
 //!   attacker with its oracle by content, fault plan, base seed) simulated
 //!   once per artifact store and shared, folded to [`RunSummary`]s, by

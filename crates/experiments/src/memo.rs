@@ -29,10 +29,10 @@
 //!   the slot. A later execution — or a standalone binary over the same
 //!   store — reads the campaigns an earlier one simulated.
 //!
-//! Store lookups count in the caller's [`OracleCache`] view: a hit when
-//! the stored entry held every run asked for, a miss otherwise. That is
-//! what puts campaigns in the per-job scorecards and the suite's `totals`
-//! line. Campaigns never go through the store's in-flight claims. A
+//! Store lookups count in the caller's [`OracleCache`] view as
+//! [`Kind::Campaign`] lookups: a hit when the stored entry held every run
+//! asked for, a miss otherwise. That is what puts campaigns in the per-job
+//! scorecards and the suite's `totals` line. Campaigns never go through the store's in-flight claims. A
 //! disabled store (`--no-cache`) leaves the memo working alone, and
 //! campaigns that collect metrics bypass both tiers, since their timing is
 //! the point.
@@ -63,7 +63,7 @@ use crate::campaign::{
     run_campaign_summary, AlarmCounts, Campaign, CampaignError, CampaignSummary, DispatchMode,
     RunSummary,
 };
-use crate::codec::Frame;
+use crate::codec::{Kind, Reader, Stored, Writer};
 use crate::oracle_cache::{network_digest, OracleCache};
 use crate::runner::{AttackerSpec, OracleSpec, RunConfig};
 use av_defense::ids::AlarmKind;
@@ -75,40 +75,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Version of the campaign semantics: everything between a [`Campaign`]
-/// and its folded [`RunSummary`]s (the simulator, sensing, fault
-/// injection, perception, planning, the attacker and its oracle queries,
-/// [`RunSummary::of`]) and the entry encoding. Bump it whenever a change
-/// can move a folded run or the entry bytes, so stale `.campaign` entries
-/// miss instead of resurrecting runs the current code would not produce.
-/// The same rule holds for [`crate::oracle_cache::DATASET_CODE_VERSION`]
-/// and [`crate::search::SEARCH_CODE_VERSION`]; a simulator change usually
-/// bumps all three. A unit test pins this version together with the
-/// entries of seven small fixed campaigns, one per campaign shape the
-/// reports run (kinematic and NN-oracle RoboTack, "R w/o SH", the random
-/// baseline, a fault plan, an alarm-raising naive attacker, a changed ADS
-/// configuration).
-pub const CAMPAIGN_CODE_VERSION: u32 = 2;
-
-/// Version of the stored figure folds ([`crate::figures`]): the Fig. 5
-/// detector characterization (the detector calibration, the camera, the
-/// characterization scene, the fold) and fig8(b)'s simulated runs (the
-/// simulator, fig8(b)'s scenario, δ0 and attack), and the entry encoding.
-/// Bump it whenever a change can move either fold or the entry bytes —
-/// a change that bumps [`CAMPAIGN_CODE_VERSION`] usually moves fig8(b)'s
-/// runs too — so stale `.figure` entries miss. A unit test pins it
-/// together with a small Fig. 5 entry and the `--quick` fig8(b) entry.
-pub const FIGURE_CODE_VERSION: u32 = 1;
+pub use crate::codec::{CAMPAIGN_CODE_VERSION, FIGURE_CODE_VERSION};
 
 /// Artifact-store namespace of folded campaign entries.
-pub const NS_CAMPAIGN: &str = "campaign";
-
-/// Campaign entries: "RoboTack CamPaign", versioned by
-/// [`CAMPAIGN_CODE_VERSION`].
-const CAMPAIGN_FRAME: Frame = Frame {
-    magic: *b"RTCP",
-    version: CAMPAIGN_CODE_VERSION,
-};
+pub const NS_CAMPAIGN: &str = Kind::Campaign.namespace();
 
 /// What determines a campaign's runs, bit for bit, apart from how many of
 /// them are asked for.
@@ -154,8 +124,8 @@ impl CampaignKey {
     /// digest, the template rendering and the base seed.
     pub fn address(&self) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(&CAMPAIGN_FRAME.magic);
-        h.write_u64(u64::from(CAMPAIGN_CODE_VERSION));
+        h.write(&Kind::Campaign.magic());
+        h.write_u64(u64::from(Kind::Campaign.code_version()));
         h.write_str(self.scenario.name());
         if let Some(gen_hash) = self.scenario.gen_hash() {
             h.write_u64(gen_hash);
@@ -229,9 +199,9 @@ impl CampaignMemo {
     /// The folded runs of `campaign` on `threads` workers under `mode`:
     /// bit-identical to [`run_campaign_summary`], simulating only the runs
     /// that neither an earlier request to this memo nor the store behind
-    /// `store` already holds. Store lookups count in `store`'s campaign
-    /// hit/miss counters. Campaigns that collect metrics are simulated
-    /// directly, since their timing is the point.
+    /// `store` already holds. Store lookups count in `store`'s
+    /// [`Kind::Campaign`] lookups. Campaigns that collect metrics are
+    /// simulated directly, since their timing is the point.
     ///
     /// # Errors
     ///
@@ -290,8 +260,7 @@ impl CampaignMemo {
         // were all stored before, so they stand and the rest is redone.
         let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if (held.len() as u64) < wanted && store.is_enabled() {
-            let stored = store.fetch(NS_CAMPAIGN, address, |bytes| decode(address, bytes));
-            store.count_campaign(stored.as_ref().is_some_and(|s| s.len() as u64 >= wanted));
+            let stored = store.get_where(address, |s: &Vec<RunSummary>| s.len() as u64 >= wanted);
             if let Some(stored) = stored.filter(|s| s.len() > held.len()) {
                 *held = stored;
             }
@@ -307,12 +276,10 @@ impl CampaignMemo {
             // meanwhile; a shorter one never replaces it.
             if store.is_enabled()
                 && store
-                    .fetch(NS_CAMPAIGN, address, |bytes| decode(address, bytes))
+                    .fetch::<Vec<RunSummary>>(address)
                     .is_none_or(|stored| stored.len() < held.len())
             {
-                store
-                    .artifact_store()
-                    .put(NS_CAMPAIGN, address, &encode(address, &held));
+                store.put(address, &*held);
             }
         }
         let wanted = usize::try_from(wanted).expect("run count fits usize");
@@ -352,97 +319,97 @@ const HAS_K_PRIME_ADS: u32 = 1 << 6;
 const HAS_REPLICA_DIVERGENCE: u32 = 1 << 7;
 const KNOWN_FLAGS: u32 = (1 << 8) - 1;
 
-/// Serializes the runs of the campaign at `address` (little-endian; an
-/// absent optional field is a clear flag bit and a zero value).
-fn encode(address: u64, runs: &[RunSummary]) -> Vec<u8> {
-    let mut w = CAMPAIGN_FRAME.writer(address, 8 + RECORD_BYTES * runs.len());
-    w.u64(runs.len() as u64);
-    for run in runs {
-        let flag = |set: bool, bit: u32| if set { bit } else { 0 };
-        let flags = flag(run.launched, LAUNCHED)
-            | flag(run.eb, EB)
-            | flag(run.accident, ACCIDENT)
-            | flag(run.predicted_delta.is_some(), HAS_PREDICTED_DELTA)
-            | flag(
-                run.min_delta_post_attack.is_some(),
-                HAS_MIN_DELTA_POST_ATTACK,
-            )
-            | flag(
-                run.min_delta_attack_window.is_some(),
-                HAS_MIN_DELTA_ATTACK_WINDOW,
-            )
-            | flag(run.k_prime_ads.is_some(), HAS_K_PRIME_ADS)
-            | flag(run.replica_divergence.is_some(), HAS_REPLICA_DIVERGENCE);
-        w.u32(flags);
-        w.u32(run.k);
-        w.u32(run.k_prime_ads.unwrap_or(0));
-        for value in [
-            run.predicted_delta,
-            run.min_delta_post_attack,
-            run.min_delta_attack_window,
-            run.replica_divergence,
-        ] {
-            w.u64(value.map_or(0, f64::to_bits));
-        }
-        w.u64(run.frames_lost);
-        w.u64(run.stale_frames);
-        for n in run.alarms.0.into_iter().chain(run.alarms_in_attack.0) {
-            w.u32(n);
-        }
-    }
-    w.seal()
-}
+impl Stored for Vec<RunSummary> {
+    const KIND: Kind = Kind::Campaign;
 
-/// Deserializes the entry stored at `address`; `None` on any mismatch.
-fn decode(address: u64, bytes: &[u8]) -> Option<Vec<RunSummary>> {
-    let mut r = CAMPAIGN_FRAME.open_sealed(address, bytes)?;
-    let count = usize::try_from(r.u64()?).ok()?;
-    // The declared count must account for exactly the bytes that follow,
-    // checked before anything is allocated for it.
-    if count.checked_mul(RECORD_BYTES) != Some(r.remaining()) {
-        return None;
+    /// The run count, then one record per run (an absent optional field is
+    /// a clear flag bit and a zero value).
+    fn write(&self, w: &mut Writer) {
+        w.u64(self.len() as u64);
+        for run in self {
+            let flag = |set: bool, bit: u32| if set { bit } else { 0 };
+            let flags = flag(run.launched, LAUNCHED)
+                | flag(run.eb, EB)
+                | flag(run.accident, ACCIDENT)
+                | flag(run.predicted_delta.is_some(), HAS_PREDICTED_DELTA)
+                | flag(
+                    run.min_delta_post_attack.is_some(),
+                    HAS_MIN_DELTA_POST_ATTACK,
+                )
+                | flag(
+                    run.min_delta_attack_window.is_some(),
+                    HAS_MIN_DELTA_ATTACK_WINDOW,
+                )
+                | flag(run.k_prime_ads.is_some(), HAS_K_PRIME_ADS)
+                | flag(run.replica_divergence.is_some(), HAS_REPLICA_DIVERGENCE);
+            w.u32(flags);
+            w.u32(run.k);
+            w.u32(run.k_prime_ads.unwrap_or(0));
+            for value in [
+                run.predicted_delta,
+                run.min_delta_post_attack,
+                run.min_delta_attack_window,
+                run.replica_divergence,
+            ] {
+                w.u64(value.map_or(0, f64::to_bits));
+            }
+            w.u64(run.frames_lost);
+            w.u64(run.stale_frames);
+            for n in run.alarms.0.into_iter().chain(run.alarms_in_attack.0) {
+                w.u32(n);
+            }
+        }
     }
-    let mut runs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let flags = r.u32()?;
-        if flags & !KNOWN_FLAGS != 0 {
+
+    fn read(r: &mut Reader<'_>) -> Option<Vec<RunSummary>> {
+        let count = usize::try_from(r.u64()?).ok()?;
+        // The declared count must account for exactly the bytes that
+        // follow, checked before anything is allocated for it.
+        if count.checked_mul(RECORD_BYTES) != Some(r.remaining()) {
             return None;
         }
-        let k = r.u32()?;
-        let k_prime_ads = optional(flags, HAS_K_PRIME_ADS, r.u32()?)?;
-        let mut float = |bit| optional(flags, bit, r.u64()?).map(|v| v.map(f64::from_bits));
-        let predicted_delta = float(HAS_PREDICTED_DELTA)?;
-        let min_delta_post_attack = float(HAS_MIN_DELTA_POST_ATTACK)?;
-        let min_delta_attack_window = float(HAS_MIN_DELTA_ATTACK_WINDOW)?;
-        let replica_divergence = float(HAS_REPLICA_DIVERGENCE)?;
-        let frames_lost = r.u64()?;
-        let stale_frames = r.u64()?;
-        let mut counts = || -> Option<AlarmCounts> {
-            let mut counts = AlarmCounts::default();
-            for n in &mut counts.0 {
-                *n = r.u32()?;
+        let mut runs = Vec::with_capacity(count);
+        for _ in 0..count {
+            let flags = r.u32()?;
+            if flags & !KNOWN_FLAGS != 0 {
+                return None;
             }
-            Some(counts)
-        };
-        let alarms = counts()?;
-        let alarms_in_attack = counts()?;
-        runs.push(RunSummary {
-            launched: flags & LAUNCHED != 0,
-            k,
-            predicted_delta,
-            eb: flags & EB != 0,
-            accident: flags & ACCIDENT != 0,
-            min_delta_post_attack,
-            min_delta_attack_window,
-            k_prime_ads,
-            replica_divergence,
-            frames_lost,
-            stale_frames,
-            alarms,
-            alarms_in_attack,
-        });
+            let k = r.u32()?;
+            let k_prime_ads = optional(flags, HAS_K_PRIME_ADS, r.u32()?)?;
+            let mut float = |bit| optional(flags, bit, r.u64()?).map(|v| v.map(f64::from_bits));
+            let predicted_delta = float(HAS_PREDICTED_DELTA)?;
+            let min_delta_post_attack = float(HAS_MIN_DELTA_POST_ATTACK)?;
+            let min_delta_attack_window = float(HAS_MIN_DELTA_ATTACK_WINDOW)?;
+            let replica_divergence = float(HAS_REPLICA_DIVERGENCE)?;
+            let frames_lost = r.u64()?;
+            let stale_frames = r.u64()?;
+            let mut counts = || -> Option<AlarmCounts> {
+                let mut counts = AlarmCounts::default();
+                for n in &mut counts.0 {
+                    *n = r.u32()?;
+                }
+                Some(counts)
+            };
+            let alarms = counts()?;
+            let alarms_in_attack = counts()?;
+            runs.push(RunSummary {
+                launched: flags & LAUNCHED != 0,
+                k,
+                predicted_delta,
+                eb: flags & EB != 0,
+                accident: flags & ACCIDENT != 0,
+                min_delta_post_attack,
+                min_delta_attack_window,
+                k_prime_ads,
+                replica_divergence,
+                frames_lost,
+                stale_frames,
+                alarms,
+                alarms_in_attack,
+            });
+        }
+        Some(runs)
     }
-    Some(runs)
 }
 
 /// The optional field behind flag `bit`: `Some(Some(value))` when `flags`
@@ -462,7 +429,7 @@ fn optional<T: PartialEq + Default>(flags: u32, bit: u32, value: T) -> Option<Op
 mod tests {
     use super::*;
     use crate::campaign::run_campaign_dispatch;
-    use crate::codec::{DIGEST_BYTES, HEADER_BYTES as FRAME_BYTES};
+    use crate::codec::{decode, encode, DIGEST_BYTES, HEADER_BYTES as FRAME_BYTES};
     use av_faults::{FaultKind, FaultPlan, FaultSpec};
     use av_neural::mlp::Mlp;
     use av_neural::train::Normalizer;
@@ -472,6 +439,9 @@ mod tests {
 
     /// Bytes before the first record: the frame header, then the run count.
     const HEADER_BYTES: usize = FRAME_BYTES + 8;
+
+    /// A campaign entry's value.
+    type Runs = Vec<RunSummary>;
 
     impl CampaignMemo {
         /// [`CampaignMemo::run`] over a disabled store: the memo alone.
@@ -672,7 +642,7 @@ mod tests {
     /// Encoded bytes, compared by bit pattern (`RunSummary`'s `==` is
     /// false on NaN).
     fn bits(runs: &[RunSummary]) -> Vec<u8> {
-        encode(0, runs)
+        encode(0, &runs.to_vec())
     }
 
     #[test]
@@ -680,43 +650,49 @@ mod tests {
         let runs = edge_runs();
         let bytes = encode(42, &runs);
         assert_eq!(bytes.len(), HEADER_BYTES + 3 * RECORD_BYTES + DIGEST_BYTES);
-        let back = decode(42, &bytes).expect("round trip");
+        let back = decode::<Runs>(42, &bytes).expect("round trip");
         assert_eq!(bits(&back), bits(&runs));
         assert_eq!(back[0].min_delta_attack_window, Some(f64::INFINITY));
         assert!(back[0].predicted_delta.unwrap().is_sign_negative());
-        assert_eq!(decode(42, &encode(42, &[])), Some(Vec::new()));
+        assert_eq!(
+            decode::<Runs>(42, &encode(42, &Runs::new())),
+            Some(Vec::new())
+        );
     }
 
     #[test]
     fn entries_cut_at_any_length_miss() {
         let (address, bytes) = real_entry();
-        assert!(decode(*address, bytes).is_some());
+        assert!(decode::<Runs>(*address, bytes).is_some());
         for cut in 0..bytes.len() {
-            assert!(decode(*address, &bytes[..cut]).is_none(), "cut at {cut}");
+            assert!(
+                decode::<Runs>(*address, &bytes[..cut]).is_none(),
+                "cut at {cut}"
+            );
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode(*address, &padded).is_none(), "trailing byte");
+        assert!(decode::<Runs>(*address, &padded).is_none(), "trailing byte");
     }
 
     #[test]
     fn wrong_magic_version_echo_or_digest_miss() {
         let (address, bytes) = real_entry();
-        assert!(decode(address ^ 1, bytes).is_none(), "address echo");
+        assert!(decode::<Runs>(address ^ 1, bytes).is_none(), "address echo");
         for (at, what) in [(0, "magic"), (4, "version"), (8, "address echo")] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;
             reseal(&mut bad);
-            assert!(decode(*address, &bad).is_none(), "{what}");
+            assert!(decode::<Runs>(*address, &bad).is_none(), "{what}");
         }
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x80;
-        assert!(decode(*address, &bad).is_none(), "digest");
+        assert!(decode::<Runs>(*address, &bad).is_none(), "digest");
         let mut flipped = bytes.clone();
         flipped[HEADER_BYTES + 20] ^= 0x01;
         assert!(
-            decode(*address, &flipped).is_none(),
+            decode::<Runs>(*address, &flipped).is_none(),
             "a flipped float bit fails the digest instead of decoding to another run"
         );
     }
@@ -728,7 +704,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[16..24].copy_from_slice(&n.to_le_bytes());
             reseal(&mut bad);
-            decode(*address, &bad)
+            decode::<Runs>(*address, &bad)
         };
         assert!(count(3).is_some(), "the real count");
         for n in [4, 2, 0, u64::MAX / RECORD_BYTES as u64 + 1, u64::MAX] {
@@ -746,11 +722,14 @@ mod tests {
             let mut bad = bytes.clone();
             bad[record(1, bit / 8)] |= 1 << (bit % 8);
             reseal(&mut bad);
-            assert!(decode(*address, &bad).is_none(), "reserved bit {bit}");
+            assert!(
+                decode::<Runs>(*address, &bad).is_none(),
+                "reserved bit {bit}"
+            );
         }
         // A value stored for an absent field: clear every presence bit of
         // a record that has some, leaving their values in place.
-        let runs = decode(*address, bytes).expect("real entry");
+        let runs = decode::<Runs>(*address, bytes).expect("real entry");
         let i = runs
             .iter()
             .position(|r| r.min_delta_post_attack.is_some())
@@ -758,7 +737,10 @@ mod tests {
         let mut bad = bytes.clone();
         bad[record(i, 0)] &= !(HAS_MIN_DELTA_POST_ATTACK as u8);
         reseal(&mut bad);
-        assert!(decode(*address, &bad).is_none(), "value under a clear flag");
+        assert!(
+            decode::<Runs>(*address, &bad).is_none(),
+            "value under a clear flag"
+        );
     }
 
     proptest::proptest! {
@@ -776,7 +758,7 @@ mod tests {
             }
             let decoded = crate::codec::fuzz::check(
                 &bytes,
-                |b| decode(*address, b),
+                |b| decode::<Runs>(*address, b),
                 |runs| encode(*address, runs),
             )?;
             // Unsealed, only the original passes the digest.
@@ -793,7 +775,7 @@ mod tests {
         let campaigns = pinned_campaigns();
         let runs: Vec<Vec<RunSummary>> = pinned_entries()
             .iter()
-            .map(|(address, bytes)| decode(*address, bytes).expect("real entry"))
+            .map(|(address, bytes)| decode::<Runs>(*address, bytes).expect("real entry"))
             .collect();
         let launched = |runs: &[RunSummary]| runs.iter().any(|r| r.launched);
         assert!(
@@ -878,7 +860,7 @@ mod tests {
             .unwrap();
         assert_eq!(first.simulated_runs(), 3);
         assert_eq!(
-            (cold.campaign_hits(), cold.campaign_misses()),
+            cold.lookups(Kind::Campaign),
             (0, 2),
             "each extension read the store first; the prefix did not"
         );
@@ -915,7 +897,7 @@ mod tests {
         )))
         .expect("entry written");
         assert_eq!(
-            decode(CampaignKey::of(&nosh(1, 40)).address(), &stored),
+            decode::<Runs>(CampaignKey::of(&nosh(1, 40)).address(), &stored),
             Some(direct.runs)
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -943,7 +925,7 @@ mod tests {
             direct[start as usize..(start + count) as usize].to_vec()
         });
         assert_eq!(runs, direct[..2]);
-        let stored = short_view.fetch(NS_CAMPAIGN, address, |b| decode(address, b));
+        let stored = short_view.fetch::<Runs>(address);
         assert_eq!(stored, Some(direct), "the longer entry stands");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -976,7 +958,7 @@ mod tests {
             });
             let view = OracleCache::over(store.clone());
             let stored = view
-                .fetch(NS_CAMPAIGN, address, |b| decode(address, b))
+                .fetch::<Runs>(address)
                 .expect("a whole entry, never a mix of both writers");
             assert_eq!(stored, direct[..stored.len()]);
         }

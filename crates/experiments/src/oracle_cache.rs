@@ -1,5 +1,6 @@
 //! Content-addressed caching of trained safety-hijacker oracles and the
-//! sweep datasets they are trained on.
+//! sweep datasets they are trained on, and the per-consumer views every
+//! stored kind is read through.
 //!
 //! Training one oracle means running a full δ_inject × k × seed sweep
 //! (~715 simulations) and 300 Adam epochs — and `table2`, `fig6`–`fig8` and
@@ -7,10 +8,9 @@
 //! scratch. This module makes that work content-addressed over a shared
 //! [`ArtifactStore`]: the cache key is a digest of everything that
 //! determines the result bit-for-bit (scenario, vector, the full
-//! [`SweepConfig`], and a code-version constant bumped whenever
-//! collection/training semantics change), so a warm cache returns the exact
-//! oracle a fresh training run would produce. Two namespaces live in the
-//! store:
+//! [`SweepConfig`], and [`DATASET_CODE_VERSION`]), so a warm cache returns
+//! the exact oracle a fresh training run would produce. Two of the store's
+//! kinds live here:
 //!
 //! - `oracle` — trained-oracle snapshots (file-compatible with the cache
 //!   directories this module wrote before the artifact store existed);
@@ -18,15 +18,16 @@
 //!   skips its ~715 simulations when another consumer already collected
 //!   the identical sweep.
 //!
-//! Three more namespaces read through the same views: `search-eval`
-//! (candidate evaluation summaries, [`crate::search`]), `campaign`
-//! (folded report campaigns, [`crate::memo`]) and `figure` (the Fig. 5
-//! and Fig. 8(b) folds, [`crate::figures`]).
-//!
-//! An [`OracleCache`] is a cheap *view* over the store with its own
-//! hit/miss counters: the suite orchestrator gives every job a private
-//! view over one shared store, which is how the per-job scorecards in the
-//! run summary stay exact.
+//! An [`OracleCache`] is a cheap *view* over the store, and every kind of
+//! the [`Kind`] table goes through it: `search-eval` ([`crate::search`]),
+//! `campaign` ([`crate::memo`]) and `figure` ([`crate::figures`]) as well.
+//! It has three operations, generic over the [`Stored`] value: a counted
+//! `get`, [`OracleCache::put`], and one claim/coalesce loop
+//! (`get_or_compute`) that the dataset and oracle lookups share. Each view
+//! keeps one hit/miss counter pair per kind ([`OracleCache::lookups`]): the
+//! suite orchestrator gives every job a private view over one shared
+//! store, which is how the per-job scorecards in the run summary stay
+//! exact.
 //!
 //! Within one suite execution the views share an [`OracleMemo`] (a value
 //! of the execution's [`av_suite::ExecScope`], like the campaign memo):
@@ -42,7 +43,7 @@
 //! mismatch — magic, version, key echo, shape, parameter count — is a
 //! miss, never a panic.
 
-use crate::codec::Frame;
+use crate::codec::{decode, encode, Reader, Writer};
 use crate::tally::{self, Work};
 use crate::train_sh::{collect_dataset, train_oracle_on, SweepConfig, TrainedOracle};
 use av_neural::infer::InferenceMlp;
@@ -59,31 +60,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Version of the dataset-collection + training code path. Bump this when
-/// [`crate::train_sh`] changes semantics (sweep seeding, labeling, split,
-/// architecture, optimizer), so stale snapshots miss instead of resurrecting
-/// an oracle the current code would no longer produce. A simulator change
-/// that moves collected runs usually moves report campaigns too: bump
-/// [`crate::memo::CAMPAIGN_CODE_VERSION`] with it.
-pub const DATASET_CODE_VERSION: u32 = 1;
-
-/// Oracle snapshots: "RoboTack Oracle Cache", format version 1.
-const ORACLE_FRAME: Frame = Frame {
-    magic: *b"RTOC",
-    version: 1,
-};
-
-/// Dataset snapshots: "RoboTack DataSet", format version 1.
-const DATASET_FRAME: Frame = Frame {
-    magic: *b"RTDS",
-    version: 1,
-};
+pub use crate::codec::{Kind, Stored, DATASET_CODE_VERSION};
 
 /// Artifact-store namespace of trained-oracle snapshots.
-pub const NS_ORACLE: &str = "oracle";
+pub const NS_ORACLE: &str = Kind::Oracle.namespace();
 
 /// Artifact-store namespace of collected sweep datasets.
-pub const NS_DATASET: &str = "dataset";
+pub const NS_DATASET: &str = Kind::Dataset.namespace();
 
 /// The content address of one trained oracle (and of the sweep dataset it
 /// is trained on): a digest of every input that determines the result
@@ -94,7 +77,7 @@ pub const NS_DATASET: &str = "dataset";
 /// kernel smoke job diffs.
 pub fn cache_key(scenario: ScenarioId, vector: AttackVector, sweep: &SweepConfig) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(u64::from(DATASET_CODE_VERSION));
+    h.write_u64(u64::from(Kind::Oracle.code_version()));
     // Generated scenarios fold their content hash after the shared "GEN"
     // name, so every spec gets its own address; the fixed DS-1..5 keys
     // write exactly the bytes they always did (pinned by regression test).
@@ -125,13 +108,13 @@ pub fn oracle_digest(oracle: &TrainedOracle) -> u64 {
 
 /// Content digest of a collected dataset, by bit pattern.
 pub fn dataset_digest(data: &Dataset) -> u64 {
-    fnv1a(&encode_dataset(0, data))
+    fnv1a(&encode(0, data))
 }
 
 /// A per-consumer view over a shared, content-addressed [`ArtifactStore`]
-/// of [`TrainedOracle`] snapshots and sweep [`Dataset`]s.
+/// of every [`Kind`] of entry.
 ///
-/// All I/O is best-effort: an unreadable or corrupt snapshot is a cache
+/// All I/O is best-effort: an unreadable or corrupt entry is a cache
 /// miss, and a failed store is silently skipped (the freshly computed
 /// value is still returned). Hit/miss counters are per-view; the
 /// underlying store can be shared across many views (one per suite job).
@@ -139,14 +122,8 @@ pub fn dataset_digest(data: &Dataset) -> u64 {
 pub struct OracleCache {
     artifacts: Arc<ArtifactStore>,
     telemetry: Telemetry,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    dataset_hits: AtomicU64,
-    dataset_misses: AtomicU64,
-    campaign_hits: AtomicU64,
-    campaign_misses: AtomicU64,
-    figure_hits: AtomicU64,
-    figure_misses: AtomicU64,
+    /// ⟨hits, misses⟩ per kind, in [`Kind`] order.
+    lookups: [[AtomicU64; 2]; Kind::COUNT],
     read_errors: AtomicU64,
     oracles: Option<Arc<OracleMemo>>,
 }
@@ -174,14 +151,7 @@ impl OracleCache {
         OracleCache {
             artifacts,
             telemetry: Telemetry::disabled(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            dataset_hits: AtomicU64::new(0),
-            dataset_misses: AtomicU64::new(0),
-            campaign_hits: AtomicU64::new(0),
-            campaign_misses: AtomicU64::new(0),
-            figure_hits: AtomicU64::new(0),
-            figure_misses: AtomicU64::new(0),
+            lookups: Default::default(),
             read_errors: AtomicU64::new(0),
             oracles: None,
         }
@@ -200,7 +170,7 @@ impl OracleCache {
         PathBuf::from("target").join("oracle-cache")
     }
 
-    /// Attaches a telemetry handle; hits and misses are emitted as
+    /// Attaches a telemetry handle; oracle hits and misses are emitted as
     /// [`TraceEvent::OracleCacheHit`] / [`TraceEvent::OracleCacheMiss`].
     /// If this view still owns its store exclusively, the store emits
     /// [`TraceEvent::ArtifactHit`] / [`TraceEvent::ArtifactMiss`] too.
@@ -223,77 +193,22 @@ impl OracleCache {
         &self.artifacts
     }
 
-    /// Oracle-snapshot hits so far (this view).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// ⟨hits, misses⟩ of this view's lookups of `kind`. A disabled store
+    /// counts every oracle and dataset lookup as a miss, and no campaign or
+    /// figure lookup (those callers compute without asking). A campaign
+    /// lookup hits only when the stored entry holds every run asked for.
+    pub fn lookups(&self, kind: Kind) -> (u64, u64) {
+        let [hits, misses] = &self.lookups[kind as usize];
+        (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))
     }
 
-    /// Oracle-snapshot misses so far (disabled caches count every lookup).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Dataset hits so far (this view).
-    pub fn dataset_hits(&self) -> u64 {
-        self.dataset_hits.load(Ordering::Relaxed)
-    }
-
-    /// Dataset misses so far (this view).
-    pub fn dataset_misses(&self) -> u64 {
-        self.dataset_misses.load(Ordering::Relaxed)
-    }
-
-    /// Campaign-entry hits so far (this view): store reads that held every
-    /// run the request asked for.
-    pub fn campaign_hits(&self) -> u64 {
-        self.campaign_hits.load(Ordering::Relaxed)
-    }
-
-    /// Campaign-entry misses so far (this view): store reads after which
-    /// runs still had to be simulated.
-    pub fn campaign_misses(&self) -> u64 {
-        self.campaign_misses.load(Ordering::Relaxed)
-    }
-
-    /// Counts one campaign-entry lookup of this view ([`crate::memo`]).
-    pub(crate) fn count_campaign(&self, hit: bool) {
-        let counter = if hit {
-            &self.campaign_hits
-        } else {
-            &self.campaign_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Figure-entry hits so far (this view).
-    pub fn figure_hits(&self) -> u64 {
-        self.figure_hits.load(Ordering::Relaxed)
-    }
-
-    /// Figure-entry misses so far (this view): folds that had to be
-    /// computed.
-    pub fn figure_misses(&self) -> u64 {
-        self.figure_misses.load(Ordering::Relaxed)
-    }
-
-    /// Counts one figure-entry lookup of this view ([`crate::figures`]).
-    pub(crate) fn count_figure(&self, hit: bool) {
-        let counter = if hit {
-            &self.figure_hits
-        } else {
-            &self.figure_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// All artifact lookups this view made, as ⟨hits, misses⟩ across the
-    /// oracle, dataset, campaign and figure namespaces — what the suite's
-    /// per-job scorecard reports.
+    /// All artifact lookups this view made, as ⟨hits, misses⟩ summed over
+    /// [`Kind::SCORED`] — what the suite's per-job scorecard reports.
     pub fn artifact_totals(&self) -> (u64, u64) {
-        (
-            self.hits() + self.dataset_hits() + self.campaign_hits() + self.figure_hits(),
-            self.misses() + self.dataset_misses() + self.campaign_misses() + self.figure_misses(),
-        )
+        Kind::SCORED.into_iter().fold((0, 0), |(h, m), kind| {
+            let (hits, misses) = self.lookups(kind);
+            (h + hits, m + misses)
+        })
     }
 
     /// Store reads that failed with a real I/O error (this view) — each one
@@ -302,19 +217,27 @@ impl OracleCache {
         self.read_errors.load(Ordering::Relaxed)
     }
 
-    /// Reads and decodes ⟨`namespace`, `key`⟩ without touching this view's
-    /// hit/miss counters. Real I/O failures are surfaced on stderr, counted
-    /// in [`Self::read_errors`], and then degrade to a miss — the
-    /// computation still runs, just uncached. Every store-backed cache in
-    /// the crate reads through here.
-    pub(crate) fn fetch<T>(
-        &self,
-        namespace: &'static str,
-        key: u64,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Option<T> {
-        match self.artifacts.get(namespace, key) {
-            Ok(bytes) => bytes.as_deref().and_then(decode),
+    /// Counts one lookup of `kind` under `key`.
+    fn record(&self, kind: Kind, key: u64, hit: bool) {
+        self.lookups[kind as usize][usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
+        if kind == Kind::Oracle {
+            self.telemetry.emit(0.0, || {
+                if hit {
+                    TraceEvent::OracleCacheHit { key }
+                } else {
+                    TraceEvent::OracleCacheMiss { key }
+                }
+            });
+        }
+    }
+
+    /// Reads and decodes the entry of `T` under `key` without touching
+    /// this view's counters. Real I/O failures are surfaced on stderr,
+    /// counted in [`Self::read_errors`], and then degrade to a miss — the
+    /// computation still runs, just uncached.
+    pub(crate) fn fetch<T: Stored>(&self, key: u64) -> Option<T> {
+        match self.artifacts.get(T::KIND.namespace(), key) {
+            Ok(bytes) => bytes.as_deref().and_then(|bytes| decode(key, bytes)),
             Err(e) => {
                 self.read_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("[oracle-cache] degraded to recompute: {e}");
@@ -323,59 +246,84 @@ impl OracleCache {
         }
     }
 
-    /// Looks up an oracle snapshot by key. Any I/O or decode failure is a
-    /// miss.
+    /// The entry of `T` under `key`, counted as one lookup of `T`'s kind: a
+    /// hit when it decodes. Any I/O or decode failure is a miss.
+    pub(crate) fn get<T: Stored>(&self, key: u64) -> Option<T> {
+        self.get_where(key, |_| true)
+    }
+
+    /// [`Self::get`] for a lookup that hits only when the decoded entry
+    /// also satisfies `hit`; the entry is returned either way.
+    pub(crate) fn get_where<T: Stored>(&self, key: u64, hit: impl FnOnce(&T) -> bool) -> Option<T> {
+        let found = self.fetch(key);
+        self.record(T::KIND, key, found.as_ref().is_some_and(hit));
+        found
+    }
+
+    /// Persists `value` under `key` (atomic; best-effort; nothing on a
+    /// disabled store).
+    pub fn put<T: Stored>(&self, key: u64, value: &T) {
+        if self.is_enabled() {
+            self.artifacts
+                .put(T::KIND.namespace(), key, &encode(key, value));
+        }
+    }
+
+    /// The entry of `T` under `key` if the store holds one, otherwise
+    /// `compute`d, stored and returned (`None` from `compute` is returned
+    /// unstored). A miss claims the key in the store's in-flight registry,
+    /// so concurrent requests for one key coalesce onto one computation: a
+    /// leader re-reads before computing (a finishing leader may have stored
+    /// the entry between the miss and the claim), and a follower re-reads
+    /// once its leader is done, computing itself only if the leader stored
+    /// nothing. Each pass through the loop counts one lookup.
+    fn get_or_compute<T: Stored>(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> Option<T>,
+    ) -> Option<T> {
+        let token = loop {
+            if let Some(value) = self.get(key) {
+                return Some(value);
+            }
+            match self.artifacts.claim(T::KIND.namespace(), key) {
+                Claim::Leader(token) => {
+                    // Raw fetch: the miss above already counted this
+                    // consultation.
+                    if let Some(value) = self.fetch(key) {
+                        token.disavow();
+                        return Some(value);
+                    }
+                    break Some(token);
+                }
+                Claim::Coalesced => continue,
+                Claim::Uncoordinated => break None,
+            }
+        };
+        // A `None` drops the token on return, so a scarce-data bailout
+        // never strands coalesced waiters.
+        let value = compute()?;
+        self.put(key, &value);
+        drop(token);
+        Some(value)
+    }
+
+    /// Looks up an oracle snapshot by key, counted as one oracle lookup.
+    /// Any I/O or decode failure is a miss.
     pub fn lookup(&self, key: u64) -> Option<TrainedOracle> {
-        let found = self.fetch(NS_ORACLE, key, |bytes| decode(key, bytes));
-        match found {
-            Some(oracle) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.telemetry
-                    .emit(0.0, || TraceEvent::OracleCacheHit { key });
-                Some(oracle)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.telemetry
-                    .emit(0.0, || TraceEvent::OracleCacheMiss { key });
-                None
-            }
-        }
+        self.get(key)
     }
 
-    /// Persists an oracle snapshot under `key` (atomic; best-effort).
-    pub fn store(&self, key: u64, oracle: &TrainedOracle) {
-        self.artifacts.put(NS_ORACLE, key, &encode(key, oracle));
-    }
-
-    /// Looks up a collected dataset by key. Any I/O or decode failure is a
-    /// miss.
+    /// Looks up a collected dataset by key, counted as one dataset lookup.
+    /// Any I/O or decode failure is a miss.
     pub fn lookup_dataset(&self, key: u64) -> Option<Dataset> {
-        let found = self.fetch(NS_DATASET, key, |bytes| decode_dataset(key, bytes));
-        match found {
-            Some(data) => {
-                self.dataset_hits.fetch_add(1, Ordering::Relaxed);
-                Some(data)
-            }
-            None => {
-                self.dataset_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Persists a collected dataset under `key` (atomic; best-effort).
-    pub fn store_dataset(&self, key: u64, data: &Dataset) {
-        self.artifacts
-            .put(NS_DATASET, key, &encode_dataset(key, data));
+        self.get(key)
     }
 
     /// The cached equivalent of [`collect_dataset`]: returns the stored
     /// sweep when present, otherwise collects, stores, and returns it —
     /// each 〈scenario, vector〉 sweep runs its ~715 simulations once per
-    /// store, no matter how many *concurrent* consumers ask: a miss claims
-    /// the key in the store's in-flight registry, so parallel requests for
-    /// the same sweep coalesce onto one collection.
+    /// store, no matter how many *concurrent* consumers ask.
     pub fn dataset_for(
         &self,
         scenario: ScenarioId,
@@ -383,35 +331,8 @@ impl OracleCache {
         sweep: &SweepConfig,
     ) -> Dataset {
         let key = cache_key(scenario, vector, sweep);
-        loop {
-            if let Some(data) = self.lookup_dataset(key) {
-                return data;
-            }
-            match self.artifacts.claim(NS_DATASET, key) {
-                Claim::Leader(token) => {
-                    // Double-check: a finishing leader may have stored the
-                    // sweep between our miss and our claim. Raw fetch — the
-                    // miss above already counted this consultation.
-                    if let Some(data) = self.fetch(NS_DATASET, key, |b| decode_dataset(key, b)) {
-                        token.disavow();
-                        return data;
-                    }
-                    let data = collect_dataset(scenario, vector, sweep);
-                    self.store_dataset(key, &data);
-                    drop(token);
-                    return data;
-                }
-                // A leader just finished this key: loop and re-read (counts
-                // as this view's hit). If the leader failed to persist, the
-                // next iteration claims fresh leadership and computes.
-                Claim::Coalesced => continue,
-                Claim::Uncoordinated => {
-                    let data = collect_dataset(scenario, vector, sweep);
-                    self.store_dataset(key, &data);
-                    return data;
-                }
-            }
-        }
+        self.get_or_compute(key, || Some(collect_dataset(scenario, vector, sweep)))
+            .expect("a collection always yields a dataset")
     }
 
     /// The cached equivalent of [`crate::train_sh::train_oracle`]: returns
@@ -428,20 +349,32 @@ impl OracleCache {
         sweep: &SweepConfig,
     ) -> Option<TrainedOracle> {
         let key = cache_key(scenario, vector, sweep);
+        let load_or_train = || {
+            self.get_or_compute(key, || {
+                train_oracle_on(&self.dataset_for(scenario, vector, sweep))
+            })
+        };
         let Some(memo) = &self.oracles else {
-            return self.load_or_train(key, scenario, vector, sweep);
+            return load_or_train();
         };
         // Only this key's slot is held while it loads or trains; a slot
         // that lost its leader to a panic is simply still empty.
         let slot = memo.slot(key);
         let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(memoized) = held.as_ref() {
-            self.count_memoized(key);
+            // Counted as the lookups it replaces: an oracle hit on an
+            // enabled store; on a disabled one, the oracle and dataset
+            // misses of the retraining it saves.
+            let enabled = self.is_enabled();
+            self.record(Kind::Oracle, key, enabled);
+            if !enabled {
+                self.record(Kind::Dataset, key, false);
+            }
             return Some(memoized.trained.clone());
         }
         // A kinematic fallback (`None`) is not memoized: each caller
         // retries, as without a memo.
-        let trained = self.load_or_train(key, scenario, vector, sweep)?;
+        let trained = load_or_train()?;
         let memoized = Arc::new(Memoized {
             trained: trained.clone(),
             network: OnceLock::new(),
@@ -450,22 +383,6 @@ impl OracleCache {
         lock(&memo.loaded).push(memoized.clone());
         *held = Some(memoized);
         Some(trained)
-    }
-
-    /// Counts a lookup the memo answered as the lookups it replaces: an
-    /// oracle hit on an enabled store; on a disabled one, the oracle and
-    /// dataset misses of the retraining it saves.
-    fn count_memoized(&self, key: u64) {
-        if self.is_enabled() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.telemetry
-                .emit(0.0, || TraceEvent::OracleCacheHit { key });
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.dataset_misses.fetch_add(1, Ordering::Relaxed);
-            self.telemetry
-                .emit(0.0, || TraceEvent::OracleCacheMiss { key });
-        }
     }
 
     /// [`network_digest`] of `oracle`, computed once per execution when it
@@ -495,44 +412,6 @@ impl OracleCache {
     fn memoized(&self, is: impl Fn(&Memoized) -> bool) -> Option<Arc<Memoized>> {
         let memo = self.oracles.as_ref()?;
         lock(&memo.loaded).iter().find(|m| is(m)).cloned()
-    }
-
-    /// [`Self::oracle_for`] without the memo: the store's snapshot, or a
-    /// coalesced training.
-    fn load_or_train(
-        &self,
-        key: u64,
-        scenario: ScenarioId,
-        vector: AttackVector,
-        sweep: &SweepConfig,
-    ) -> Option<TrainedOracle> {
-        loop {
-            if let Some(oracle) = self.lookup(key) {
-                return Some(oracle);
-            }
-            match self.artifacts.claim(NS_ORACLE, key) {
-                Claim::Leader(token) => {
-                    if let Some(oracle) = self.fetch(NS_ORACLE, key, |b| decode(key, b)) {
-                        token.disavow();
-                        return Some(oracle);
-                    }
-                    let data = self.dataset_for(scenario, vector, sweep);
-                    // `?` drops the token during unwind of this frame, so a
-                    // scarce-data bailout never strands coalesced waiters.
-                    let trained = train_oracle_on(&data)?;
-                    self.store(key, &trained);
-                    drop(token);
-                    return Some(trained);
-                }
-                Claim::Coalesced => continue,
-                Claim::Uncoordinated => {
-                    let data = self.dataset_for(scenario, vector, sweep);
-                    let trained = train_oracle_on(&data)?;
-                    self.store(key, &trained);
-                    return Some(trained);
-                }
-            }
-        }
     }
 }
 
@@ -580,20 +459,53 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Serializes a [`TrainedOracle`]: metrics, then the network section.
-fn encode(key: u64, oracle: &TrainedOracle) -> Vec<u8> {
-    let net = oracle.oracle.inference();
-    let mut w = ORACLE_FRAME.writer(
-        key,
-        8 * (6
-            + 2 * oracle.oracle.normalizer().mean.len()
-            + net.layer_sizes().len()
-            + net.param_count()),
-    );
-    w.f64(oracle.val_mse);
-    w.u64(oracle.examples as u64);
-    write_network(&oracle.oracle, |bytes| w.bytes(bytes));
-    w.finish()
+impl Stored for TrainedOracle {
+    const KIND: Kind = Kind::Oracle;
+
+    /// Metrics, then the network section.
+    fn write(&self, w: &mut Writer) {
+        w.f64(self.val_mse);
+        w.u64(self.examples as u64);
+        write_network(&self.oracle, |bytes| w.bytes(bytes));
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<TrainedOracle> {
+        tally::add(Work::OracleDecode, 1);
+        let val_mse = r.f64()?;
+        let examples = usize::try_from(r.u64()?).ok()?;
+
+        let dim = r.count(16)?;
+        let mean = r.f64s(dim)?;
+        let std = r.f64s(dim)?;
+
+        let dropout = r.f64()?;
+        let n_sizes = r.count(8).filter(|&n| n <= 64)?;
+        let sizes: Vec<usize> = (0..n_sizes)
+            .map(|_| r.u64().and_then(|s| usize::try_from(s).ok()))
+            .collect::<Option<_>>()?;
+        let n_params = r.count(8)?;
+        let params = r.f64s(n_params)?;
+
+        // Straight into the inference form: no intermediate row-major copy.
+        let net = InferenceMlp::from_flat(&sizes, &params)?;
+        // NnOracle asserts the input and output shape — pre-check both so
+        // hostile bytes can never panic.
+        if net.input_dim() != AttackFeatures::INPUT_DIM
+            || net.output_dim() != 1
+            || mean.len() != net.input_dim()
+        {
+            return None;
+        }
+        Some(TrainedOracle {
+            oracle: Arc::new(NnOracle::from_inference(
+                net,
+                dropout,
+                Normalizer { mean, std },
+            )),
+            val_mse,
+            examples,
+        })
+    }
 }
 
 /// Content digest of an oracle's network alone — the normalizer, dropout,
@@ -634,79 +546,36 @@ fn write_network(oracle: &NnOracle, mut emit: impl FnMut(&[u8])) {
     }
 }
 
-/// Deserializes an oracle snapshot; `None` on any structural problem.
-fn decode(key: u64, bytes: &[u8]) -> Option<TrainedOracle> {
-    tally::add(Work::OracleDecode, 1);
-    let mut r = ORACLE_FRAME.open(key, bytes)?;
-    let val_mse = r.f64()?;
-    let examples = usize::try_from(r.u64()?).ok()?;
+impl Stored for Dataset {
+    const KIND: Kind = Kind::Dataset;
 
-    let dim = r.count(16)?;
-    let mean = r.f64s(dim)?;
-    let std = r.f64s(dim)?;
-
-    let dropout = r.f64()?;
-    let n_sizes = r.count(8).filter(|&n| n <= 64)?;
-    let sizes: Vec<usize> = (0..n_sizes)
-        .map(|_| r.u64().and_then(|s| usize::try_from(s).ok()))
-        .collect::<Option<_>>()?;
-    let n_params = r.count(8)?;
-    let params = r.f64s(n_params)?;
-    r.end()?;
-
-    // Straight into the inference form: no intermediate row-major copy.
-    let net = InferenceMlp::from_flat(&sizes, &params)?;
-    // NnOracle asserts the input and output shape — pre-check both so
-    // hostile bytes can never panic.
-    if net.input_dim() != AttackFeatures::INPUT_DIM
-        || net.output_dim() != 1
-        || mean.len() != net.input_dim()
-    {
-        return None;
-    }
-    Some(TrainedOracle {
-        oracle: Arc::new(NnOracle::from_inference(
-            net,
-            dropout,
-            Normalizer { mean, std },
-        )),
-        val_mse,
-        examples,
-    })
-}
-
-/// Serializes a collected [`Dataset`] (row lengths explicit, so decode
-/// never trusts a dimension it didn't read).
-fn encode_dataset(key: u64, data: &Dataset) -> Vec<u8> {
-    let floats: usize = data.inputs.iter().chain(&data.targets).map(Vec::len).sum();
-    let mut w = DATASET_FRAME.writer(key, 8 + 16 * data.inputs.len() + 8 * floats);
-    w.u64(data.inputs.len() as u64);
-    for (input, target) in data.inputs.iter().zip(&data.targets) {
-        for row in [input, target] {
-            w.u64(row.len() as u64);
-            for &x in row {
-                w.f64(x);
+    /// The row count, then each input and target row with its length
+    /// (explicit, so a read never trusts a dimension it did not read).
+    fn write(&self, w: &mut Writer) {
+        w.u64(self.inputs.len() as u64);
+        for (input, target) in self.inputs.iter().zip(&self.targets) {
+            for row in [input, target] {
+                w.u64(row.len() as u64);
+                for &x in row {
+                    w.f64(x);
+                }
             }
         }
     }
-    w.finish()
-}
 
-/// Deserializes a dataset snapshot; `None` on any structural problem.
-fn decode_dataset(key: u64, bytes: &[u8]) -> Option<Dataset> {
-    let mut r = DATASET_FRAME.open(key, bytes)?;
-    // Each row needs at least its two length fields.
-    let n_rows = r.count(16)?;
-    let mut inputs = Vec::with_capacity(n_rows);
-    let mut targets = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let input_len = r.count(8)?;
-        inputs.push(r.f64s(input_len)?);
-        let target_len = r.count(8)?;
-        targets.push(r.f64s(target_len)?);
+    fn read(r: &mut Reader<'_>) -> Option<Dataset> {
+        // Each row needs at least its two length fields.
+        let n_rows = r.count(16)?;
+        let mut inputs = Vec::with_capacity(n_rows);
+        let mut targets = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            let input_len = r.count(8)?;
+            inputs.push(r.f64s(input_len)?);
+            let target_len = r.count(8)?;
+            targets.push(r.f64s(target_len)?);
+        }
+        Some(Dataset { inputs, targets })
     }
-    r.end()?;
-    Some(Dataset { inputs, targets })
 }
 
 #[cfg(test)]
@@ -752,13 +621,15 @@ mod tests {
     fn snapshot_bytes_are_pinned() {
         let key = 0x0123_4567_89ab_cdef;
         let oracle = encode(key, &fixed_oracle());
-        let dataset = encode_dataset(key, &sample_dataset());
+        let dataset = encode(key, &sample_dataset());
         assert_eq!(
             (oracle.len(), fnv1a(&oracle), dataset.len(), fnv1a(&dataset)),
             PINNED_SNAPSHOTS,
             "snapshot bytes changed: every stored oracle and dataset would miss"
         );
-        assert!(decode(key, &oracle).is_some_and(|o| bitwise_eq(&o, &fixed_oracle())));
+        assert!(
+            decode::<TrainedOracle>(key, &oracle).is_some_and(|o| bitwise_eq(&o, &fixed_oracle()))
+        );
     }
 
     proptest::proptest! {
@@ -770,11 +641,11 @@ mod tests {
             use crate::codec::fuzz::{check, mutate};
             let key = 0x0123_4567_89ab_cdef;
             if dataset {
-                let bytes = mutate(&encode_dataset(key, &sample_dataset()), &edits);
-                check(&bytes, |b| decode_dataset(key, b), |d| encode_dataset(key, d))?;
+                let bytes = mutate(&encode(key, &sample_dataset()), &edits);
+                check(&bytes, |b| decode::<Dataset>(key, b), |d| encode(key, d))?;
             } else {
                 let bytes = mutate(&encode(key, &fixed_oracle()), &edits);
-                check(&bytes, |b| decode(key, b), |o| encode(key, o))?;
+                check(&bytes, |b| decode::<TrainedOracle>(key, b), |o| encode(key, o))?;
             }
         }
     }
@@ -803,7 +674,7 @@ mod tests {
     fn encode_decode_round_trips_bit_identically() {
         let oracle = sample_oracle();
         let bytes = encode(42, &oracle);
-        let back = decode(42, &bytes).expect("round trip");
+        let back = decode::<TrainedOracle>(42, &bytes).expect("round trip");
         assert!(bitwise_eq(&oracle, &back));
         // Same inputs → same prediction bits.
         use robotack::safety_hijacker::SafetyOracle;
@@ -822,8 +693,8 @@ mod tests {
     #[test]
     fn dataset_codec_round_trips_bit_identically() {
         let data = sample_dataset();
-        let bytes = encode_dataset(9, &data);
-        let back = decode_dataset(9, &bytes).expect("round trip");
+        let bytes = encode(9, &data);
+        let back = decode::<Dataset>(9, &bytes).expect("round trip");
         assert_eq!(data.inputs, back.inputs);
         assert_eq!(data.targets, back.targets);
         assert_eq!(dataset_digest(&data), dataset_digest(&back));
@@ -831,41 +702,59 @@ mod tests {
 
     #[test]
     fn dataset_snapshots_reject_corruption() {
-        let bytes = encode_dataset(5, &sample_dataset());
-        assert!(decode_dataset(6, &bytes).is_none(), "key echo mismatch");
+        let bytes = encode(5, &sample_dataset());
+        assert!(decode::<Dataset>(6, &bytes).is_none(), "key echo mismatch");
         for cut in [0, 3, 4, 15, 16, 24, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_dataset(5, &bytes[..cut]).is_none(), "cut at {cut}");
+            assert!(
+                decode::<Dataset>(5, &bytes[..cut]).is_none(),
+                "cut at {cut}"
+            );
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode_dataset(5, &padded).is_none(), "trailing garbage");
+        assert!(decode::<Dataset>(5, &padded).is_none(), "trailing garbage");
         // Hostile row count can't force an allocation.
         let mut huge = bytes.clone();
         huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_dataset(5, &huge).is_none(), "hostile row count");
+        assert!(decode::<Dataset>(5, &huge).is_none(), "hostile row count");
     }
 
     #[test]
     fn wrong_key_magic_or_version_miss() {
         let bytes = encode(7, &sample_oracle());
-        assert!(decode(8, &bytes).is_none(), "key echo mismatch");
+        assert!(
+            decode::<TrainedOracle>(8, &bytes).is_none(),
+            "key echo mismatch"
+        );
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(decode(7, &bad_magic).is_none(), "magic mismatch");
+        assert!(
+            decode::<TrainedOracle>(7, &bad_magic).is_none(),
+            "magic mismatch"
+        );
         let mut bad_version = bytes.clone();
         bad_version[4] ^= 0xFF;
-        assert!(decode(7, &bad_version).is_none(), "format version mismatch");
+        assert!(
+            decode::<TrainedOracle>(7, &bad_version).is_none(),
+            "format version mismatch"
+        );
     }
 
     #[test]
     fn truncated_and_padded_snapshots_miss() {
         let bytes = encode(3, &sample_oracle());
         for cut in [0, 1, 4, 16, 17, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode(3, &bytes[..cut]).is_none(), "truncated at {cut}");
+            assert!(
+                decode::<TrainedOracle>(3, &bytes[..cut]).is_none(),
+                "truncated at {cut}"
+            );
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode(3, &padded).is_none(), "trailing garbage");
+        assert!(
+            decode::<TrainedOracle>(3, &padded).is_none(),
+            "trailing garbage"
+        );
     }
 
     #[test]
@@ -887,7 +776,8 @@ mod tests {
             val_mse: 1.0,
             examples: 1,
         };
-        let back = decode(4, &encode(4, &snapshot)).expect("well-formed snapshot decodes");
+        let back = decode::<TrainedOracle>(4, &encode(4, &snapshot))
+            .expect("well-formed snapshot decodes");
         assert!(bitwise_eq(&snapshot, &back));
         use robotack::safety_hijacker::SafetyOracle;
         let f = AttackFeatures {
@@ -997,10 +887,10 @@ mod tests {
 
         assert!(cache.lookup(key).is_none(), "cold cache misses");
         let oracle = sample_oracle();
-        cache.store(key, &oracle);
+        cache.put(key, &oracle);
         let back = cache.lookup(key).expect("warm cache hits");
         assert!(bitwise_eq(&oracle, &back));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.lookups(Kind::Oracle), (1, 1));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1014,9 +904,9 @@ mod tests {
         let writer = OracleCache::over(store.clone());
         assert!(writer.lookup_dataset(11).is_none(), "cold dataset misses");
         let data = sample_dataset();
-        writer.store_dataset(11, &data);
+        writer.put(11, &data);
         assert_eq!(
-            (writer.dataset_hits(), writer.dataset_misses()),
+            writer.lookups(Kind::Dataset),
             (0, 1),
             "writer view counted its own miss only"
         );
@@ -1026,12 +916,8 @@ mod tests {
         let back = reader.lookup_dataset(11).expect("warm dataset hits");
         assert_eq!(back.inputs, data.inputs);
         assert_eq!(back.targets, data.targets);
-        assert_eq!((reader.dataset_hits(), reader.dataset_misses()), (1, 0));
-        assert_eq!(
-            (reader.hits(), reader.misses()),
-            (0, 0),
-            "oracle ns untouched"
-        );
+        assert_eq!(reader.lookups(Kind::Dataset), (1, 0));
+        assert_eq!(reader.lookups(Kind::Oracle), (0, 0), "oracle ns untouched");
         assert_eq!(reader.artifact_totals(), (1, 0));
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -1078,7 +964,7 @@ mod tests {
         let store = Arc::new(ArtifactStore::at(&dir));
         let sweep = SweepConfig::tiny();
         let key = cache_key(ScenarioId::Ds1, AttackVector::MoveOut, &sweep);
-        OracleCache::over(store.clone()).store(key, &sample_oracle());
+        OracleCache::over(store.clone()).put(key, &sample_oracle());
 
         let memo = Arc::new(OracleMemo::new());
         let view = || OracleCache::over(store.clone()).with_memo(memo.clone());
@@ -1092,7 +978,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.oracle, &b.oracle), "one decode, shared");
         assert_eq!(memo.oracles(), 1);
         for v in [&first, &second] {
-            assert_eq!((v.hits(), v.misses()), (1, 0), "each view counts a hit");
+            assert_eq!(v.lookups(Kind::Oracle), (1, 0), "each view counts a hit");
         }
         let loaded = OracleCache::over(store.clone())
             .lookup(key)
@@ -1124,11 +1010,11 @@ mod tests {
     #[test]
     fn disabled_cache_never_hits_or_writes() {
         let cache = OracleCache::disabled();
-        cache.store(1, &sample_oracle());
+        cache.put(1, &sample_oracle());
         assert!(cache.lookup(1).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.store_dataset(1, &sample_dataset());
+        assert_eq!(cache.lookups(Kind::Oracle), (0, 1));
+        cache.put(1, &sample_dataset());
         assert!(cache.lookup_dataset(1).is_none());
-        assert_eq!((cache.dataset_hits(), cache.dataset_misses()), (0, 1));
+        assert_eq!(cache.lookups(Kind::Dataset), (0, 1));
     }
 }

@@ -49,7 +49,7 @@
 //! rate or crash rate.
 
 use crate::campaign::{run_sweep, Campaign, DispatchMode};
-use crate::codec::Frame;
+use crate::codec::{Kind, Reader, Stored, Writer};
 use crate::horizon::{Horizon, RunVerdict};
 use crate::oracle_cache::OracleCache;
 use crate::runner::{AttackerSpec, OracleSpec};
@@ -66,22 +66,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Version of the search evaluation semantics. Bump whenever candidate
-/// evaluation or its summary encoding changes, so stale cached evaluations
-/// miss instead of resurrecting results the current code would not produce.
-/// A simulator change that moves runs moves report campaigns too: bump
-/// [`crate::memo::CAMPAIGN_CODE_VERSION`] with it.
-pub const SEARCH_CODE_VERSION: u32 = 1;
+pub use crate::codec::SEARCH_CODE_VERSION;
 
 /// Artifact-store namespace of cached candidate-evaluation summaries.
-pub const NS_SEARCH_EVAL: &str = "search-eval";
-
-/// Evaluation summaries: "RoboTack Search Eval", versioned by
-/// [`SEARCH_CODE_VERSION`].
-const EVAL_FRAME: Frame = Frame {
-    magic: *b"RTSE",
-    version: SEARCH_CODE_VERSION,
-};
+pub const NS_SEARCH_EVAL: &str = Kind::SearchEval.namespace();
 
 /// RNG stream of the mutation schedule (disjoint from the scenario stream
 /// `0xD5` and the attacker stream `0xA77ACC`).
@@ -433,8 +421,8 @@ fn oracle_policy(
 /// determines the summary bit-for-bit.
 fn eval_key(spec_hash: u64, root: ScenarioId, cfg: &SearchConfig, oracle_key: u64) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(&EVAL_FRAME.magic);
-    h.write_u64(u64::from(SEARCH_CODE_VERSION));
+    h.write(&Kind::SearchEval.magic());
+    h.write_u64(u64::from(Kind::SearchEval.code_version()));
     h.write_u64(spec_hash);
     h.write(root.name().as_bytes());
     h.write(cfg.vector.name().as_bytes());
@@ -444,45 +432,43 @@ fn eval_key(spec_hash: u64, root: ScenarioId, cfg: &SearchConfig, oracle_key: u6
     h.finish()
 }
 
-/// Serializes an evaluation summary.
-fn encode_eval(key: u64, eval: &Eval) -> Vec<u8> {
-    let mut w = EVAL_FRAME.writer(key, 40);
-    for count in [eval.launched, eval.runs, eval.eb, eval.crashes] {
-        w.u64(count);
-    }
-    w.f64(eval.median_k);
-    w.finish()
-}
+impl Stored for Eval {
+    const KIND: Kind = Kind::SearchEval;
 
-/// Deserializes an evaluation summary of a `runs`-run candidate; `None` on
-/// any structural mismatch (hostile bytes degrade to a cache miss, never a
-/// panic).
-fn decode_eval(key: u64, bytes: &[u8], label: &str, root: ScenarioId, runs: u64) -> Option<Eval> {
-    let mut r = EVAL_FRAME.open(key, bytes)?;
-    let launched = r.u64()?;
-    if r.u64()? != runs {
-        return None;
+    /// The launched, run, EB and crash counts, then the median K. The
+    /// label and root are not stored: the reader leaves the label empty
+    /// and the root at DS-1, and its caller attaches both.
+    fn write(&self, w: &mut Writer) {
+        for count in [self.launched, self.runs, self.eb, self.crashes] {
+            w.u64(count);
+        }
+        w.f64(self.median_k);
     }
-    let (eb, crashes, median_k) = (r.u64()?, r.u64()?, r.f64()?);
-    r.end()?;
-    // Only a candidate with no launched run may carry a non-finite median K
-    // (the median of nothing); anywhere else it is corruption.
-    if launched > runs
-        || eb > launched
-        || crashes > launched
-        || (launched > 0 && !median_k.is_finite())
-    {
-        return None;
+
+    /// `None` on any structural mismatch (hostile bytes degrade to a cache
+    /// miss, never a panic).
+    fn read(r: &mut Reader<'_>) -> Option<Eval> {
+        let (launched, runs) = (r.u64()?, r.u64()?);
+        let (eb, crashes, median_k) = (r.u64()?, r.u64()?, r.f64()?);
+        // Only a candidate with no launched run may carry a non-finite
+        // median K (the median of nothing); anywhere else it is corruption.
+        if launched > runs
+            || eb > launched
+            || crashes > launched
+            || (launched > 0 && !median_k.is_finite())
+        {
+            return None;
+        }
+        Some(Eval {
+            label: String::new(),
+            root: ScenarioId::Ds1,
+            launched,
+            runs,
+            eb,
+            crashes,
+            median_k,
+        })
     }
-    Some(Eval {
-        label: label.to_string(),
-        root,
-        launched,
-        runs,
-        eb,
-        crashes,
-        median_k,
-    })
 }
 
 /// A candidate proposed for evaluation in the current round.
@@ -545,12 +531,17 @@ impl Evaluator<'_> {
                 eval_key(spec_hash, p.root, cfg, self.oracle(p.root).1)
             })
             .collect();
+        // A stored summary of another run count is corruption: a miss.
+        let runs_match = |e: &Eval| e.runs == cfg.runs;
         let mut evals: Vec<Option<Eval>> = round
             .iter()
             .zip(&keys)
             .map(|(p, &key)| {
-                self.cache.fetch(NS_SEARCH_EVAL, key, |bytes| {
-                    decode_eval(key, bytes, &p.label, p.root, cfg.runs)
+                let stored = self.cache.get_where(key, runs_match);
+                stored.filter(runs_match).map(|e| Eval {
+                    label: p.label.clone(),
+                    root: p.root,
+                    ..e
                 })
             })
             .collect();
@@ -598,10 +589,7 @@ impl Evaluator<'_> {
         for (n, &i) in missed.iter().enumerate() {
             let p = &round[i];
             let eval = summarize(&p.label, p.root, &verdicts[n * runs..(n + 1) * runs]);
-            let bytes = encode_eval(keys[i], &eval);
-            self.cache
-                .artifact_store()
-                .put(NS_SEARCH_EVAL, keys[i], &bytes);
+            self.cache.put(keys[i], &eval);
             evals[i] = Some(eval);
         }
         evals
@@ -783,6 +771,7 @@ pub fn run_search(cfg: &SearchConfig, sweep: &SweepConfig, cache: &OracleCache) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode, encode};
 
     fn tiny_config(vector: AttackVector) -> SearchConfig {
         SearchConfig {
@@ -809,32 +798,30 @@ mod tests {
             crashes: 3,
             median_k: 32.0,
         };
-        let bytes = encode_eval(99, &eval);
-        let back = decode_eval(99, &bytes, &eval.label, eval.root, 6).expect("round trip");
-        assert_eq!(back, eval);
-        assert!(
-            decode_eval(98, &bytes, "x", ScenarioId::Ds2, 6).is_none(),
-            "key echo"
+        let bytes = encode(99, &eval);
+        let back: Eval = decode(99, &bytes).expect("round trip");
+        assert_eq!(
+            back,
+            Eval {
+                label: String::new(),
+                root: ScenarioId::Ds1,
+                ..eval.clone()
+            },
+            "label and root are the caller's to attach"
         );
-        assert!(
-            decode_eval(99, &bytes, "x", ScenarioId::Ds2, 7).is_none(),
-            "run shape"
-        );
-        assert!(
-            decode_eval(99, &bytes[..40], "x", ScenarioId::Ds2, 6).is_none(),
-            "truncated"
-        );
+        assert!(decode::<Eval>(98, &bytes).is_none(), "key echo");
+        assert!(decode::<Eval>(99, &bytes[..40]).is_none(), "truncated");
         let mut hostile = bytes.clone();
         hostile[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
-            decode_eval(99, &hostile, "x", ScenarioId::Ds2, 6).is_none(),
+            decode::<Eval>(99, &hostile).is_none(),
             "launched > runs rejected"
         );
         for bad_k in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut hostile = bytes.clone();
             hostile[48..56].copy_from_slice(&bad_k.to_bits().to_le_bytes());
             assert!(
-                decode_eval(99, &hostile, "x", ScenarioId::Ds2, 6).is_none(),
+                decode::<Eval>(99, &hostile).is_none(),
                 "non-finite median K with launched runs rejected: {bad_k}"
             );
         }
@@ -846,14 +833,8 @@ mod tests {
             median_k: f64::NAN,
             ..eval
         };
-        let back = decode_eval(
-            99,
-            &encode_eval(99, &none_launched),
-            "x",
-            ScenarioId::Ds2,
-            6,
-        )
-        .expect("no-launch summary decodes");
+        let back: Eval =
+            decode(99, &encode(99, &none_launched)).expect("no-launch summary decodes");
         assert!(back.launched == 0 && back.median_k.is_nan());
     }
 
@@ -879,7 +860,7 @@ mod tests {
             ..launched.clone()
         };
         let digests = [&launched, &none_launched]
-            .map(|eval| av_suite::fnv::fnv1a(&encode_eval(0x0123_4567_89ab_cdef, eval)));
+            .map(|eval| av_suite::fnv::fnv1a(&encode(0x0123_4567_89ab_cdef, eval)));
         assert_eq!(
             digests, PINNED_EVALS,
             "eval bytes changed: every stored search evaluation would miss"
@@ -901,11 +882,12 @@ mod tests {
                 crashes: if launched { 3 } else { 0 },
                 median_k: if launched { 32.5 } else { f64::NAN },
             };
-            let bytes = crate::codec::fuzz::mutate(&encode_eval(9, &eval), &edits);
+            let bytes = crate::codec::fuzz::mutate(&encode(9, &eval), &edits);
+            // What the evaluator accepts: a 6-run summary.
             crate::codec::fuzz::check(
                 &bytes,
-                |b| decode_eval(9, b, "DS-2", ScenarioId::Ds2, 6),
-                |e| encode_eval(9, e),
+                |b| decode::<Eval>(9, b).filter(|e| e.runs == 6),
+                |e| encode(9, e),
             )?;
         }
     }
@@ -1067,6 +1049,46 @@ mod tests {
         );
         assert_eq!(rerun.eval_hits, cold.eval_misses - 1);
         assert_eq!(rerun.render(), cold.render(), "recompute is bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stored summary of another run count under a candidate's key (a
+    /// corrupted count that still decodes) is a miss, counted as one in
+    /// the view too; it is recomputed and stored over, and the report is
+    /// unchanged.
+    #[test]
+    fn a_summary_of_another_run_count_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("search-runs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = tiny_config(AttackVector::MoveIn);
+        let sweep = SweepConfig::tiny();
+        let cold = run_search(&cfg, &sweep, &OracleCache::at(&dir));
+
+        let (name, bytes) = store_files(&dir)
+            .into_iter()
+            .find(|(name, _)| name.ends_with(NS_SEARCH_EVAL))
+            .expect("cold run stored evaluations");
+        let (hex, _) = name.split_once('.').expect("key.namespace");
+        let key = u64::from_str_radix(hex, 16).expect("hex key");
+        let stored: Eval = decode(key, &bytes).expect("stored summary");
+        let longer = Eval {
+            runs: stored.runs + 1,
+            ..stored
+        };
+        std::fs::write(dir.join(&name), encode(key, &longer)).expect("rewrite entry");
+
+        let cache = OracleCache::at(&dir);
+        let rerun = run_search(&cfg, &sweep, &cache);
+        assert_eq!(
+            (rerun.eval_hits, rerun.eval_misses),
+            (cold.eval_misses - 1, 1)
+        );
+        assert_eq!(
+            cache.lookups(Kind::SearchEval),
+            (rerun.eval_hits, rerun.eval_misses)
+        );
+        assert_eq!(rerun.render(), cold.render(), "recompute is bit-identical");
+        assert_eq!(std::fs::read(dir.join(&name)).expect("entry"), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

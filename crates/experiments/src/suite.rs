@@ -2,7 +2,7 @@
 //! CLI handling for the experiment binaries.
 
 use crate::campaign::{Campaign, DispatchMode};
-use crate::oracle_cache::{OracleCache, DATASET_CODE_VERSION};
+use crate::oracle_cache::{Kind, OracleCache, DATASET_CODE_VERSION};
 use crate::runner::{AttackerSpec, OracleSpec};
 use crate::train_sh::SweepConfig;
 use av_neural::gemm::UnknownGemmMode;
@@ -11,7 +11,7 @@ use av_suite::api::{EvalRequest, Priority};
 use av_suite::fnv::Fnv1a;
 use av_suite::ArtifactStore;
 use robotack::vector::AttackVector;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The six 〈scenario, vector〉 RoboTack arms of Table II, in paper row order.
@@ -57,11 +57,12 @@ impl Default for Args {
     }
 }
 
-/// A command-line value that is missing or does not parse, or an
-/// `AV_GEMM_MODE` that names no kernel. Every experiment binary reports it
-/// and exits with status 2 instead of falling back to a default (a typo
-/// like `--runs 2O` must not silently run 120 runs, nor
-/// `AV_GEMM_MODE=naiv` silently run the blocked kernels).
+/// A command-line value that is missing or does not parse, an argument no
+/// flag takes, or an `AV_GEMM_MODE` that names no kernel. Every experiment
+/// binary reports it and exits with status 2 instead of falling back to a
+/// default (a typo like `--runs 2O` must not silently run 120 runs,
+/// `--seeds 3020` silently run seed 2020, nor `AV_GEMM_MODE=naiv` silently
+/// run the blocked kernels).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// The flag was the last argument, with no value after it.
@@ -78,6 +79,13 @@ pub enum ArgError {
         /// What the flag takes, e.g. "a non-negative integer".
         expected: &'static str,
     },
+    /// An argument the binary does not take.
+    UnknownFlag {
+        /// The argument as given, e.g. `--seeds`.
+        flag: String,
+        /// The flags the binary takes, for the usage line.
+        usage: String,
+    },
     /// The `AV_GEMM_MODE` environment variable names no GEMM mode.
     GemmMode(UnknownGemmMode),
 }
@@ -91,6 +99,7 @@ impl std::fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "{flag} takes {expected}, not {value:?}"),
+            ArgError::UnknownFlag { flag, .. } => write!(f, "unknown argument {flag:?}"),
             ArgError::GemmMode(e) => e.fmt(f),
         }
     }
@@ -99,13 +108,31 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl ArgError {
-    /// Reports the error on stderr and exits with status 2 — the usage-error
-    /// path every experiment binary shares.
+    /// [`ArgError::UnknownFlag`] for `flag`, naming the flags of `usage`.
+    pub fn unknown(flag: &str, usage: &str) -> ArgError {
+        ArgError::UnknownFlag {
+            flag: flag.to_string(),
+            usage: usage.to_string(),
+        }
+    }
+
+    /// Reports the error on stderr, with a usage line after an unknown
+    /// argument, and exits with status 2 — the usage-error path every
+    /// experiment binary shares.
     pub fn exit(&self) -> ! {
         eprintln!("error: {self}");
+        if let ArgError::UnknownFlag { usage, .. } = self {
+            let argv0 = std::env::args().next().unwrap_or_default();
+            let program = Path::new(&argv0).file_name().unwrap_or_default();
+            eprintln!("usage: {} {usage}", program.to_string_lossy());
+        }
         std::process::exit(2)
     }
 }
+
+/// The shared flags every experiment binary takes ([`Args`]).
+pub const USAGE: &str =
+    "[--runs N] [--quick] [--seed S] [--cache-dir DIR] [--no-cache] [--batch N]";
 
 /// The raw value after `flag`, or [`ArgError::MissingValue`].
 pub fn value<'a>(
@@ -149,15 +176,26 @@ fn positive<'a>(
 
 impl Args {
     /// Parses `--runs N`, `--quick`, `--seed S`, `--cache-dir DIR`,
-    /// `--no-cache`, `--batch N` from `std::env::args`, warning about
-    /// anything else. A missing or unparseable value exits with status 2.
+    /// `--no-cache`, `--batch N` from `std::env::args`. A missing or
+    /// unparseable value, or any other argument, exits with status 2.
     pub fn parse() -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let (args, unknown) = Args::parse_known(&argv).unwrap_or_else(|e| e.exit());
-        for other in unknown {
-            eprintln!("ignoring unknown argument {other:?}");
+        Args::parse_from(&argv).unwrap_or_else(|e| e.exit())
+    }
+
+    /// Parses the shared options out of `argv`, which must hold nothing
+    /// else.
+    ///
+    /// # Errors
+    ///
+    /// What [`Args::parse_known`] refuses, and [`ArgError::UnknownFlag`]
+    /// for the first argument it did not understand.
+    pub fn parse_from(argv: &[String]) -> Result<Args, ArgError> {
+        let (args, unknown) = Args::parse_known(argv)?;
+        match unknown.first() {
+            Some(flag) => Err(ArgError::unknown(flag, USAGE)),
+            None => Ok(args),
         }
-        args
     }
 
     /// Parses the shared options out of `argv`, returning the arguments it
@@ -168,7 +206,7 @@ impl Args {
     ///
     /// A shared flag with a missing or unparseable value, or an
     /// `AV_GEMM_MODE` other than `blocked` or `naive`, is an [`ArgError`];
-    /// unknown flags are not errors.
+    /// unknown flags are not errors here, but returned.
     pub fn parse_known(argv: &[String]) -> Result<(Args, Vec<String>), ArgError> {
         const COUNT: &str = "a non-negative integer";
         av_neural::gemm::mode_from_env().map_err(ArgError::GemmMode)?;
@@ -263,6 +301,11 @@ impl Args {
     }
 }
 
+/// The `suite` binary's own flags, for the usage line.
+const SUITE_FLAGS: &str = "[--jobs N] [--only JOB]... [--list] [--manifest FILE] \
+     [--no-resume] [--socket PATH] [--request-slots N] [--priority interactive|batch] \
+     [--id NAME] [--shutdown]";
+
 /// Command-line options of the `suite` orchestrator binary: the shared
 /// [`Args`] plus scheduling flags.
 #[derive(Debug, Clone)]
@@ -324,13 +367,14 @@ impl SuiteArgs {
         SuiteArgs::parse_from(&argv).unwrap_or_else(|e| e.exit())
     }
 
-    /// Parses suite flags plus the shared [`Args`] from `argv`, warning
-    /// about unknown flags.
+    /// Parses suite flags plus the shared [`Args`] from `argv` (after the
+    /// `serve`/`request` subcommand word, if any).
     ///
     /// # Errors
     ///
-    /// A flag with a missing or unparseable value, `--jobs 0`, or
-    /// `--request-slots 0` is an [`ArgError`].
+    /// A flag with a missing or unparseable value, `--jobs 0`,
+    /// `--request-slots 0`, or an argument no flag takes is an
+    /// [`ArgError`].
     pub fn parse_from(argv: &[String]) -> Result<SuiteArgs, ArgError> {
         let (base, rest) = Args::parse_known(argv)?;
         let mut args = SuiteArgs {
@@ -359,7 +403,10 @@ impl SuiteArgs {
                 }
                 "--id" => args.id = value(&mut iter, "--id")?.to_string(),
                 "--shutdown" => args.shutdown = true,
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                other => {
+                    let usage = format!("[serve | request] {USAGE} {SUITE_FLAGS}");
+                    return Err(ArgError::unknown(other, &usage));
+                }
             }
         }
         Ok(args)
@@ -431,36 +478,24 @@ pub fn oracle_for(
 }
 
 /// Prints the cache scorecard to stderr (stdout stays byte-identical across
-/// warm and cold runs — CI diffs it): oracle, dataset, campaign and figure
-/// lookups. A report calls it after its last campaign or figure fold, so
-/// the campaign and figure lines say whether those came from the store.
+/// warm and cold runs — CI diffs it): one line per [`Kind::SCORED`] kind,
+/// oracle, dataset, campaign and figure lookups. A report calls it after
+/// its last campaign or figure fold, so the campaign and figure lines say
+/// whether those came from the store.
 pub fn report_cache(cache: &OracleCache) {
-    if cache.is_enabled() {
-        eprintln!(
-            "[oracle-cache] hits={} misses={}",
-            cache.hits(),
-            cache.misses()
-        );
-        eprintln!(
-            "[artifact] dataset hits={} misses={}",
-            cache.dataset_hits(),
-            cache.dataset_misses()
-        );
-        eprintln!(
-            "[artifact] campaign hits={} misses={}",
-            cache.campaign_hits(),
-            cache.campaign_misses()
-        );
-        eprintln!(
-            "[artifact] figure hits={} misses={}",
-            cache.figure_hits(),
-            cache.figure_misses()
-        );
-    } else {
-        eprintln!("[oracle-cache] disabled");
-        eprintln!("[artifact] dataset cache disabled");
-        eprintln!("[artifact] campaign cache disabled");
-        eprintln!("[artifact] figure cache disabled");
+    for kind in Kind::SCORED {
+        let label = match kind {
+            Kind::Oracle => "[oracle-cache]".to_string(),
+            _ => format!("[artifact] {}", kind.namespace()),
+        };
+        if cache.is_enabled() {
+            let (hits, misses) = cache.lookups(kind);
+            eprintln!("{label} hits={hits} misses={misses}");
+        } else if kind == Kind::Oracle {
+            eprintln!("{label} disabled");
+        } else {
+            eprintln!("{label} cache disabled");
+        }
     }
 }
 
@@ -673,11 +708,25 @@ mod tests {
             "4",
             "--priority",
             "batch",
-            "--bogus",
         ]))
-        .expect("unknown flags only warn");
+        .expect("valid flags");
         assert_eq!((ok.jobs, ok.request_slots), (3, 4));
         assert_eq!(ok.priority, Priority::Batch);
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors_with_a_usage_line() {
+        let err = Args::parse_from(&argv(&["--quick", "--seeds", "3020"])).expect_err("typo");
+        assert_eq!(err, ArgError::unknown("--seeds", USAGE));
+        assert_eq!(err.to_string(), "unknown argument \"--seeds\"");
+        assert!(Args::parse_from(&argv(&["--quick", "--seed", "3020"])).is_ok());
+        // The suite parser refuses what neither it nor the shared parser
+        // takes, a stray subcommand word included.
+        let usage = format!("[serve | request] {USAGE} {SUITE_FLAGS}");
+        for stray in ["--bogus", "serve", "3020"] {
+            let err = SuiteArgs::parse_from(&argv(&["--jobs", "3", stray])).expect_err(stray);
+            assert_eq!(err, ArgError::unknown(stray, &usage));
+        }
     }
 
     #[test]

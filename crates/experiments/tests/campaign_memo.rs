@@ -8,7 +8,7 @@
 use av_experiments::campaign::{run_campaign_dispatch, Campaign, CampaignResult, DispatchMode};
 use av_experiments::jobs::{fig5, fig8, paper_dag};
 use av_experiments::memo::{CampaignKey, CampaignMemo};
-use av_experiments::oracle_cache::{network_digest, OracleCache};
+use av_experiments::oracle_cache::{network_digest, Kind, OracleCache};
 use av_experiments::prelude::{AttackVector, AttackerSpec, OracleSpec, ScenarioId};
 use av_experiments::suite::{oracle_for, r_campaign, Args};
 use av_faults::{FaultKind, FaultPlan, FaultSpec};
@@ -54,7 +54,7 @@ fn load_oracle(scenario: ScenarioId) -> OracleSpec {
         &quick_args().sweep(),
         &cache,
     );
-    assert_eq!(cache.misses(), 0, "loaded, not retrained");
+    assert_eq!(cache.lookups(Kind::Oracle).1, 0, "loaded, not retrained");
     assert!(matches!(oracle, OracleSpec::Nn(_)), "{desc}");
     oracle
 }
@@ -355,7 +355,7 @@ fn a_corrupt_campaign_entry_prints_the_same_report_after_one_miss() {
     let cold = OracleCache::at(&dir);
     let expected = fig8(&args, &cold, &CampaignMemo::new());
     assert_eq!(
-        (cold.campaign_hits(), cold.campaign_misses()),
+        cold.lookups(Kind::Campaign),
         (0, 2),
         "fig8(a) folds the DS-1 and DS-2 Move_Out campaigns"
     );
@@ -374,7 +374,7 @@ fn a_corrupt_campaign_entry_prints_the_same_report_after_one_miss() {
     let memo = CampaignMemo::new();
     assert_eq!(fig8(&args, &warm, &memo), expected, "byte-identical stdout");
     assert_eq!(
-        (warm.campaign_hits(), warm.campaign_misses()),
+        warm.lookups(Kind::Campaign),
         (1, 1),
         "the corrupt entry is one counted miss"
     );
@@ -412,7 +412,7 @@ fn a_corrupt_or_truncated_figure_entry_prints_the_same_report_after_one_miss() {
     let reports = || {
         let view = OracleCache::at(&dir);
         let stdout = fig5(&args, &view) + &fig8(&args, &view, &CampaignMemo::new());
-        (stdout, (view.figure_hits(), view.figure_misses()))
+        (stdout, view.lookups(Kind::Figure))
     };
     let (expected, counted) = reports();
     assert_eq!(counted, (0, 2), "a cold store misses both figures");

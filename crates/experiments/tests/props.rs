@@ -3,7 +3,7 @@
 use av_experiments::campaign::{
     run_campaign_dispatch, run_campaign_with_threads, Campaign, DispatchMode,
 };
-use av_experiments::oracle_cache::OracleCache;
+use av_experiments::oracle_cache::{Kind, OracleCache};
 use av_experiments::prelude::*;
 use av_experiments::stats::{
     fit_exponential, fit_normal, histogram, mean, median, percentile, std_dev, BoxSummary,
@@ -84,7 +84,7 @@ fn valid_snapshot_bytes() -> &'static [u8] {
         let oracle = train_oracle_on(&data).expect("synthetic dataset trains");
         let dir = hostile_cache_dir("encode");
         let cache = OracleCache::at(&dir);
-        cache.store(0, &oracle);
+        cache.put(0, &oracle);
         let bytes = std::fs::read(dir.join(format!("{:016x}.oracle", 0))).expect("stored bytes");
         let _ = std::fs::remove_dir_all(&dir);
         bytes
@@ -184,7 +184,7 @@ proptest! {
         let cache = OracleCache::at(&dir);
         // Random bytes must be a silent miss — never a panic or an oracle.
         prop_assert!(cache.lookup(key).is_none());
-        prop_assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        prop_assert_eq!(cache.lookups(Kind::Oracle), (0, 1));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,7 +8,6 @@ use av_sensing::tap::{CameraTapVerdict, SensorTap};
 use av_simkit::rng::{self, mix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Stream constant separating the fault RNG from every other per-run stream
@@ -16,7 +15,7 @@ use std::collections::VecDeque;
 pub const FAULT_STREAM: u64 = 0xFA_0175;
 
 /// Counters of what the injector actually did during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Camera frames lost to `CameraFrameDrop` (or a filling delay line).
     pub camera_frames_dropped: u32,

@@ -1,13 +1,11 @@
 //! Fault plans: what goes wrong, when, and how hard.
 
-use serde::{Deserialize, Serialize};
-
 /// Activation window of one fault, in simulation seconds.
 ///
 /// The fault may only act on measurements whose timestamp `t` satisfies
 /// `start <= t < end`. Stochastic triggers are likewise only drawn inside
 /// the window, so an inactive fault consumes no randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// First active instant (inclusive, s).
     pub start: f64,
@@ -38,7 +36,7 @@ impl FaultWindow {
 /// Camera faults act on the frame the detector will consume; LiDAR and GPS
 /// faults act on their respective measurements. All probabilities are
 /// per-measurement and clamped to `[0, 1]` at draw time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Each frame is lost entirely with probability `probability` — neither
     /// the attacker nor the ADS sees it.
@@ -105,7 +103,7 @@ pub enum FaultKind {
 }
 
 /// One fault: a mode plus its activation window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// The fault mode and intensity.
     pub kind: FaultKind,
@@ -132,7 +130,7 @@ impl FaultSpec {
 }
 
 /// A complete fault plan: the specs apply independently, in order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The faults to inject.
     pub specs: Vec<FaultSpec>,

@@ -19,12 +19,11 @@
 //! [`crate::gemm`]). The kernel never consults [`crate::gemm::GemmMode`].
 
 use crate::mlp::Mlp;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// An immutable, inference-only copy of an [`Mlp`]: each layer stored as
 /// `Wᵀ` (in × out, row-major) followed by its bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceMlp {
     /// Layer sizes (input, hidden..., output).
     sizes: Vec<usize>,

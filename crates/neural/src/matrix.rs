@@ -7,10 +7,9 @@
 //! is NaN, never silently dropped.
 
 use crate::gemm;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major `f64` matrix.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -5,10 +5,9 @@ use crate::matrix::Matrix;
 use crate::optim::{AdamLane, AdamStep};
 use av_simkit::rng as simrng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One dense layer: `y = x·Wᵀ + b`, optionally followed by ReLU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Dense {
     /// Weights, shape (out, in).
     w: Matrix,
@@ -59,7 +58,7 @@ impl TrainScratch {
 }
 
 /// A multi-layer perceptron.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
     /// Dropout rate applied after each hidden activation during training.

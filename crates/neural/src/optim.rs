@@ -12,10 +12,8 @@
 //! lives only for one training run and is never persisted: a stored oracle
 //! is its trained parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam optimizer state over a flat parameter vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f64,

@@ -6,10 +6,9 @@ use crate::mlp::{Mlp, TrainScratch};
 use crate::optim::Adam;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A supervised regression dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Input feature rows.
     pub inputs: Vec<Vec<f64>>,
@@ -85,7 +84,7 @@ impl Dataset {
 }
 
 /// Per-feature affine normalizer (z-scoring) fitted on the training inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     /// Feature means.
     pub mean: Vec<f64>,
@@ -141,7 +140,7 @@ impl Normalizer {
 }
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -162,7 +161,7 @@ impl Default for TrainConfig {
 }
 
 /// Result of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Mean squared error on the training set after the final epoch.
     pub final_train_loss: f64,

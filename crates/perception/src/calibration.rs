@@ -15,10 +15,9 @@
 //! meaning as in the paper.
 
 use av_simkit::actor::ActorKind;
-use serde::{Deserialize, Serialize};
 
 /// Gaussian parameters for one normalized error axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     /// Mean of the normalized error.
     pub mean: f64,
@@ -27,7 +26,7 @@ pub struct Gaussian {
 }
 
 /// Shifted-exponential parameters for misdetection streak lengths (frames).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     /// Location (minimum streak length).
     pub loc: f64,
@@ -39,7 +38,7 @@ pub struct Exponential {
 }
 
 /// Per-class detector noise model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassCalibration {
     /// Normalized bbox-center error along image x (units of bbox width).
     pub center_x: Gaussian,
@@ -54,7 +53,7 @@ pub struct ClassCalibration {
 }
 
 /// Full detector calibration: one model per class plus detectability limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorCalibration {
     /// Noise model for vehicles (cars, trucks).
     pub vehicle: ClassCalibration,

@@ -25,7 +25,6 @@ use crate::types::{Support, WorldObject};
 use av_sensing::lidar::LidarScan;
 use av_simkit::actor::{ActorId, ActorKind, Size};
 use av_simkit::math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// One camera-pipeline observation handed to fusion: a confirmed track
 /// back-projected to the ground plane.
@@ -42,7 +41,7 @@ pub struct CameraObservation {
 }
 
 /// Fusion configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionConfig {
     /// Camera–LiDAR association gate (m).
     pub assoc_gate: f64,

@@ -6,8 +6,6 @@
 //! attacker who biases measurements while staying inside ±1σ of the modeled
 //! noise walks the state away without ever looking anomalous.
 
-use serde::{Deserialize, Serialize};
-
 type Mat4 = [[f64; 4]; 4];
 
 fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
@@ -31,7 +29,7 @@ fn mat4_transpose(a: &Mat4) -> Mat4 {
 }
 
 /// Kalman filter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KalmanConfig {
     /// 1σ of the white acceleration driving the process model (px/s²).
     pub process_accel: f64,
@@ -55,7 +53,7 @@ impl Default for KalmanConfig {
 }
 
 /// Constant-velocity Kalman filter over an image-plane point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kalman {
     config: KalmanConfig,
     x: [f64; 4],

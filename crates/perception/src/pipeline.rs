@@ -11,10 +11,9 @@ use av_sensing::lidar::LidarScan;
 use av_simkit::math::Vec2;
 use av_telemetry::{Stage, Telemetry, TraceEvent};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full perception stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerceptionConfig {
     /// Camera intrinsics/mounting used for the ground transform.
     pub camera: Camera,

@@ -12,14 +12,13 @@ use crate::kalman::{Kalman, KalmanConfig};
 use crate::types::Detection;
 use av_sensing::bbox::BBox;
 use av_simkit::actor::{ActorId, ActorKind};
-use serde::{Deserialize, Serialize};
 
 /// Stable track identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TrackId(pub u64);
 
 /// Track lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrackState {
     /// Newly created; not yet reported to fusion.
     Tentative,
@@ -30,7 +29,7 @@ pub enum TrackState {
 }
 
 /// One tracked object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Track {
     /// Track identifier.
     pub id: TrackId,
@@ -70,7 +69,7 @@ impl Track {
 }
 
 /// Tracker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// Hits required to confirm a track.
     pub confirm_hits: u32,

@@ -4,10 +4,9 @@ use crate::tracker::TrackId;
 use av_sensing::bbox::BBox;
 use av_simkit::actor::{ActorId, ActorKind};
 use av_simkit::math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// One detector output: a classified bounding box measurement `oᵢₜ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Predicted object class.
     pub kind: ActorKind,
@@ -23,7 +22,7 @@ pub struct Detection {
 }
 
 /// How a published world-model object is currently supported by sensors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Support {
     /// Camera track with an associated LiDAR return (position from LiDAR).
     CameraAndLidar,
@@ -34,7 +33,7 @@ pub enum Support {
 }
 
 /// One object in the fused world model `Wt` consumed by planning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldObject {
     /// Stable fused-object identifier.
     pub id: u64,

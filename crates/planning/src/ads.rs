@@ -14,10 +14,9 @@ use av_sensing::lidar::LidarScan;
 use av_simkit::math::Vec2;
 use av_telemetry::{Stage, Telemetry, TraceEvent};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// ADS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdsConfig {
     /// Perception stack configuration.
     pub perception: PerceptionConfig,

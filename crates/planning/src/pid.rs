@@ -2,10 +2,8 @@
 //! smoothed out using a PID controller ... so the AV does not make any
 //! sudden changes in Aₜ").
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete PID controller with anti-windup and slew (jerk) limiting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pid {
     /// Proportional gain.
     pub kp: f64,

@@ -13,11 +13,10 @@
 use crate::safety::SafetyConfig;
 use av_perception::types::WorldObject;
 use av_simkit::math::{interval_overlap, Vec2};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Planner behavior mode (diagnostic; the binding constraint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
     /// Tracking the cruise speed; path clear.
     Cruise,
@@ -49,7 +48,7 @@ impl PlannerMode {
 }
 
 /// Planner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Cruise set-speed (m/s).
     pub cruise_speed: f64,
@@ -164,7 +163,7 @@ pub struct PlanInput<'a> {
 }
 
 /// Output of one planning cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanOutput {
     /// Commanded acceleration (m/s²; braking negative).
     pub accel: f64,

@@ -8,10 +8,8 @@
 //!   an *accident* when `δ < 4 m` (the LGSVL bridge halts simulations below
 //!   a 4 m separation).
 
-use serde::{Deserialize, Serialize};
-
 /// Safety model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyConfig {
     /// Maximum comfortable deceleration (m/s²) used for `d_stop`.
     pub comfort_decel: f64,

@@ -2,7 +2,6 @@
 
 use av_suite::fnv::Fnv1a;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A scalar scenario parameter: either pinned or drawn per seed.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// inside the RNG. Well-formed ranges always consume exactly one draw —
 /// the draw-count stability the bit-identity contract with
 /// `Scenario::build` relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Param {
     /// Always this value; never draws.
     Fixed(f64),

@@ -26,7 +26,6 @@ use av_simkit::units::kph_to_mps;
 use av_simkit::world::World;
 use av_suite::fnv::Fnv1a;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Version tag folded into every [`ScenarioSpec::content_hash`]. Bump it
 /// whenever sampling semantics change so stale cache entries can never be
@@ -152,7 +151,7 @@ impl std::error::Error for SpecError {}
 
 /// A parameterized road user. Each variant documents its **pinned draw
 /// order** — the exact RNG draws `spawn` performs, in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActorTemplate {
     /// A vehicle cruising ahead in lane `lane` (the DS-1/DS-5 lead).
     ///
@@ -663,7 +662,7 @@ impl ActorTemplate {
 }
 
 /// A typed, hashable recipe for a family of scenarios.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human label for reports. **Not** part of the content hash.
     pub name: String,

@@ -1,12 +1,10 @@
 //! Axis-aligned bounding boxes in image coordinates.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned bounding box in image pixel coordinates.
 ///
 /// `x` grows rightward, `y` grows downward (standard image convention).
 /// A box is *valid* when `x0 <= x1 && y0 <= y1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Left edge.
     pub x0: f64,

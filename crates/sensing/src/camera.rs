@@ -9,10 +9,9 @@
 use crate::bbox::BBox;
 use av_simkit::actor::Actor;
 use av_simkit::math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Pinhole camera intrinsics + mounting geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     /// Image width in pixels.
     pub width: f64,

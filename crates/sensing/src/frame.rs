@@ -5,7 +5,6 @@ use crate::camera::Camera;
 use crate::image::{Raster, RASTER_SCALE};
 use av_simkit::actor::{ActorId, ActorKind};
 use av_simkit::world::World;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth projection of one world actor into the image.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// rewrite them (translate the box within the noise gate, or mark it
 /// suppressed) before the detector runs — that rewrite is exactly the effect
 /// the pixel-space patch in `robotack::patch` realizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruthBox {
     /// Which actor this projection belongs to.
     pub actor: ActorId,
@@ -31,7 +30,7 @@ pub struct TruthBox {
 
 /// One camera frame: timestamp, sequence number, ground-truth boxes, and an
 /// optional rendered raster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CameraFrame {
     /// Monotone frame sequence number.
     pub seq: u64,

@@ -4,10 +4,9 @@ use av_simkit::math::Vec2;
 use av_simkit::rng;
 use av_simkit::world::World;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One GPS/IMU fix of the ego state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsImuFix {
     /// Fix time (s).
     pub t: f64,
@@ -20,7 +19,7 @@ pub struct GpsImuFix {
 }
 
 /// GPS/IMU sensor model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsImu {
     /// 1σ position noise per axis (m). RTK-grade GPS: centimeters.
     pub position_noise: f64,

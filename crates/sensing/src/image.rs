@@ -9,13 +9,12 @@
 
 use crate::bbox::BBox;
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Downscale factor from camera pixels to raster cells.
 pub const RASTER_SCALE: f64 = 10.0;
 
 /// A grayscale image with `f32` luminance values in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
     width: usize,
     height: usize,

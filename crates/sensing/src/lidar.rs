@@ -11,14 +11,13 @@ use av_simkit::math::Vec2;
 use av_simkit::rng;
 use av_simkit::world::World;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One object-level LiDAR return (a clustered point-cloud segment).
 ///
 /// Deliberately carries **no actor identity and no class label**: clustering
 /// yields geometry only, and the fusion stage must associate returns with
 /// camera tracks itself, exactly the disagreement the attack exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LidarObject {
     /// Measured object center in world coordinates (m).
     pub position: Vec2,
@@ -27,7 +26,7 @@ pub struct LidarObject {
 }
 
 /// A full LiDAR sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LidarScan {
     /// Sweep completion time (s).
     pub t: f64,
@@ -36,7 +35,7 @@ pub struct LidarScan {
 }
 
 /// LiDAR sensor model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lidar {
     /// Range (m) out to which vehicles return reliably.
     pub vehicle_range: f64,

@@ -2,10 +2,9 @@
 
 use crate::behavior::Behavior;
 use crate::math::{Pose, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Opaque identifier for an actor within a [`crate::world::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActorId(pub u32);
 
 impl std::fmt::Display for ActorId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for ActorId {
 }
 
 /// The class of a road user, mirroring the detector's class vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActorKind {
     /// A passenger car (including the ego vehicle).
     Car,
@@ -33,7 +32,7 @@ impl ActorKind {
 }
 
 /// Physical extent of an actor in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Size {
     /// Extent along the heading direction.
     pub length: f64,
@@ -74,7 +73,7 @@ impl Size {
 }
 
 /// A scripted (or ego) road user.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Actor {
     /// Identifier, unique within a world.
     pub id: ActorId,

@@ -6,10 +6,9 @@
 //! [`crate::world::World::step`].
 
 use crate::math::{Pose, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// A waypoint: drive toward `target` at `speed`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Target position in road coordinates.
     pub target: Vec2,
@@ -25,7 +24,7 @@ impl Waypoint {
 }
 
 /// What a waypoint actor does after consuming its last waypoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnFinish {
     /// Stop and stay put.
     Stop,
@@ -34,7 +33,7 @@ pub enum OnFinish {
 }
 
 /// Motion script for a non-ego actor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Behavior {
     /// Controlled externally (the ego vehicle).
     Ego,

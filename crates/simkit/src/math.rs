@@ -1,6 +1,5 @@
 //! Plan-view geometry and small numeric helpers.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 2-D vector in road coordinates: `x` longitudinal, `y` lateral (meters).
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let v = Vec2::new(3.0, 4.0);
 /// assert_eq!(v.norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Longitudinal component (meters).
     pub x: f64,
@@ -111,7 +110,7 @@ impl Neg for Vec2 {
 }
 
 /// A pose in the plan view: position plus heading (radians, 0 = +x).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// Position in road coordinates (meters).
     pub position: Vec2,

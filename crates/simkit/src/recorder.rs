@@ -1,11 +1,9 @@
 //! Per-run time-series capture used by the evaluation harness.
 
-use serde::{Deserialize, Serialize};
-
 /// One sample of the quantities the evaluation tracks, taken whenever an
 /// actuation command is sent (the paper computes `d_safe` at actuation time,
 /// §II-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Simulation time (s).
     pub t: f64,
@@ -24,7 +22,7 @@ pub struct Sample {
 }
 
 /// Discrete events of interest during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// The attacker began perturbing the camera feed.
     AttackStarted,
@@ -37,7 +35,7 @@ pub enum Event {
 }
 
 /// Recorded history of a single simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunRecord {
     /// Periodic samples, in time order.
     pub samples: Vec<Sample>,

@@ -1,7 +1,5 @@
 //! Road geometry: a straight multi-lane street in plan view.
 
-use serde::{Deserialize, Serialize};
-
 /// A straight road along +x with parallel lanes.
 ///
 /// Lane indices are signed: lane `0` is the ego lane (centered at `y = 0`),
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// default layout mirrors the paper's "Borregas Avenue" scenarios: the ego
 /// lane, one adjacent traffic lane to the left, and a parking lane to the
 /// right (§V-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Road {
     /// Width of every lane in meters.
     pub lane_width: f64,

@@ -12,11 +12,10 @@ use crate::rng;
 use crate::road::Road;
 use crate::units::kph_to_mps;
 use crate::world::World;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a driving scenario from the paper (§V-C, Fig. 4), or a
 /// procedurally generated scenario identified by its spec content hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioId {
     /// DS-1: ego follows a slower target vehicle in its lane.
     Ds1,
@@ -97,7 +96,7 @@ impl std::fmt::Display for ScenarioId {
 /// cruise speed, spawn jitter, and the DS-5 traffic population. The default
 /// reproduces the paper setup bit-for-bit (the golden-trace suite pins it);
 /// spec-driven callers can widen any of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioParams {
     /// Road layout (lane width, lane count, speed limit).
     pub road: Road,

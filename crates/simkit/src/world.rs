@@ -5,11 +5,10 @@ use crate::behavior::Behavior;
 use crate::error::SimError;
 use crate::math::{interval_overlap, Vec2};
 use crate::road::Road;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth description of the nearest in-path obstacle, used by the
 /// safety model (Defs. 3–5) and to label the safety-hijacker training data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InPathObstacle {
     /// Which actor is in the ego's path.
     pub id: ActorId,
@@ -24,7 +23,7 @@ pub struct InPathObstacle {
 /// Non-ego actors follow their [`Behavior`] scripts; the ego is integrated
 /// from the longitudinal acceleration command supplied to [`World::step`]
 /// (the paper's attacks and safety model are longitudinal-only, §II-C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// Road geometry.
     pub road: Road,

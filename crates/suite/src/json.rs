@@ -1,11 +1,11 @@
 //! The one JSON reader of the suite: daemon requests, the events a client
 //! reads back and run-manifest lines all go through [`Json::parse`]. The
-//! vendored `serde` is a no-op stub, so this is a small recursive-descent
-//! parser, and it treats every line as hostile: nesting is depth-limited,
-//! nothing panics whatever the bytes, numbers keep their literal text so
-//! integers read exactly ([`Json::as_u64`]), and `\u` escapes take exactly
-//! four hex digits, with surrogate pairs decoded and lone surrogates
-//! refused. Typed readers ([`crate::api`], [`crate::manifest`]) read their
+//! workspace has no serialization framework, so this is a small
+//! recursive-descent parser, and it treats every line as hostile: nesting
+//! is depth-limited, nothing panics whatever the bytes, numbers keep their
+//! literal text so integers read exactly ([`Json::as_u64`]), and `\u`
+//! escapes take exactly four hex digits, with surrogate pairs decoded and
+//! lone surrogates refused. Typed readers ([`crate::api`], [`crate::manifest`]) read their
 //! fields by name, so field order and whitespace never matter to them.
 
 /// Maximum nesting depth the parser follows. The suite's own lines nest

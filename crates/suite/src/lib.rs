@@ -25,8 +25,8 @@
 //!   [`execute`] call shares (and nothing outside it sees).
 //! - [`json`]: the one hostile-input-safe JSON reader every JSON line
 //!   goes through — wire requests, streamed events and manifest lines.
-//! - [`manifest`]: the JSONL run manifest (the vendored `serde` is a
-//!   no-op stub); truncated trailing lines — a killed run — parse as "not
+//! - [`manifest`]: the JSONL run manifest, written by hand and read
+//!   through [`json`]; truncated trailing lines — a killed run — parse as "not
 //!   completed", which is what makes resume safe.
 //! - [`api`]: the typed evaluation-service wire API — [`EvalRequest`] in,
 //!   streamed [`EvalEvent`]s out — shared verbatim by the one-shot CLI and

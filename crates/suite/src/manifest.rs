@@ -2,8 +2,8 @@
 //!
 //! One header line pinning the run configuration digest, then one line per
 //! completed job carrying its stdout (escaped), a stdout digest, wall time
-//! and artifact scorecard. The vendored `serde` is a no-op stub: the
-//! writer below formats its fields by hand, and the reader parses each
+//! and artifact scorecard. The workspace has no serialization framework:
+//! the writer below formats its fields by hand, and the reader parses each
 //! line with the suite's one JSON reader ([`crate::json`]) and then reads
 //! the fields by name.
 //!

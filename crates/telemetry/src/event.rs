@@ -325,8 +325,8 @@ impl TraceRecord {
     ///
     /// The schema is flat and stable: `seq`, `t` (6 decimal places), `type`
     /// (an [`EventKind::name`]), then the payload fields of the variant.
-    /// The vendored `serde` is a no-op stub, so this is the one place JSON
-    /// is produced — keep it in sync with the taxonomy.
+    /// The workspace has no serialization framework, so this is the one
+    /// place JSON is produced — keep it in sync with the taxonomy.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(

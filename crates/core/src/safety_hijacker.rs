@@ -362,8 +362,9 @@ impl<O: SafetyOracle> SafetyHijacker<O> {
         search.into_decision()
     }
 
-    /// Exhaustive (linear) version of [`SafetyHijacker::decide`] — used by
-    /// the `ablation_k_search` bench to validate the binary search.
+    /// Exhaustive (linear) version of [`SafetyHijacker::decide`] — the
+    /// reference the ablations report and the property tests check the
+    /// binary search against.
     pub fn decide_linear(&self, features: &AttackFeatures) -> Option<AttackDecision> {
         let cfg = &self.config;
         if self.oracle.predict_delta(features, cfg.k_max) > cfg.gamma - cfg.confidence_margin {

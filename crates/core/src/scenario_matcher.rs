@@ -101,7 +101,7 @@ impl ScenarioMatcher {
     }
 
     /// Renders the Table I rule map as the paper prints it (for the
-    /// quickstart example and the Table I bench).
+    /// quickstart example).
     pub fn table(&self) -> String {
         use TrajectoryClass::*;
         let cell = |traj: TrajectoryClass, in_lane: bool| -> &'static str {

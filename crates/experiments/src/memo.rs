@@ -29,13 +29,16 @@
 //!   the slot. A later execution — or a standalone binary over the same
 //!   store — reads the campaigns an earlier one simulated.
 //!
-//! Store lookups count in the caller's [`OracleCache`] view as
-//! [`Kind::Campaign`] lookups: a hit when the stored entry held every run
-//! asked for, a miss otherwise. That is what puts campaigns in the per-job
-//! scorecards and the suite's `totals` line. Campaigns never go through the store's in-flight claims. A
-//! disabled store (`--no-cache`) leaves the memo working alone, and
-//! campaigns that collect metrics bypass both tiers, since their timing is
-//! the point.
+//! Every request for at least one run over an enabled store counts one
+//! [`Kind::Campaign`] lookup in the caller's [`OracleCache`] view: a hit
+//! when the entry that the memo's first read of the key found held every
+//! run asked for, a miss otherwise. No job of the memo has written the key
+//! before that read, so a job's count does not depend on which job asked
+//! first. That is what puts campaigns in the per-job scorecards and the
+//! suite's `totals` line. Campaigns never go through the store's in-flight
+//! claims. A disabled store (`--no-cache`) leaves the memo working alone,
+//! and campaigns that collect metrics bypass both tiers, since their timing
+//! is the point.
 //!
 //! An entry is a sealed frame of the crate's store codec (`codec.rs`: magic
 //! `RTCP`, [`CAMPAIGN_CODE_VERSION`] and the address echo, then an FNV-1a
@@ -180,8 +183,17 @@ fn attacker_digest(attacker: &AttackerSpec, digest: impl FnOnce(&Arc<NnOracle>) 
     h.finish()
 }
 
-/// Runs `0..n` of one key, in seed order.
-type Slot = Arc<Mutex<Vec<RunSummary>>>;
+/// What a memo holds of one key.
+#[derive(Debug, Default)]
+struct Held {
+    /// Runs `0..n`, in seed order.
+    runs: Vec<RunSummary>,
+    /// Runs in the stored entry that this memo's first read of the key
+    /// found (0 when there was none); `None` before that read.
+    stored: Option<u64>,
+}
+
+type Slot = Arc<Mutex<Held>>;
 
 /// Folded campaign outcomes shared by the report jobs of one execution.
 #[derive(Debug, Default)]
@@ -199,9 +211,10 @@ impl CampaignMemo {
     /// The folded runs of `campaign` on `threads` workers under `mode`:
     /// bit-identical to [`run_campaign_summary`], simulating only the runs
     /// that neither an earlier request to this memo nor the store behind
-    /// `store` already holds. Store lookups count in `store`'s
-    /// [`Kind::Campaign`] lookups. Campaigns that collect metrics are
-    /// simulated directly, since their timing is the point.
+    /// `store` already holds. A request for at least one run over an
+    /// enabled store counts one of `store`'s [`Kind::Campaign`] lookups.
+    /// Campaigns that collect metrics are simulated directly, since their
+    /// timing is the point.
     ///
     /// # Errors
     ///
@@ -259,31 +272,39 @@ impl CampaignMemo {
         // A poisoned slot lost a leader mid-simulation; the runs it holds
         // were all stored before, so they stand and the rest is redone.
         let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if (held.len() as u64) < wanted && store.is_enabled() {
-            let stored = store.get_where(address, |s: &Vec<RunSummary>| s.len() as u64 >= wanted);
-            if let Some(stored) = stored.filter(|s| s.len() > held.len()) {
-                *held = stored;
+        if store.is_enabled() && wanted > 0 {
+            if (held.runs.len() as u64) < wanted {
+                let stored = store.fetch::<Vec<RunSummary>>(address);
+                held.stored
+                    .get_or_insert(stored.as_ref().map_or(0, |s| s.len() as u64));
+                if let Some(stored) = stored.filter(|s| s.len() > held.runs.len()) {
+                    held.runs = stored;
+                }
             }
+            // Scored against the first read, which no job of this memo
+            // has written before, so the count does not depend on which
+            // job asked first.
+            store.record(Kind::Campaign, held.stored.is_some_and(|s| s >= wanted));
         }
-        let have = held.len() as u64;
+        let have = held.runs.len() as u64;
         if have < wanted {
             let tail = simulate(have, wanted - have);
             assert_eq!(tail.len() as u64, wanted - have, "simulated run count");
             self.simulated.fetch_add(wanted - have, Ordering::Relaxed);
-            held.extend(tail);
+            held.runs.extend(tail);
             // Another memo over the same store (an overlapping daemon
             // request, another process) may have stored a longer entry
             // meanwhile; a shorter one never replaces it.
             if store.is_enabled()
                 && store
                     .fetch::<Vec<RunSummary>>(address)
-                    .is_none_or(|stored| stored.len() < held.len())
+                    .is_none_or(|stored| stored.len() < held.runs.len())
             {
-                store.put(address, &*held);
+                store.put(address, &held.runs);
             }
         }
         let wanted = usize::try_from(wanted).expect("run count fits usize");
-        held[..wanted].to_vec()
+        held.runs[..wanted].to_vec()
     }
 
     /// Distinct campaign keys requested so far.
@@ -861,8 +882,8 @@ mod tests {
         assert_eq!(first.simulated_runs(), 3);
         assert_eq!(
             cold.lookups(Kind::Campaign),
-            (0, 2),
-            "each extension read the store first; the prefix did not"
+            (0, 3),
+            "every request is scored against the empty store the memo first read"
         );
 
         let warm = OracleCache::over(store.clone());
@@ -900,6 +921,50 @@ mod tests {
             decode::<Runs>(CampaignKey::of(&nosh(1, 40)).address(), &stored),
             Some(direct.runs)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lookup_counts_do_not_depend_on_which_view_asks_first() {
+        let dir = scratch("order");
+        // Views `a` and `b` ask one memo for `a_runs` and `b_runs` runs of
+        // one key, over a store already holding `stored` runs of it.
+        let counts = |stored: u64, a_runs: u64, b_runs: u64, a_first: bool| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Arc::new(av_suite::ArtifactStore::at(&dir));
+            if stored > 0 {
+                let view = OracleCache::over(store.clone());
+                CampaignMemo::new()
+                    .run(&nosh(stored, 70), &view, 1, DispatchMode::WorkStealing)
+                    .unwrap();
+            }
+            let memo = CampaignMemo::new();
+            let (a, b) = (OracleCache::over(store.clone()), OracleCache::over(store));
+            let mut asks = [(&a, a_runs), (&b, b_runs)];
+            if !a_first {
+                asks.reverse();
+            }
+            for (view, runs) in asks {
+                memo.run(&nosh(runs, 70), view, 1, DispatchMode::WorkStealing)
+                    .unwrap();
+            }
+            (a.lookups(Kind::Campaign), b.lookups(Kind::Campaign))
+        };
+        for (stored, a_runs, b_runs, expected) in [
+            (0, 2, 2, ((0, 1), (0, 1))),
+            (0, 2, 3, ((0, 1), (0, 1))),
+            (2, 2, 3, ((1, 0), (0, 1))),
+            (3, 2, 3, ((1, 0), (1, 0))),
+            (0, 0, 2, ((0, 0), (0, 1))),
+        ] {
+            for a_first in [true, false] {
+                assert_eq!(
+                    counts(stored, a_runs, b_runs, a_first),
+                    expected,
+                    "{stored} stored, a asks {a_runs}, b asks {b_runs}, a first: {a_first}"
+                );
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

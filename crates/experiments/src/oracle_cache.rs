@@ -52,7 +52,6 @@ use av_simkit::scenario::ScenarioId;
 use av_suite::dedup::Claim;
 use av_suite::fnv::{fnv1a, Fnv1a};
 use av_suite::ArtifactStore;
-use av_telemetry::{Telemetry, TraceEvent};
 use robotack::safety_hijacker::{AttackFeatures, NnOracle};
 use robotack::vector::AttackVector;
 use std::collections::HashMap;
@@ -121,7 +120,6 @@ pub fn dataset_digest(data: &Dataset) -> u64 {
 #[derive(Debug)]
 pub struct OracleCache {
     artifacts: Arc<ArtifactStore>,
-    telemetry: Telemetry,
     /// ⟨hits, misses⟩ per kind, in [`Kind`] order.
     lookups: [[AtomicU64; 2]; Kind::COUNT],
     read_errors: AtomicU64,
@@ -150,7 +148,6 @@ impl OracleCache {
     pub fn over(artifacts: Arc<ArtifactStore>) -> OracleCache {
         OracleCache {
             artifacts,
-            telemetry: Telemetry::disabled(),
             lookups: Default::default(),
             read_errors: AtomicU64::new(0),
             oracles: None,
@@ -170,19 +167,6 @@ impl OracleCache {
         PathBuf::from("target").join("oracle-cache")
     }
 
-    /// Attaches a telemetry handle; oracle hits and misses are emitted as
-    /// [`TraceEvent::OracleCacheHit`] / [`TraceEvent::OracleCacheMiss`].
-    /// If this view still owns its store exclusively, the store emits
-    /// [`TraceEvent::ArtifactHit`] / [`TraceEvent::ArtifactMiss`] too.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> OracleCache {
-        if let Some(store) = Arc::get_mut(&mut self.artifacts) {
-            store.set_telemetry(telemetry.clone());
-        }
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Whether lookups can ever hit.
     pub fn is_enabled(&self) -> bool {
         self.artifacts.is_enabled()
@@ -196,7 +180,8 @@ impl OracleCache {
     /// ⟨hits, misses⟩ of this view's lookups of `kind`. A disabled store
     /// counts every oracle and dataset lookup as a miss, and no campaign or
     /// figure lookup (those callers compute without asking). A campaign
-    /// lookup hits only when the stored entry holds every run asked for.
+    /// lookup hits only when the stored entry held every run asked for
+    /// before the campaign memo first read it.
     pub fn lookups(&self, kind: Kind) -> (u64, u64) {
         let [hits, misses] = &self.lookups[kind as usize];
         (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))
@@ -217,18 +202,9 @@ impl OracleCache {
         self.read_errors.load(Ordering::Relaxed)
     }
 
-    /// Counts one lookup of `kind` under `key`.
-    fn record(&self, kind: Kind, key: u64, hit: bool) {
+    /// Counts one lookup of `kind`.
+    pub(crate) fn record(&self, kind: Kind, hit: bool) {
         self.lookups[kind as usize][usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
-        if kind == Kind::Oracle {
-            self.telemetry.emit(0.0, || {
-                if hit {
-                    TraceEvent::OracleCacheHit { key }
-                } else {
-                    TraceEvent::OracleCacheMiss { key }
-                }
-            });
-        }
     }
 
     /// Reads and decodes the entry of `T` under `key` without touching
@@ -256,7 +232,7 @@ impl OracleCache {
     /// also satisfies `hit`; the entry is returned either way.
     pub(crate) fn get_where<T: Stored>(&self, key: u64, hit: impl FnOnce(&T) -> bool) -> Option<T> {
         let found = self.fetch(key);
-        self.record(T::KIND, key, found.as_ref().is_some_and(hit));
+        self.record(T::KIND, found.as_ref().is_some_and(hit));
         found
     }
 
@@ -366,9 +342,9 @@ impl OracleCache {
             // enabled store; on a disabled one, the oracle and dataset
             // misses of the retraining it saves.
             let enabled = self.is_enabled();
-            self.record(Kind::Oracle, key, enabled);
+            self.record(Kind::Oracle, enabled);
             if !enabled {
-                self.record(Kind::Dataset, key, false);
+                self.record(Kind::Dataset, false);
             }
             return Some(memoized.trained.clone());
         }

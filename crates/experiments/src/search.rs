@@ -242,7 +242,7 @@ impl SearchReport {
 
     /// Whether some generated scenario strictly exceeds **every** fixed
     /// scenario on EB rate, or strictly exceeds every fixed scenario on
-    /// crash rate — the boundary-crossing acceptance criterion.
+    /// crash rate — the boundary-crossing acceptance test.
     pub fn beats_baselines(&self) -> bool {
         let max_eb = self
             .baselines

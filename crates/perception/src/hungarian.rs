@@ -283,7 +283,7 @@ pub fn solve(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
     scratch.solve().to_vec()
 }
 
-/// Total cost of an assignment over a cost matrix (for tests/benches).
+/// Total cost of an assignment over a cost matrix (for tests).
 pub fn assignment_cost(cost: &[Vec<f64>], assignment: &[Option<usize>]) -> f64 {
     assignment
         .iter()

@@ -70,7 +70,7 @@ impl BBox {
 
     /// Intersection-over-Union with `other` (0 when either box is empty).
     ///
-    /// The paper uses IoU ≥ 60 % as the "correctly detected" criterion
+    /// The paper uses IoU ≥ 60 % as the "correctly detected" threshold
     /// (§VI-A).
     pub fn iou(&self, other: &BBox) -> f64 {
         let inter = self.intersection_area(other);

@@ -8,7 +8,6 @@
 //! pixel-driven detector.
 
 use crate::bbox::BBox;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// Downscale factor from camera pixels to raster cells.
 pub const RASTER_SCALE: f64 = 10.0;
@@ -130,41 +129,38 @@ impl Raster {
             .sum()
     }
 
-    /// Serializes the raster into a length-prefixed little-endian byte
-    /// payload — the "JFIF payload" stand-in that the man-in-the-middle tap
-    /// intercepts on the camera Ethernet link (§III-B).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.data.len() * 4);
-        buf.put_u32_le(self.width as u32);
-        buf.put_u32_le(self.height as u32);
+    /// Serializes the raster into a little-endian byte payload: the width
+    /// and height as `u32`, then every cell as `f32`, row-major.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + self.data.len() * 4);
+        buf.extend_from_slice(&(self.width as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.height as u32).to_le_bytes());
         for v in &self.data {
-            buf.put_f32_le(*v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a payload produced by [`Raster::to_bytes`].
     ///
     /// Returns `None` on a malformed payload.
-    pub fn from_bytes(mut payload: Bytes) -> Option<Raster> {
-        use bytes::Buf;
-        if payload.remaining() < 8 {
-            return None;
-        }
-        let width = payload.get_u32_le() as usize;
-        let height = payload.get_u32_le() as usize;
+    pub fn from_bytes(payload: &[u8]) -> Option<Raster> {
+        let (width, rest) = payload.split_first_chunk::<4>()?;
+        let (height, body) = rest.split_first_chunk::<4>()?;
+        let width = u32::from_le_bytes(*width) as usize;
+        let height = u32::from_le_bytes(*height) as usize;
         // A hostile header can claim dimensions whose product overflows
         // `usize` (panics in debug builds) or is absurdly large; validate
         // the size arithmetic before trusting it or allocating anything.
         let cells = width.checked_mul(height)?;
         let expected_bytes = cells.checked_mul(4)?;
-        if payload.remaining() != expected_bytes {
+        if body.len() != expected_bytes {
             return None;
         }
-        let mut data = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            data.push(payload.get_f32_le());
-        }
+        let data = body
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of four")))
+            .collect();
         Some(Raster {
             width,
             height,
@@ -221,32 +217,34 @@ mod tests {
         let mut r = Raster::new(8, 6, 0.3);
         r.set(3, 2, 0.77);
         let payload = r.to_bytes();
-        let r2 = Raster::from_bytes(payload).unwrap();
+        let r2 = Raster::from_bytes(&payload).unwrap();
         assert_eq!(r, r2);
     }
 
     #[test]
     fn from_bytes_rejects_malformed() {
-        assert!(Raster::from_bytes(Bytes::from_static(&[1, 2, 3])).is_none());
-        let mut r = Raster::new(2, 2, 0.0).to_bytes().to_vec();
+        assert!(Raster::from_bytes(&[1, 2, 3]).is_none());
+        let mut r = Raster::new(2, 2, 0.0).to_bytes();
         r.pop(); // truncate
-        assert!(Raster::from_bytes(Bytes::from(r)).is_none());
+        assert!(Raster::from_bytes(&r).is_none());
+    }
+
+    /// An 8-byte header claiming `width` × `height`, then `body`.
+    fn payload(width: u32, height: u32, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + body.len());
+        buf.extend_from_slice(&width.to_le_bytes());
+        buf.extend_from_slice(&height.to_le_bytes());
+        buf.extend_from_slice(body);
+        buf
     }
 
     #[test]
     fn from_bytes_rejects_overflowing_header() {
         // width * height * 4 overflows usize: must return None, not panic
         // (previously a debug-build multiply-overflow panic).
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u32_le(u32::MAX);
-        buf.put_u32_le(u32::MAX);
-        buf.put_u32_le(0); // some trailing payload
-        assert!(Raster::from_bytes(buf.freeze()).is_none());
+        assert!(Raster::from_bytes(&payload(u32::MAX, u32::MAX, &[0; 4])).is_none());
         // Huge-but-non-overflowing dims with a tiny payload are rejected too.
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u32_le(1 << 16);
-        buf.put_u32_le(1 << 16);
-        assert!(Raster::from_bytes(buf.freeze()).is_none());
+        assert!(Raster::from_bytes(&payload(1 << 16, 1 << 16, &[])).is_none());
     }
 
     #[test]

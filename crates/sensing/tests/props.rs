@@ -98,17 +98,17 @@ proptest! {
     fn raster_bytes_roundtrip(w in 1usize..64, h in 1usize..64, v in 0.0..1.0f32) {
         let mut r = Raster::new(w, h, v);
         r.set(w / 2, h / 2, 1.0 - v);
-        let restored = Raster::from_bytes(r.to_bytes()).expect("valid payload");
+        let restored = Raster::from_bytes(&r.to_bytes()).expect("valid payload");
         prop_assert_eq!(r, restored);
     }
 
-    /// The tap's malformed-payload contract: `from_bytes` must reject (not
+    /// The malformed-payload contract: `from_bytes` must reject (not
     /// panic on) arbitrary garbage, including truncated headers.
     #[test]
     fn raster_from_bytes_never_panics_on_arbitrary_bytes(
         payload in proptest::collection::vec(any::<u8>(), 0..256)
     ) {
-        let _ = Raster::from_bytes(bytes::Bytes::from(payload));
+        let _ = Raster::from_bytes(&payload);
     }
 
     /// Hostile well-formed headers: any claimed dimensions (including those
@@ -121,12 +121,11 @@ proptest! {
         h in any::<u32>(),
         body in proptest::collection::vec(any::<u8>(), 0..64)
     ) {
-        use bytes::BufMut;
-        let mut buf = bytes::BytesMut::with_capacity(8 + body.len());
-        buf.put_u32_le(w);
-        buf.put_u32_le(h);
-        buf.put_slice(&body);
-        if let Some(r) = Raster::from_bytes(buf.freeze()) {
+        let mut buf = Vec::with_capacity(8 + body.len());
+        buf.extend_from_slice(&w.to_le_bytes());
+        buf.extend_from_slice(&h.to_le_bytes());
+        buf.extend_from_slice(&body);
+        if let Some(r) = Raster::from_bytes(&buf) {
             // Only accepted when the body length matches the header exactly.
             prop_assert_eq!(r.width(), w as usize);
             prop_assert_eq!(r.height(), h as usize);

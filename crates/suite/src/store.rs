@@ -89,12 +89,6 @@ impl ArtifactStore {
         self
     }
 
-    /// Replaces the telemetry handle in place (for owners holding a
-    /// not-yet-shared store).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// Whether reads can ever hit.
     pub fn is_enabled(&self) -> bool {
         self.dir.is_some()

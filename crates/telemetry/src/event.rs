@@ -140,16 +140,6 @@ pub enum TraceEvent {
         /// Run index within the campaign (seed = base_seed + index).
         index: u64,
     },
-    /// A content-addressed oracle-cache lookup found a usable entry.
-    OracleCacheHit {
-        /// The cache key digest (hex in the JSONL schema).
-        key: u64,
-    },
-    /// A content-addressed oracle-cache lookup missed (absent or corrupt).
-    OracleCacheMiss {
-        /// The cache key digest (hex in the JSONL schema).
-        key: u64,
-    },
     /// A suite-orchestrator job began executing on a worker.
     JobStarted {
         /// The job's DAG identifier (e.g. `oracle:DS-1:Disappear`).
@@ -205,8 +195,6 @@ pub enum EventKind {
     Collision,
     RunFinished,
     CampaignRunDispatched,
-    OracleCacheHit,
-    OracleCacheMiss,
     JobStarted,
     JobFinished,
     ArtifactHit,
@@ -217,7 +205,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every event kind, in taxonomy order.
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 20] = [
         EventKind::RunStarted,
         EventKind::SchedulerTask,
         EventKind::SensorSample,
@@ -232,8 +220,6 @@ impl EventKind {
         EventKind::Collision,
         EventKind::RunFinished,
         EventKind::CampaignRunDispatched,
-        EventKind::OracleCacheHit,
-        EventKind::OracleCacheMiss,
         EventKind::JobStarted,
         EventKind::JobFinished,
         EventKind::ArtifactHit,
@@ -267,8 +253,6 @@ impl EventKind {
             EventKind::Collision => "collision",
             EventKind::RunFinished => "run_finished",
             EventKind::CampaignRunDispatched => "campaign_run_dispatched",
-            EventKind::OracleCacheHit => "oracle_cache_hit",
-            EventKind::OracleCacheMiss => "oracle_cache_miss",
             EventKind::JobStarted => "job_started",
             EventKind::JobFinished => "job_finished",
             EventKind::ArtifactHit => "artifact_hit",
@@ -297,8 +281,6 @@ impl TraceEvent {
             TraceEvent::Collision => EventKind::Collision,
             TraceEvent::RunFinished { .. } => EventKind::RunFinished,
             TraceEvent::CampaignRunDispatched { .. } => EventKind::CampaignRunDispatched,
-            TraceEvent::OracleCacheHit { .. } => EventKind::OracleCacheHit,
-            TraceEvent::OracleCacheMiss { .. } => EventKind::OracleCacheMiss,
             TraceEvent::JobStarted { .. } => EventKind::JobStarted,
             TraceEvent::JobFinished { .. } => EventKind::JobFinished,
             TraceEvent::ArtifactHit { .. } => EventKind::ArtifactHit,
@@ -412,9 +394,6 @@ impl TraceRecord {
             TraceEvent::CampaignRunDispatched { index } => {
                 let _ = write!(s, ",\"index\":{index}");
             }
-            TraceEvent::OracleCacheHit { key } | TraceEvent::OracleCacheMiss { key } => {
-                let _ = write!(s, ",\"key\":\"{key:016x}\"");
-            }
             TraceEvent::JobStarted { job } | TraceEvent::JobFinished { job } => {
                 let _ = write!(s, ",\"job\":\"{}\"", json_escape(job));
             }
@@ -525,10 +504,6 @@ mod tests {
                 samples: 300,
             },
             TraceEvent::CampaignRunDispatched { index: 17 },
-            TraceEvent::OracleCacheHit {
-                key: 0x88fd_3971_a1e3_db6f,
-            },
-            TraceEvent::OracleCacheMiss { key: 1 },
             TraceEvent::JobStarted {
                 job: "oracle:DS-1:Disappear".to_string(),
             },

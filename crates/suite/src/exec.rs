@@ -1,10 +1,16 @@
-//! The work-stealing DAG executor.
+//! The output-first DAG executor.
 //!
-//! A fixed pool of workers shares one ready queue behind a mutex+condvar:
-//! whenever a job's last dependency completes it becomes ready, and the
-//! first idle worker claims it. There is no per-phase barrier — a figure
-//! job whose oracle is done runs while other oracles are still training,
-//! which is what keeps the pool busy on the wide-then-narrow paper DAG.
+//! A fixed pool of workers shares one ready set behind a mutex+condvar.
+//! Whenever a job's last dependency completes it becomes ready, and the
+//! next idle worker claims the ready job of lowest rank. The ranking is
+//! fixed once per [`execute`] call: a stdout job goes before any
+//! preparation job, a preparation job with more stdout jobs among its
+//! transitive dependents goes before one with fewer, and ties go by
+//! declaration order. So a report starts as soon as its own oracles are
+//! done, and the oracle that unblocks the most reports trains first.
+//! There is no per-phase barrier — a figure job whose oracle is done runs
+//! while other oracles are still training. The rank only orders starts:
+//! every job runs once, and stdout is concatenated in declaration order.
 //!
 //! Completed jobs are appended to the JSONL manifest as they finish (see
 //! [`crate::manifest`]); on a resumed run, jobs with a recovered entry are
@@ -19,7 +25,8 @@ use crate::dag::Dag;
 use crate::manifest::{self, ManifestEntry};
 use crate::scope::ExecScope;
 use av_telemetry::{Telemetry, TraceEvent};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -182,6 +189,9 @@ pub struct JobReport {
     pub stdout: String,
     /// Wall time (this run, or the recorded time when skipped).
     pub wall_ms: u64,
+    /// Time from becoming ready to starting in this run (0 when skipped).
+    /// Neither the manifest nor the wire carries it.
+    pub queued_ms: u64,
     /// Whether the job was skipped via the resumed manifest.
     pub skipped: bool,
     /// Artifact-store hits while the job ran.
@@ -258,16 +268,17 @@ impl RunReport {
         );
         let _ = writeln!(
             s,
-            "[suite] {:<28} {:>8} {:>9} {:>6} {:>7}",
-            "job", "status", "wall(s)", "hits", "misses"
+            "[suite] {:<28} {:>8} {:>9} {:>9} {:>6} {:>7}",
+            "job", "status", "wall(s)", "queued(s)", "hits", "misses"
         );
         for job in &self.jobs {
             let _ = writeln!(
                 s,
-                "[suite] {:<28} {:>8} {:>9.2} {:>6} {:>7}",
+                "[suite] {:<28} {:>8} {:>9.2} {:>9.2} {:>6} {:>7}",
                 job.id,
                 if job.skipped { "skipped" } else { "run" },
                 job.wall_ms as f64 / 1000.0,
+                job.queued_ms as f64 / 1000.0,
                 job.artifact_hits,
                 job.artifact_misses,
             );
@@ -284,7 +295,12 @@ impl RunReport {
 
 /// Shared scheduler state behind the pool's mutex.
 struct PoolState {
-    ready: VecDeque<usize>,
+    /// Ready jobs by rank; the first one starts next.
+    ready: BTreeSet<Rank>,
+    /// Each job's fixed rank (see [`output_first_ranks`]).
+    rank: Vec<Rank>,
+    /// When each job became ready (the run's start for dep-free jobs).
+    ready_at: Vec<Instant>,
     remaining_deps: Vec<usize>,
     results: Vec<Option<JobReport>>,
     completed: usize,
@@ -300,9 +316,45 @@ impl PoolState {
     }
 }
 
-/// Executes `dag` under `opts`. Reports come back in DAG declaration
-/// order; stdout-emitting jobs' strings concatenated in that order are the
-/// suite's stdout.
+/// A job's place in the start order, lowest first: ⟨not a stdout job,
+/// stdout jobs among its transitive dependents (most first), declaration
+/// index⟩. The index makes ranks unique and names the job.
+type Rank = (bool, Reverse<usize>, usize);
+
+/// Each job's [`Rank`], walking `dependents` to count the stdout jobs
+/// each one transitively unblocks.
+fn output_first_ranks(dag: &Dag, dependents: &[Vec<usize>]) -> Vec<Rank> {
+    let n = dag.len();
+    let is_stdout = |i: usize| dag.jobs()[i].is_stdout_job();
+    let unblocked_outputs = |i: usize| {
+        let mut seen = vec![false; n];
+        let mut stack = dependents[i].clone();
+        let mut outputs = 0;
+        while let Some(d) = stack.pop() {
+            if !std::mem::replace(&mut seen[d], true) {
+                outputs += usize::from(is_stdout(d));
+                stack.extend(&dependents[d]);
+            }
+        }
+        outputs
+    };
+    (0..n)
+        .map(|i| {
+            let outputs = if is_stdout(i) {
+                0
+            } else {
+                unblocked_outputs(i)
+            };
+            (!is_stdout(i), Reverse(outputs), i)
+        })
+        .collect()
+}
+
+/// Executes `dag` under `opts`: each idle worker starts the ready job of
+/// lowest rank (stdout jobs first, then the jobs that unblock the most
+/// stdout jobs, ties by declaration order). Reports come back in DAG
+/// declaration order; stdout-emitting jobs' strings concatenated in that
+/// order are the suite's stdout.
 pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     if opts.workers == 0 {
         return Err(ExecError::ZeroWorkers);
@@ -355,7 +407,9 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     };
 
     let mut state = PoolState {
-        ready: VecDeque::new(),
+        ready: BTreeSet::new(),
+        rank: output_first_ranks(dag, &dependents),
+        ready_at: vec![started; n],
         remaining_deps: dag.jobs().iter().map(|j| j.dep_ids().len()).collect(),
         results: (0..n).map(|_| None).collect(),
         completed: 0,
@@ -379,6 +433,7 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                 emits_stdout: dag.jobs()[i].is_stdout_job(),
                 stdout: entry.stdout,
                 wall_ms: entry.wall_ms,
+                queued_ms: 0,
                 skipped: true,
                 artifact_hits: entry.artifact_hits,
                 artifact_misses: entry.artifact_misses,
@@ -394,10 +449,10 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
         complete(&mut state, &dependents, i);
     }
     for i in 0..n {
-        // complete() above may already have queued jobs unblocked by
-        // skipped dependencies — don't queue those twice.
-        if state.results[i].is_none() && state.remaining_deps[i] == 0 && !state.ready.contains(&i) {
-            state.ready.push_back(i);
+        // complete() above may already have readied jobs unblocked by
+        // skipped dependencies; the set holds each job once.
+        if state.results[i].is_none() && state.remaining_deps[i] == 0 {
+            state.ready.insert(state.rank[i]);
         }
     }
 
@@ -414,14 +469,14 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                     (&pool, &work_available, dag, &dependents, opts, &exec_scope);
                 scope.spawn(move || {
                     loop {
-                        let i = {
+                        let (i, queued) = {
                             let mut state = pool.lock().expect("pool lock");
                             loop {
                                 if state.done() {
                                     return;
                                 }
-                                if let Some(i) = state.ready.pop_front() {
-                                    break i;
+                                if let Some((_, _, i)) = state.ready.pop_first() {
+                                    break (i, state.ready_at[i].elapsed());
                                 }
                                 state = work_available.wait(state).expect("pool lock");
                             }
@@ -447,6 +502,7 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                             emits_stdout: job.is_stdout_job(),
                             stdout: outcome.stdout.clone(),
                             wall_ms: wall.as_millis() as u64,
+                            queued_ms: queued.as_millis() as u64,
                             skipped: false,
                             artifact_hits: outcome.artifact_hits,
                             artifact_misses: outcome.artifact_misses,
@@ -504,13 +560,15 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     })
 }
 
-/// Marks job `i` completed and promotes newly unblocked dependents.
+/// Marks job `i` completed and readies newly unblocked dependents.
 fn complete(state: &mut PoolState, dependents: &[Vec<usize>], i: usize) {
     state.completed += 1;
+    let now = Instant::now();
     for &d in &dependents[i] {
         state.remaining_deps[d] -= 1;
         if state.remaining_deps[d] == 0 && state.results[d].is_none() {
-            state.ready.push_back(d);
+            state.ready.insert(state.rank[d]);
+            state.ready_at[d] = now;
         }
     }
 }
@@ -789,6 +847,96 @@ mod tests {
         assert!(log
             .iter()
             .all(|(k, _, skipped)| k == "finished" && *skipped));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two preparation arms declared B first: arm A (`data:a` → `prep:a`)
+    /// unblocks three reports, arm B one; `free` is a report with no deps.
+    fn two_arm_dag() -> Dag {
+        let noop = |id: &str| Job::new(id, |_| JobOutcome::default());
+        let report = |id: &str| {
+            let body = format!("{id}\n");
+            Job::new(id, move |_| JobOutcome {
+                stdout: body.clone(),
+                ..JobOutcome::default()
+            })
+            .emits_stdout()
+        };
+        Dag::new(vec![
+            noop("data:b"),
+            noop("prep:b").dep("data:b"),
+            noop("data:a"),
+            noop("prep:a").dep("data:a"),
+            report("a1").dep("prep:a"),
+            report("a2").dep("prep:a"),
+            report("a3").dep("prep:a"),
+            report("b1").dep("prep:b"),
+            report("free"),
+        ])
+        .expect("valid dag")
+    }
+
+    /// Runs `dag` on one worker and returns the ids in start order.
+    fn start_order(dag: &Dag, opts: ExecOptions) -> (Vec<String>, RunReport) {
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let log = started.clone();
+        let report = execute(
+            dag,
+            &opts.workers(1).observer(move |event| {
+                if let ExecEvent::JobStarted { job } = event {
+                    log.lock().expect("start log").push(job.to_string());
+                }
+            }),
+        )
+        .expect("run");
+        let order = started.lock().expect("start log").clone();
+        (order, report)
+    }
+
+    #[test]
+    fn reports_start_before_preparation_that_unblocks_fewer_of_them() {
+        let (order, report) = start_order(&two_arm_dag(), ExecOptions::new());
+        // The free report first; then arm A, whose three reports start as
+        // soon as prep:a is done, before arm B's chain; B's report last.
+        assert_eq!(
+            order,
+            ["free", "data:a", "prep:a", "a1", "a2", "a3", "data:b", "prep:b", "b1"]
+        );
+        // Reports still print in declaration order.
+        assert_eq!(stdout_of(&report), "a1\na2\na3\nb1\nfree\n");
+    }
+
+    #[test]
+    fn a_resumed_run_ranks_what_is_left() {
+        let dir = std::env::temp_dir().join(format!("suite-rank-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("manifest.jsonl");
+        let dag = two_arm_dag();
+        let (_, first) = start_order(&dag, ExecOptions::new().manifest(path.clone()));
+
+        // Keep the header and every preparation job; the reports rerun.
+        let contents = std::fs::read_to_string(&path).expect("manifest");
+        let keep: Vec<&str> = contents
+            .lines()
+            .filter(|l| {
+                !l.starts_with("{\"job\":")
+                    || l.starts_with("{\"job\":\"data:")
+                    || l.starts_with("{\"job\":\"prep:")
+            })
+            .collect();
+        std::fs::write(&path, format!("{}\n", keep.join("\n"))).expect("truncate");
+        let (order, resumed) = start_order(&dag, ExecOptions::new().manifest(path.clone()));
+        assert_eq!(resumed.jobs_skipped(), 4);
+        // Every report is ready at once: declaration order, not the order
+        // in which the skipped preparation jobs unblocked them (b1 first).
+        assert_eq!(order, ["a1", "a2", "a3", "b1", "free"]);
+        assert_eq!(stdout_of(&resumed), stdout_of(&first));
+        for job in &resumed.jobs {
+            if job.skipped {
+                assert_eq!(job.queued_ms, 0, "{}", job.id);
+            }
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,7 +3,7 @@
 //! The layer that turns the experiment binaries into a servable evaluation
 //! system: each paper artifact (Table II, Figs. 5–8, the ablations, the
 //! defense and resilience studies) is a typed [`Job`] in a dependency DAG,
-//! executed on one shared work-stealing worker pool against one shared
+//! executed on one shared worker pool against one shared
 //! content-addressed [`ArtifactStore`] holding the expensive intermediates
 //! (collected sweep datasets, trained oracles).
 //!
@@ -16,8 +16,9 @@
 //! - [`dag`]: jobs with declared inputs/outputs and validated dependency
 //!   edges (duplicate ids, dangling deps and cycles are construction
 //!   errors), plus transitive-closure subgraphs for `--only`.
-//! - [`exec`]: the executor — a work-stealing pool (workers claim ready
-//!   jobs off a shared queue), a resumable JSONL run manifest (completed
+//! - [`exec`]: the executor — a worker pool that starts ready jobs in one
+//!   fixed output-first rank (reports first, then the preparation jobs
+//!   that unblock the most reports), a resumable JSONL run manifest (completed
 //!   jobs are skipped on rerun and their recorded stdout replayed), and a
 //!   per-job scorecard ([`JobReport`] / [`RunReport`]) for the end-of-run
 //!   summary table.

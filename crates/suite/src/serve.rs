@@ -688,6 +688,39 @@ mod tests {
     }
 
     #[test]
+    fn a_report_streams_before_jobs_that_unblock_no_report_start() {
+        // sleep:3 is three independent jobs; only step-2 emits stdout, so
+        // one worker runs it first and its event leads the stream.
+        let capture = Capture::default();
+        let input = Cursor::new(format!(
+            "{}\n",
+            EvalRequest {
+                id: "r1".into(),
+                only: vec!["sleep:3".into()],
+                jobs: 1,
+                ..EvalRequest::default()
+            }
+            .to_json()
+        ));
+        serve_lines(
+            input,
+            Box::new(capture.clone()),
+            &ToyService,
+            &ServeOptions::default(),
+        );
+        let events = events_of(&capture.take_lines());
+        let report_finished = events
+            .iter()
+            .position(|e| matches!(e, EvalEvent::JobFinished { job, .. } if job == "step-2"))
+            .expect("step-2 finished");
+        let first_started = events
+            .iter()
+            .position(|e| matches!(e, EvalEvent::JobStarted { job, .. } if job == "step-0"))
+            .expect("step-0 started");
+        assert!(report_finished < first_started, "{events:?}");
+    }
+
+    #[test]
     fn malformed_lines_get_typed_errors_and_never_kill_the_daemon() {
         let capture = Capture::default();
         let hostile = [
